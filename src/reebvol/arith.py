@@ -66,22 +66,6 @@ def dot(a: Sequence, b: Sequence):
     return sum(x * y for x, y in zip(a, b))
 
 
-def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(c, a):
-    return tuple(c * x for x in a)
-
-
-def is_zero_vector(a) -> bool:
-    return all(x == 0 for x in a)
-
-
 def mat(rows: Iterable[Iterable]) -> tuple:
     m = tuple(vec(r) for r in rows)
     if m and any(len(r) != len(m[0]) for r in m):
@@ -104,16 +88,11 @@ def _require_square(m):
     return n
 
 
-def _integer_rows(m):
-    """Clear denominators row by row; returns (integer rows, product of scales)."""
-    rows = []
-    scale = Fraction(1)
-    for row in m:
-        fr = [rat(x) for x in row]
-        d = math.lcm(*(x.denominator for x in fr)) if fr else 1
-        rows.append([int(x * d) for x in fr])
-        scale *= d
-    return rows, scale
+def _integer_row(row):
+    """Clear a row's denominators; returns (integer entries, the scale)."""
+    fr = [rat(x) for x in row]
+    d = math.lcm(*(x.denominator for x in fr)) if fr else 1
+    return [x.numerator * (d // x.denominator) for x in fr], d
 
 
 def _bareiss_det(a) -> int:
@@ -143,64 +122,113 @@ def _bareiss_det(a) -> int:
 def det(m) -> Fraction:
     """Exact determinant via fraction-free elimination."""
     _require_square(m)
-    rows, scale = _integer_rows(m)
-    return Fraction(_bareiss_det(rows)) / scale
+    rows, scale = [], 1
+    for row in m:
+        ints, d = _integer_row(row)
+        rows.append(ints)
+        scale *= d
+    return Fraction(_bareiss_det(rows), scale)
+
+
+def _cleared(row, pivot_row, col):
+    """``row`` with column ``col`` eliminated against ``pivot_row`` by an
+    integer combination, divided by the gcd of its entries."""
+    f, g = pivot_row[col], row[col]
+    out = [f * x - g * y for x, y in zip(row, pivot_row)]
+    d = math.gcd(*out)
+    return [x // d for x in out] if d > 1 else out
+
+
+def _eliminate(rows, width, count=None, augment=False):
+    """Fraction-free Gauss-Jordan elimination on integer rows.
+
+    Rows are taken in input order.  A row independent, in its first
+    ``width`` entries, of the rows kept so far is kept (until ``count`` are
+    kept); its first nonzero entry becomes its pivot, and that column is
+    cleared from every other kept row.  With ``augment`` the s-th kept row
+    carries the unit vector e_s in ``count`` extra columns, which then hold
+    each reduced row as a combination of the kept input rows.  Returns the
+    kept (input index, pivot column, reduced row) triples.
+    """
+    kept = []
+    for i, row in enumerate(rows):
+        r = list(row)
+        if augment:
+            r += [0] * count
+            r[width + len(kept)] = 1
+        for _, c, k in kept:
+            if r[c]:
+                r = _cleared(r, k, c)
+        c = next((j for j in range(width) if r[j]), None)
+        if c is None:
+            continue
+        kept = [(i2, c2, _cleared(k, r, c) if k[c] else k) for i2, c2, k in kept]
+        kept.append((i, c, r))
+        if len(kept) == count:
+            break
+    return kept
 
 
 def solve(a, b) -> tuple:
-    """Exact solution of a square nonsingular system a @ x = b (Cramer on
-    Bareiss determinants; adequate for the ranks this package supports)."""
+    """Exact solution of a square nonsingular system a @ x = b, by one
+    fraction-free Gauss-Jordan elimination of the augmented matrix."""
     n = _require_square(a)
     if len(b) != n:
         raise DimensionMismatchError("right-hand side length does not match")
-    rows, scale = _integer_rows(a)
-    d_int = _bareiss_det(rows)
-    if d_int == 0:
+    rows = [_integer_row(tuple(row) + (bi,))[0] for row, bi in zip(a, vec(b))]
+    kept = _eliminate(rows, n)
+    if len(kept) < n:
         raise SingularSystemError("matrix is singular")
-    d = Fraction(d_int) / scale
-    bf = vec(b)
-    x = []
-    for j in range(n):
-        col = tuple(tuple(bf[i] if k == j else a[i][k] for k in range(n)) for i in range(n))
-        x.append(det(col) / d)
+    x = [None] * n
+    for _, c, r in kept:
+        x[c] = Fraction(r[n], r[c])
     return tuple(x)
 
 
 def inverse(a) -> tuple:
+    """Exact inverse of a square nonsingular matrix, by one fraction-free
+    Gauss-Jordan elimination of [a | identity]."""
     n = _require_square(a)
-    cols = []
+    scaled = [_integer_row(row) for row in a]
+    kept = _eliminate([ints for ints, _ in scaled], n, n, augment=True)
+    if len(kept) < n:
+        raise SingularSystemError("matrix is singular")
+    inv = [None] * n
+    for _, c, r in kept:
+        inv[c] = tuple(Fraction(r[n + j] * d, r[c]) for j, (_, d) in enumerate(scaled))
+    return tuple(inv)
+
+
+def basis_inverse(rows, n):
+    """The first n linearly independent integer rows, taken in input order,
+    and the inverse of the matrix they form, from one fraction-free
+    elimination.
+
+    Returns (indices, columns): ``columns[j]`` is the primitive integer
+    vector x with <rows[indices[i]], x> = 0 for i != j and > 0 for i == j, a
+    positive multiple of column j of the inverse.  None when the rows span
+    less than n-space.
+    """
+    kept = _eliminate(rows, n, n, augment=True)
+    if len(kept) < n:
+        return None
+    scale = math.lcm(*(r[c] for _, c, r in kept))
+    columns = []
     for j in range(n):
-        e = tuple(Fraction(int(i == j)) for i in range(n))
-        cols.append(solve(a, e))
-    return transpose(cols)
+        x = [0] * n
+        for _, c, r in kept:
+            x[c] = r[n + j] * (scale // r[c])
+        g = math.gcd(*x)
+        columns.append(tuple(v // g for v in x))
+    return [i for i, _, _ in kept], columns
 
 
 def rank_of(vectors) -> int:
     """Rank of a list of equal-length vectors, by exact elimination."""
-    rows = [[rat(x) for x in v] for v in vectors]
+    rows = [_integer_row(v)[0] for v in vectors]
     if not rows:
         return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                f = rows[r][col] / pv
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return len(_eliminate(rows, len(rows[0])))
 
 
 def primitive(v) -> tuple:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 from .arith import decimal_str, det, dot, fmt, mat, mat_vec, rat, vec
 from .errors import (
@@ -227,10 +227,7 @@ def energy_pxi(setup: PolarizedToricSetup, psi: PLConcave | None = None):
     tri = triangulate(chart.body)
     first = [chart.body.vertices[i] for i in tri.simplices[0]]
     lifted = [chart.lift(y) for y in first]
-    fact = 1
-    for i in range(2, n):
-        fact *= i
-    cone_measure = abs(det(lifted)) / fact
+    cone_measure = abs(det(lifted)) / factorial(n - 1)
     chart_measure = simplex_volume(first)
     density = cone_measure / chart_measure
     body = _restricted_body(chart.body, g, setup.clamp and psi is None)
@@ -349,10 +346,7 @@ def quasi_regular_check(setup: PolarizedToricSetup, t_max: int,
     lead1 = Fraction(t1["n_t"], t1["t"] ** (n - 1))
     lead2 = Fraction(t2["n_t"], t2["t"] ** (n - 1))
     lead = r1 * lead2 - r2 * lead1
-    fact = 1
-    for i in range(2, n):
-        fact *= i
-    target = vol_xi(setup) / fact
+    target = vol_xi(setup) / factorial(n - 1)
     lhs_n = abs(lead - target)
     verdicts.append(Verdict("lem3.17a-growth", lhs_n <= tolerance * target, lhs_n,
                             tolerance * target, "le"))
@@ -469,10 +463,7 @@ def consistency_report(setup: PolarizedToricSetup, m_grid=DEFAULT_M_GRID,
     verdicts = []
     vol_closed = vol_xi(setup)
     vol_body = volume(setup.q)
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    verdicts.append(_verdict("vol-routes", vol_closed, fact * vol_body))
+    verdicts.append(_verdict("vol-routes", vol_closed, factorial(n) * vol_body))
 
     psi_eff = setup.effective_psi()
     d_val = None

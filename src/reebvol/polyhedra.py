@@ -1,24 +1,38 @@
 """Rational polyhedral cones and polytopes.
 
 Cones are pointed and full-dimensional, carried in both generator (ray)
-and facet (halfspace) form; duality swaps the two.  Ray/facet enumeration
-uses incremental double description with the combinatorial adjacency test,
-which is exact and adequate for the ranks this tool supports (<= 8).
+and facet (halfspace) form; duality swaps the two.  Every conversion runs
+through one routine, incremental double description with the
+combinatorial adjacency test (Motzkin, Raiffa, Thompson and Thrall 1953;
+Fukuda and Prodon 1996), in exact integer arithmetic:
+
+- a cone's facets are the extreme rays of its dual;
+- a polytope's vertices are the extreme rays with t > 0 of its
+  homogenization {(x, t) : t*b - <a, x> >= 0, t >= 0};
+- a point set's hull facets are the extreme rays of the dual of the cone
+  over {(p, 1)}.
+
+Each extreme ray comes with the set of constraints tight on it, as an int
+bitmask, and those incidences decide which generators are extreme and
+which inequalities are facets, with no rank test.
 
 Polytopes carry a vertex list and an irredundant inequality description
 ``<normal, x> <= offset`` simultaneously; triangulation is the
 deterministic pulling triangulation anchored at the lexicographically
-smallest vertex, so identical inputs always produce identical output.
+smallest vertex, so identical inputs always produce identical output.  It
+walks the face lattice through the vertex-facet incidences, so it needs no
+hull of any face.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
+from operator import mul
 
 from .arith import (
+    basis_inverse,
     det,
     dot,
     fmt,
@@ -28,7 +42,6 @@ from .arith import (
     primitive,
     rank_of,
     rat,
-    solve,
     transpose,
     vec,
 )
@@ -37,7 +50,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidBasisError,
     NotReebFieldError,
-    SingularSystemError,
     UnsupportedGeometryError,
 )
 
@@ -54,76 +66,92 @@ def _check_rank(rank: int):
 # ---------------------------------------------------------------------------
 
 
-def _dd_extreme_rays(normals, rank):
-    """Extreme rays of {x : <a, x> >= 0 for a in normals}.
+def _bits(mask):
+    """Indices of the set bits of a nonnegative int, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    Incremental refinement starting from a simplicial subcone; requires the
-    result to be pointed, i.e. the normals to span the ambient space.
+
+def _double_description(normals, dim):
+    """Extreme rays of the cone {x : <a, x> >= 0 for a in normals}.
+
+    ``normals`` are integer vectors of length ``dim``.  Refinement starts
+    from the simplicial cone of the first ``dim`` independent normals, and
+    two rays on opposite sides of a new hyperplane are combined only when
+    they are adjacent: they share at least dim-2 tight constraints and no
+    third ray is tight on all of those.  Returns (rays, zeros): the
+    primitive integer rays in sorted order and, for each, the bitmask of
+    the normals that vanish on it.  None when the normals do not span,
+    i.e. the cone is not pointed.
     """
-    basis_idx, basis_rows = [], []
-    for i, a in enumerate(normals):
-        if rank_of(basis_rows + [a]) > len(basis_rows):
-            basis_rows.append(a)
-            basis_idx.append(i)
-            if len(basis_rows) == rank:
-                break
-    if len(basis_rows) < rank:
-        raise UnsupportedGeometryError("cone is not pointed (facet normals do not span)")
-
-    rays = []
-    active = []
-    for j in range(rank):
-        e = tuple(Fraction(int(i == j)) for i in range(rank))
-        rays.append(primitive(solve(basis_rows, e)))
-        active.append(frozenset(basis_idx[i] for i in range(rank) if i != j))
-
-    processed = set(basis_idx)
+    start = basis_inverse(normals, dim)
+    if start is None:
+        return None
+    basis, rays = start
+    basis_mask = sum(1 << i for i in basis)
+    zeros = [basis_mask ^ (1 << i) for i in basis]
+    need = dim - 2
     for idx, a in enumerate(normals):
-        if idx in processed:
+        bit = 1 << idx
+        if basis_mask & bit:
             continue
-        vals = [dot(a, r) for r in rays]
-        if all(v >= 0 for v in vals):
-            active = [
-                act | {idx} if v == 0 else act for act, v in zip(active, vals)
-            ]
-            processed.add(idx)
-            continue
-        keep_rays, keep_active = [], []
-        for r, act, v in zip(rays, active, vals):
+        vals = [sum(map(mul, a, r)) for r in rays]
+        new_rays, new_zeros, pos, neg = [], [], [], []
+        for k, v in enumerate(vals):
             if v > 0:
-                keep_rays.append(r)
-                keep_active.append(act)
-            elif v == 0:
-                keep_rays.append(r)
-                keep_active.append(act | {idx})
-        new = set()
-        for (p, q) in itertools.combinations(range(len(rays)), 2):
-            vp, vq = vals[p], vals[q]
-            if vp * vq >= 0:
-                continue
-            shared = active[p] & active[q]
-            adjacent = not any(
-                k not in (p, q) and shared <= active[k] for k in range(len(rays))
-            )
-            if not adjacent:
-                continue
-            if vp < 0:
-                p, q = q, p
-                vp, vq = vq, vp
-            new.add(primitive(tuple(vp * x - vq * y for x, y in zip(rays[q], rays[p]))))
-        processed.add(idx)
-        for w in sorted(new):
-            if w not in keep_rays:
-                keep_rays.append(w)
-                # tightness must be recomputed: degenerate inputs can make
-                # more processed constraints vanish at w than the pair shares
-                keep_active.append(
-                    frozenset(i for i in processed if dot(normals[i], w) == 0)
-                )
-        rays, active = keep_rays, keep_active
+                pos.append(k)
+                new_rays.append(rays[k])
+                new_zeros.append(zeros[k])
+            elif v < 0:
+                neg.append(k)
+            else:
+                new_rays.append(rays[k])
+                new_zeros.append(zeros[k] | bit)
+        for p in pos:
+            for q in neg:
+                shared = zeros[p] & zeros[q]
+                if shared.bit_count() < need:
+                    continue
+                for k, z in enumerate(zeros):
+                    if z & shared == shared and k != p and k != q:
+                        break
+                else:
+                    vp, vq = vals[p], vals[q]
+                    w = [vp * y - vq * x for x, y in zip(rays[p], rays[q])]
+                    g = gcd(*w)
+                    new_rays.append(tuple(x // g for x in w))
+                    new_zeros.append(shared | bit)
+        rays, zeros = new_rays, new_zeros
+    order = sorted(range(len(rays)), key=rays.__getitem__)
+    return [rays[i] for i in order], [zeros[i] for i in order]
 
-    order = sorted(range(len(rays)), key=lambda i: rays[i])
-    return tuple(rays[i] for i in order)
+
+def _extreme(zeros, count):
+    """Indices of the generators, among ``count`` given to a double
+    description as the normals of the dual cone, that span extreme rays:
+    those that no other generator shares all their tight facets with."""
+    meet = [(1 << count) - 1] * count
+    for z in zeros:
+        for i in _bits(z):
+            meet[i] &= z
+    return [i for i in range(count) if meet[i] == 1 << i]
+
+
+def _facets_and_extreme(generators, n, flat_error, wide_error):
+    """For distinct primitive generators of a cone in n-space: its primitive
+    inward facet normals and the generators that span extreme rays, from
+    one double description of the dual cone."""
+    dd = _double_description(generators, n)
+    if dd is None:
+        raise UnsupportedGeometryError(flat_error)
+    facets, zeros = dd
+    if rank_of(facets) < n:
+        raise UnsupportedGeometryError(wide_error)
+    return tuple(facets), tuple(generators[i] for i in _extreme(zeros, len(generators)))
 
 
 @dataclass(frozen=True)
@@ -149,12 +177,9 @@ class Cone:
         _check_rank(n)
         if any(len(r) != n for r in rays):
             raise DimensionMismatchError("ray length does not match rank")
-        if rank_of(rays) < n:
-            raise UnsupportedGeometryError("cone is not full-dimensional")
-        halfspaces = _dd_extreme_rays(sorted(set(rays)), n)
-        if rank_of(halfspaces) < n:
-            raise UnsupportedGeometryError("cone is not pointed")
-        canonical = _dd_extreme_rays(halfspaces, n)
+        halfspaces, canonical = _facets_and_extreme(
+            sorted(set(rays)), n, "cone is not full-dimensional", "cone is not pointed"
+        )
         return Cone(n, canonical, halfspaces, lattice)
 
     @staticmethod
@@ -164,10 +189,10 @@ class Cone:
             raise UnsupportedGeometryError("a cone needs at least one halfspace")
         n = rank if rank is not None else len(normals[0])
         _check_rank(n)
-        rays = _dd_extreme_rays(sorted(set(normals)), n)
-        if rank_of(rays) < n:
-            raise UnsupportedGeometryError("cone is not full-dimensional")
-        canonical_normals = _dd_extreme_rays(rays, n)
+        rays, canonical_normals = _facets_and_extreme(
+            sorted(set(normals)), n,
+            "cone is not pointed (facet normals do not span)", "cone is not full-dimensional",
+        )
         return Cone(n, rays, canonical_normals, lattice)
 
     def contains(self, v) -> bool:
@@ -282,32 +307,28 @@ def _affine_dim(vertices) -> int:
     return rank_of([tuple(x - y for x, y in zip(v, v0)) for v in vertices[1:]])
 
 
-def _vertex_enumeration(rank, halfspaces):
-    """All basic feasible solutions of an inequality system (brute force
-    over n-subsets; exact, fine for the small systems this tool handles)."""
-    verts = set()
-    k = len(halfspaces)
-    for idx in itertools.combinations(range(k), rank):
-        rows = [halfspaces[i][0] for i in idx]
-        rhs = [halfspaces[i][1] for i in idx]
-        try:
-            x = solve(rows, rhs)
-        except SingularSystemError:
-            continue
-        if all(dot(a, x) <= b for a, b in halfspaces):
-            verts.add(tuple(x))
-    return sorted(verts)
+def _vertex_rays(rank, halfspaces):
+    """Double description of the homogenization {(x, t) : t*b - <a, x> >= 0,
+    t >= 0} of the system <a, x> <= b.
 
-
-def _prune_facets(rank, vertices, halfspaces, affine_dim):
-    if affine_dim < rank:
-        return tuple(sorted(set(halfspaces)))
-    kept = []
-    for a, b in set(halfspaces):
-        tight = [v for v in vertices if dot(a, v) == b]
-        if len(tight) >= rank and _affine_dim(tight) == rank - 1:
-            kept.append((a, b))
-    return tuple(sorted(kept))
+    Returns (vertices, zeros, recession): the sorted vertices (the rays with
+    t > 0, scaled to t = 1), for each the bitmask of the tight halfspaces,
+    and whether a ray with t = 0 (a recession direction) exists.  None when
+    the normals a do not span, so the system has no vertex.
+    """
+    normals = [primitive(tuple(-x for x in a) + (b,)) for a, b in halfspaces]
+    normals.append((0,) * rank + (1,))
+    dd = _double_description(normals, rank + 1)
+    if dd is None:
+        return None
+    found = []
+    for r, z in zip(*dd):
+        t = r[-1]
+        if t > 0:
+            found.append((tuple(Fraction(x, t) for x in r[:-1]), z))
+    found.sort()
+    recession = len(found) < len(dd[0])
+    return [v for v, _ in found], [z for _, z in found], recession
 
 
 def polytope_from_halfspaces(rank, halfspaces, assume_bounded=False) -> Polytope:
@@ -325,56 +346,54 @@ def polytope_from_halfspaces(rank, halfspaces, assume_bounded=False) -> Polytope
     normed = sorted(set(normed))
     if not normed:
         raise UnsupportedGeometryError("empty inequality system describes all of space")
-    if not assume_bounded:
-        if rank_of([a for a, _ in normed]) < rank:
-            raise UnsupportedGeometryError("inequality system is unbounded")
-        recession = _dd_extreme_rays(sorted({tuple(-x for x in a) for a, _ in normed}), rank)
-        if recession:
-            raise UnsupportedGeometryError("inequality system is unbounded")
-    vertices = _vertex_enumeration(rank, normed)
-    dim = _affine_dim(vertices)
+    found = _vertex_rays(rank, normed)
+    vertices, zeros, recession = found if found is not None else ([], [], True)
+    if recession and not assume_bounded:
+        raise UnsupportedGeometryError("inequality system is unbounded")
     if not vertices:
         return Polytope(rank, (), (), -1)
-    return Polytope(rank, tuple(vertices), _prune_facets(rank, vertices, normed, dim), dim)
+    tight = [0] * len(normed)
+    for j, z in enumerate(zeros):
+        for i in _bits(z):
+            if i < len(normed):
+                tight[i] |= 1 << j
+    if (1 << len(vertices)) - 1 in tight:
+        # an implicit equality: the body lies in a hyperplane
+        return Polytope(rank, tuple(vertices), tuple(normed), _affine_dim(vertices))
+    # the facets are the halfspaces whose tight vertex sets are maximal
+    facets = tuple(
+        h for h, m in zip(normed, tight)
+        if m and all(m | other != other or other == m for other in tight)
+    )
+    return Polytope(rank, tuple(vertices), facets, rank)
 
 
 def polytope_from_vertices(points) -> Polytope:
-    """Convex hull of a full-dimensional point set (exact brute-force hull)."""
+    """Convex hull of a full-dimensional point set: its facets are the
+    extreme rays of the dual of the cone over {(p, 1)}."""
     pts = sorted({vec(p) for p in points})
     if not pts:
         return Polytope(0, (), (), -1)
     n = len(pts[0])
     _check_rank(n)
-    dim = _affine_dim(pts)
-    if dim < n:
-        raise DegeneratePolytopeError(dim)
     if n == 1:
+        if len(pts) < 2:
+            raise DegeneratePolytopeError(0)
         lo, hi = pts[0][0], pts[-1][0]
         hs = (((-1,), -lo), ((1,), hi))
         return Polytope(1, ((lo,), (hi,)), tuple(sorted(hs)), 1)
-    facets = set()
-    for idx in itertools.combinations(range(len(pts)), n):
-        rows = [tuple(x - y for x, y in zip(pts[i], pts[idx[0]])) for i in idx[1:]]
-        normal = orthogonal_complement_vector(rows)
-        if all(x == 0 for x in normal):
-            continue
-        b = dot(normal, pts[idx[0]])
-        values = [dot(normal, p) - b for p in pts]
-        if all(v <= 0 for v in values):
-            facets.add(_normalize_halfspace(normal, b))
-        elif all(v >= 0 for v in values):
-            facets.add(_normalize_halfspace(tuple(-x for x in normal), -b))
-    facets = sorted(f for f in facets if f not in (None, "empty"))
-    vertices = [
-        p
-        for p in pts
-        if rank_of([a for a, b in facets if dot(a, p) == b]) == n
-    ]
-    return Polytope(n, tuple(vertices), _prune_facets(n, vertices, facets, n), n)
+    dd = _double_description([primitive(p + (1,)) for p in pts], n + 1)
+    if dd is None:
+        raise DegeneratePolytopeError(_affine_dim(pts))
+    facets = sorted(_normalize_halfspace(tuple(-x for x in r[:-1]), r[-1]) for r in dd[0])
+    vertices = tuple(pts[i] for i in _extreme(dd[1], len(pts)))
+    return Polytope(n, vertices, tuple(facets), n)
 
 
 def check_consistency(p: Polytope, strict: bool = False) -> bool:
-    """Cross-validate the vertex and inequality descriptions."""
+    """Cross-validate the vertex and inequality descriptions; ``strict``
+    also re-derives the vertices from the inequalities by double
+    description."""
     for v in p.vertices:
         if not all(dot(a, v) <= b for a, b in p.halfspaces):
             return False
@@ -387,7 +406,8 @@ def check_consistency(p: Polytope, strict: bool = False) -> bool:
             if rank_of([a for a, b in p.halfspaces if dot(a, v) == b]) < p.rank:
                 return False
     if strict:
-        redone = _vertex_enumeration(p.rank, p.halfspaces)
+        found = _vertex_rays(p.rank, p.halfspaces)
+        redone = found[0] if found is not None else []
         if tuple(redone) != tuple(sorted(p.vertices)):
             return False
     return True
@@ -466,31 +486,53 @@ class Triangulation:
     simplices: tuple
 
 
-def _pulling(points):
-    """Pulling triangulation of a full-dimensional point set; returns
-    simplices as tuples of points.  Deterministic: anchored at the
-    lexicographically smallest vertex at every level."""
-    d = len(points[0])
-    if d == 1:
-        lo = min(points)
-        hi = max(points)
-        return [(lo, hi)]
-    p = polytope_from_vertices(points)
-    vs = p.vertices
-    if len(vs) == d + 1:
-        return [tuple(vs)]
-    anchor = vs[0]
-    simplices = []
-    for a, b in p.halfspaces:
-        if dot(a, anchor) == b:
-            continue
-        tight = [v for v in vs if dot(a, v) == b]
-        j = min(i for i, x in enumerate(a) if x != 0)
-        proj = [v[:j] + v[j + 1 :] for v in tight]
-        back = {pr: v for pr, v in zip(proj, tight)}
-        for s in _pulling(proj):
-            simplices.append((anchor,) + tuple(back[pt] for pt in s))
-    return simplices
+def _pulling(vertices, normals, masks):
+    """Pulling triangulation from vertex-facet incidences; returns simplices
+    as tuples of vertex indices.
+
+    ``masks[g]`` is the bitmask of the vertices on facet g and
+    ``normals[g]`` its integer normal.  A face is pulled from its
+    lexicographically smallest vertex, in the chart that drops one
+    coordinate per level: the first one on which the normal of the facet
+    just entered, restricted to the current chart, is nonzero.  The facets
+    of a face are the maximal proper intersections of it with facets of
+    the body.
+    """
+    out = []
+
+    def pull(face, keep, normals, apex):
+        members = _bits(face)
+        if len(members) == len(keep) + 1:
+            out.append(apex + tuple(members))
+            return
+        anchor = min(members, key=lambda i: tuple(vertices[i][c] for c in keep))
+        cuts = {}
+        for g, m in enumerate(masks):
+            sub = face & m
+            if sub and sub != face and sub not in cuts:
+                cuts[sub] = g
+        for sub, g in cuts.items():
+            if sub >> anchor & 1 or any(sub | o == o and o != sub for o in cuts):
+                continue
+            normal = normals[g]
+            j = next(i for i, x in enumerate(normal) if x)
+            restricted = [
+                _restrict(h, normal, j) if h is not None and sub & m not in (0, sub) else None
+                for h, m in zip(normals, masks)
+            ]
+            pull(sub, keep[:j] + keep[j + 1 :], restricted, apex + (anchor,))
+
+    pull((1 << len(vertices)) - 1, tuple(range(len(vertices[0]))), normals, ())
+    return out
+
+
+def _restrict(h, normal, j):
+    """Linear part of <h, .> on the hyperplane <normal, .> = const, in the
+    chart that drops coordinate j (where normal[j] != 0); gcd-reduced."""
+    out = [normal[j] * x - h[j] * y for x, y in zip(h, normal)]
+    del out[j]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
 
 
 def triangulate(p: Polytope) -> Triangulation:
@@ -498,22 +540,27 @@ def triangulate(p: Polytope) -> Triangulation:
     volumes add up to the volume of the whole body."""
     if p.affine_dim < p.rank:
         raise DegeneratePolytopeError(p.affine_dim)
-    index = {v: i for i, v in enumerate(p.vertices)}
-    simplices = []
-    for s in _pulling(list(p.vertices)):
-        simplices.append(tuple(sorted(index[v] for v in s)))
-    return Triangulation(tuple(sorted(simplices)))
+    if len(p.vertices) == p.rank + 1:
+        return Triangulation((tuple(range(p.rank + 1)),))
+    scaled = []
+    for v in p.vertices:
+        d = lcm(*(x.denominator for x in v))
+        scaled.append((d, [x.numerator * (d // x.denominator) for x in v]))
+    normals, masks = [], []
+    for a, b in p.halfspaces:
+        *normal, offset = primitive(tuple(a) + (-b,))
+        normals.append(normal)
+        masks.append(sum(
+            1 << i for i, (d, x) in enumerate(scaled) if sum(map(mul, normal, x)) + offset * d == 0
+        ))
+    simplices = _pulling(p.vertices, normals, masks)
+    return Triangulation(tuple(sorted(tuple(sorted(s)) for s in simplices)))
 
 
 def simplex_volume(points) -> Fraction:
     v0 = points[0]
     rows = [tuple(x - y for x, y in zip(v, v0)) for v in points[1:]]
-    d = det(rows)
-    n = len(rows)
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    return abs(d) / fact
+    return abs(det(rows)) / factorial(len(rows))
 
 
 def volume(p: Polytope) -> Fraction:

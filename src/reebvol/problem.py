@@ -37,12 +37,23 @@ class ProblemSpec:
     eta: tuple | None = None
     filtration: PLConcave | None = None
     options: Options = field(default_factory=Options)
+    # the cone built from (rank, sigma_rays), with that key
+    _sigma: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def cone(self) -> Cone:
+        """The cone of the spec; built once, since it depends only on the
+        rank and the rays, while a setup is rebuilt per call."""
+        key = (self.rank, tuple(tuple(r) for r in self.sigma_rays))
+        if self._sigma is None or self._sigma[0] != key:
+            try:
+                cone = Cone.from_rays(self.sigma_rays, rank=self.rank, lattice="N")
+            except MathError as exc:
+                raise SpecError("sigma_rays", str(exc)) from exc
+            self._sigma = (key, cone)
+        return self._sigma[1]
 
     def setup(self) -> PolarizedToricSetup:
-        try:
-            sigma = Cone.from_rays(self.sigma_rays, rank=self.rank, lattice="N")
-        except MathError as exc:
-            raise SpecError("sigma_rays", str(exc)) from exc
+        sigma = self.cone()
         try:
             return PolarizedToricSetup(
                 sigma,

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from reebvol import Cone, PLConcave, PolarizedToricSetup
-from reebvol.arith import dot
+from reebvol.arith import det, dot, orthogonal_complement_vector
 
 
 @pytest.fixture
@@ -59,6 +59,86 @@ def permutation_det(rows):
             prod *= F(rows[i][perm[i]])
         total += sign * prod
     return total
+
+
+def brute_vertices(rank, halfspaces):
+    """Every basic feasible solution of <a, x> <= b, by Cramer's rule on each
+    rank-subset of the halfspaces: the independent oracle for vertex
+    enumeration.  Sorted."""
+    verts = set()
+    for idx in itertools.combinations(range(len(halfspaces)), rank):
+        rows = [tuple(F(x) for x in halfspaces[i][0]) for i in idx]
+        d = det(rows)
+        if d == 0:
+            continue
+        x = []
+        for j in range(rank):
+            col = [row[:j] + (F(halfspaces[i][1]),) + row[j + 1 :] for row, i in zip(rows, idx)]
+            x.append(det(col) / d)
+        if all(dot(a, x) <= b for a, b in halfspaces):
+            verts.add(tuple(x))
+    return sorted(verts)
+
+
+def _normalized(normal, offset):
+    """(primitive integer normal, offset) for <normal, x> <= offset, scaled
+    so that normal and offset are coprime integers."""
+    d = math.lcm(*(F(x).denominator for x in normal), F(offset).denominator)
+    ints = [int(F(x) * d) for x in normal] + [int(F(offset) * d)]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints[:-1]), F(ints[-1] // g)
+
+
+def brute_hull(points):
+    """Facets and vertices of a full-dimensional point set (rank >= 2), by
+    testing the hyperplane through every rank-subset of the points: the
+    independent oracle for hulls.  Returns (sorted vertices, sorted
+    normalized facets)."""
+    pts = sorted({tuple(F(x) for x in p) for p in points})
+    n = len(pts[0])
+    facets = set()
+    for idx in itertools.combinations(range(len(pts)), n):
+        rows = [tuple(x - y for x, y in zip(pts[i], pts[idx[0]])) for i in idx[1:]]
+        normal = orthogonal_complement_vector(rows)
+        if all(x == 0 for x in normal):
+            continue
+        b = dot(normal, pts[idx[0]])
+        values = [dot(normal, p) - b for p in pts]
+        if all(v <= 0 for v in values):
+            facets.add(_normalized(normal, b))
+        elif all(v >= 0 for v in values):
+            facets.add(_normalized(tuple(-x for x in normal), -b))
+    vertices = []
+    for p in pts:
+        tight = [a for a, b in facets if dot(a, p) == b]
+        if any(det(rows) != 0 for rows in itertools.combinations(tight, n)):
+            vertices.append(p)
+    return vertices, sorted(facets)
+
+
+def brute_pulling(points):
+    """Pulling triangulation of a full-dimensional point set through a
+    subset hull of every face: at each level the lexicographically smallest
+    vertex is joined to the facets missing it, and a facet is triangulated
+    in the chart that drops the first coordinate its normal uses.  The
+    oracle for triangulations; simplices as sorted tuples of points."""
+    d = len(points[0])
+    if d == 1:
+        return [(min(points), max(points))]
+    vs, facets = brute_hull(points)
+    if len(vs) == d + 1:
+        return [tuple(vs)]
+    anchor = vs[0]
+    simplices = []
+    for a, b in facets:
+        if dot(a, anchor) == b:
+            continue
+        tight = [v for v in vs if dot(a, v) == b]
+        j = min(i for i, x in enumerate(a) if x != 0)
+        back = {v[:j] + v[j + 1 :]: v for v in tight}
+        for s in brute_pulling(list(back)):
+            simplices.append((anchor,) + tuple(back[pt] for pt in s))
+    return simplices
 
 
 def brute_lattice_points(p, m):

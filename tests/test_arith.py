@@ -5,6 +5,7 @@ import pytest
 
 from conftest import permutation_det
 from reebvol.arith import (
+    basis_inverse,
     decimal_str,
     det,
     dot,
@@ -110,6 +111,33 @@ def test_inverse():
     a = ((2, 1), (1, 1))
     inv = inverse(a)
     assert mat_vec(inv, mat_vec(a, (F(3), F(4)))) == (F(3), F(4))
+
+
+def test_inverse_rational_roundtrip():
+    rng = random.Random(13)
+    done = 0
+    while done < 30:
+        n = rng.randint(1, 4)
+        a = tuple(tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)) for _ in range(n))
+        if det(a) == 0:
+            with pytest.raises(SingularSystemError):
+                inverse(a)
+            continue
+        inv = inverse(a)
+        ident = tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n))
+        assert tuple(mat_vec(a, col) for col in zip(*inv)) == tuple(zip(*ident))
+        done += 1
+
+
+def test_basis_inverse_skips_dependent_rows():
+    rows = [(1, 1, 0), (2, 2, 0), (0, 1, 0), (1, 0, 0), (0, 0, 3)]
+    indices, columns = basis_inverse(rows, 3)
+    assert indices == [0, 2, 4]
+    for j, x in enumerate(columns):
+        assert [dot(rows[i], x) > 0 if k == j else dot(rows[i], x) == 0
+                for k, i in enumerate(indices)] == [True] * 3
+        assert primitive(x) == x
+    assert basis_inverse(rows[:4], 3) is None
 
 
 def test_rank():

@@ -1,0 +1,250 @@
+"""The double-description polytope core against brute-force oracles.
+
+Vertices, facets and triangulations from `polyhedra` are compared with the
+subset-enumeration oracles in `conftest.py` on seeded random polytopes of
+ranks 2-5: random hulls and inequality systems, non-simple bodies (cube and
+cross-polytope cells), lower-dimensional Reeb slices and empty systems.
+"""
+
+import itertools
+import math
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import HealthCheck, assume, example, given, seed, settings
+from hypothesis import strategies as st
+
+from conftest import brute_hull, brute_pulling, brute_vertices, min_form, permutation_det
+from reebvol.arith import rank_of
+from reebvol.plconcave import linearity_subdivision
+from reebvol.polyhedra import (
+    Cone,
+    Polytope,
+    check_consistency,
+    dual_cone,
+    polytope_from_halfspaces,
+    polytope_from_vertices,
+    reeb_slice,
+    triangulate,
+    volume,
+)
+
+SETTINGS = settings(
+    max_examples=30,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+
+def oracle_simplex_volume(points):
+    rows = [tuple(x - y for x, y in zip(v, points[0])) for v in points[1:]]
+    return abs(permutation_det(rows)) / math.factorial(len(rows))
+
+
+def assert_triangulation_matches_oracle(p):
+    """Same simplices as the brute-force pulling triangulation, and volumes
+    that add up to the oracle's."""
+    index = {v: i for i, v in enumerate(p.vertices)}
+    oracle = brute_pulling(list(p.vertices))
+    expected = tuple(sorted(tuple(sorted(index[v] for v in s)) for s in oracle))
+    assert triangulate(p).simplices == expected
+    assert volume(p) == sum(oracle_simplex_volume(s) for s in oracle)
+
+
+def cube(n, r=1):
+    return [(tuple(int(i == j) for j in range(n)), r) for i in range(n)] + [
+        (tuple(-int(i == j) for j in range(n)), r) for i in range(n)
+    ]
+
+
+def cross(n):
+    return [(s, 1) for s in itertools.product((-1, 1), repeat=n)]
+
+
+# -- random hulls --------------------------------------------------------------
+
+
+@st.composite
+def point_sets(draw):
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(n + 1, n + (3 if n == 5 else 5)))
+    coord = st.integers(-3, 3)
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=k, max_size=k, unique=True))
+    assume(rank_of([tuple(x - y for x, y in zip(p, pts[0])) for p in pts[1:]]) == n)
+    return n, pts
+
+
+@seed(20240611)
+@SETTINGS
+@given(point_sets())
+def test_hull_and_vertices_match_oracles(case):
+    n, pts = case
+    p = polytope_from_vertices(pts)
+    verts, facets = brute_hull(pts)
+    assert list(p.vertices) == verts
+    assert list(p.halfspaces) == facets
+    again = polytope_from_halfspaces(n, p.halfspaces)
+    assert list(again.vertices) == verts
+    assert again.halfspaces == p.halfspaces
+    if n <= 4:
+        assert_triangulation_matches_oracle(p)
+
+
+@st.composite
+def zero_one_polytopes(draw):
+    """Random 0/1-polytopes of ranks 4-5: their faces are often not
+    simplices, and two facets may meet in a face of lower dimension than a
+    ridge, which the pulling recursion must not mistake for a facet."""
+    n = draw(st.integers(4, 5))
+    k = draw(st.integers(n + 4, 11))
+    pts = draw(st.permutations(list(itertools.product((0, 1), repeat=n))))[:k]
+    assume(rank_of([tuple(x - y for x, y in zip(p, pts[0])) for p in pts[1:]]) == n)
+    return pts
+
+
+@seed(20240614)
+@settings(SETTINGS, max_examples=15)
+@given(zero_one_polytopes())
+@example([(0, 0, 1, 0, 0), (0, 1, 0, 0, 0), (0, 1, 1, 0, 0), (0, 1, 1, 1, 0),
+          (1, 0, 1, 1, 1), (1, 1, 0, 0, 0), (1, 1, 0, 1, 0), (1, 1, 0, 1, 1)])
+def test_zero_one_polytopes_match_oracles(pts):
+    p = polytope_from_vertices(pts)
+    assert (list(p.vertices), list(p.halfspaces)) == brute_hull(pts)
+    assert_triangulation_matches_oracle(p)
+
+
+# -- random inequality systems -------------------------------------------------
+
+
+@st.composite
+def systems(draw):
+    """A bounding simplex {x >= -b, sum x <= b} plus a few random cuts;
+    some systems are empty and some are lower-dimensional."""
+    n = draw(st.integers(2, 5))
+    b = draw(st.integers(1, 3))
+    hs = [(tuple(-int(i == j) for j in range(n)), b) for i in range(n)]
+    hs.append(((1,) * n, b))
+    for _ in range(draw(st.integers(1, 4 if n < 5 else 3))):
+        normal = draw(st.tuples(*[st.integers(-2, 2)] * n))
+        assume(any(normal))
+        offset = F(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+        hs.append((normal, offset))
+        if draw(st.booleans()) and draw(st.booleans()):
+            hs.append((tuple(-x for x in normal), -offset))  # an equality: a slice
+    return n, hs
+
+
+@seed(20240612)
+@SETTINGS
+@given(systems())
+def test_systems_match_vertex_oracle(case):
+    n, hs = case
+    p = polytope_from_halfspaces(n, hs)
+    verts = brute_vertices(n, hs)
+    assert list(p.vertices) == verts
+    assert check_consistency(p, strict=True)
+    if not verts:
+        assert p.affine_dim == -1 and p.halfspaces == ()
+        return
+    assert p.affine_dim == rank_of([tuple(x - y for x, y in zip(v, verts[0])) for v in verts])
+    if p.affine_dim == n:
+        assert list(p.halfspaces) == brute_hull(verts)[1]
+        if len(verts) <= 2 * n + 2:
+            assert_triangulation_matches_oracle(p)
+
+
+# -- non-simple bodies: cube and cross-polytope cells ------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cube_cells_match_oracles(n):
+    body = polytope_from_halfspaces(n, cube(n))
+    assert len(body.vertices) == 2**n and volume(body) == 2**n
+    assert list(body.vertices) == brute_vertices(n, cube(n))
+    # a three-branch minimum cuts the cube into non-simple cells
+    f = min_form(
+        tuple(int(j == 0) for j in range(n)),
+        tuple(int(j == 1) for j in range(n)),
+        tuple(1 if j < 2 else -1 for j in range(n)),
+    )
+    cells = linearity_subdivision(f, body)
+    assert sum(volume(c) for c, _ in cells) == 2**n
+    for cell, _ in cells:
+        assert list(cell.vertices) == brute_vertices(n, cell.halfspaces)
+        assert check_consistency(cell, strict=True)
+        if n <= 3:
+            assert list(cell.halfspaces) == brute_hull(cell.vertices)[1]
+            assert_triangulation_matches_oracle(cell)
+    if n <= 4:
+        assert_triangulation_matches_oracle(body)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cross_polytope_matches_oracles(n):
+    vertices = sorted(
+        tuple(F(s * int(i == j)) for j in range(n)) for i in range(n) for s in (-1, 1)
+    )
+    body = polytope_from_halfspaces(n, cross(n))
+    assert list(body.vertices) == vertices
+    assert volume(body) == F(2**n, math.factorial(n))
+    hull = polytope_from_vertices(vertices)
+    assert (list(hull.vertices), list(hull.halfspaces)) == brute_hull(vertices)
+    assert hull.halfspaces == body.halfspaces
+    if n <= 3:
+        assert list(body.vertices) == brute_vertices(n, cross(n))
+    if n <= 4:
+        assert_triangulation_matches_oracle(body)
+
+
+# -- lower-dimensional slices -------------------------------------------------------
+
+
+@st.composite
+def cones_with_xi(draw):
+    n = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(["simplicial", "cube", "cross", "random"]))
+    if kind == "cube":
+        rays = [list(s) + [1] for s in itertools.product((-1, 1), repeat=n - 1)]
+    elif kind == "cross":
+        rays = [[s * int(i == j) for j in range(n - 1)] + [1] for i in range(n - 1) for s in (-1, 1)]
+    else:
+        count = n if kind == "simplicial" else n + draw(st.integers(1, 3))
+        rays = [list(draw(st.tuples(*[st.integers(-2, 2)] * (n - 1)))) + [1] for _ in range(count)]
+    assume(rank_of(rays) == n)
+    sigma = Cone.from_rays(rays)
+    # the sum of the rays lies in the interior, so it is a Reeb field
+    xi = tuple(sum(r[i] for r in sigma.rays) for i in range(n))
+    return sigma, xi
+
+
+@seed(20240613)
+@SETTINGS
+@given(cones_with_xi())
+def test_reeb_slices_match_vertex_oracle(case):
+    sigma, xi = case
+    n = sigma.rank
+    q, p = reeb_slice(dual_cone(sigma), xi)
+    if len(q.halfspaces) <= 10 or n <= 3:
+        assert list(q.vertices) == brute_vertices(n, q.halfspaces)
+        assert list(p.vertices) == brute_vertices(n, p.halfspaces)
+    assert check_consistency(q, strict=True)
+    assert check_consistency(p, strict=True)
+    again = polytope_from_halfspaces(n, p.halfspaces)
+    assert again.vertices == p.vertices
+    assert again.affine_dim == n - 1
+    assert polytope_from_halfspaces(n, q.halfspaces) == q
+
+
+# -- empty systems -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_empty_systems_match_oracle(n):
+    infeasible = cube(n) + [(tuple(int(j == 0) for j in range(n)), -2)]
+    p = polytope_from_halfspaces(n, infeasible)
+    assert p == Polytope(n, (), (), -1)
+    assert brute_vertices(n, infeasible) == []
+    # no halfspace at all: no vertex either way
+    assert check_consistency(Polytope(n, (), (), -1), strict=True)
+    assert brute_vertices(n, []) == []

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -125,6 +126,23 @@ def test_rank_four_volume_and_euler():
     assert vol_xi(setup) == F(1, 4)
     assert d_vol(setup) == 4 * vol_xi(setup)
     assert vol_xi(setup) == 24 * volume(setup.q)
+
+
+@pytest.mark.parametrize("base", ["cube", "cross-polytope"])
+def test_rank_six_non_simplicial_routes(base):
+    # cones over the 5-cube (32 rays) and the 5-cross-polytope (10 rays):
+    # the sub-level bodies are far from simple, and the volume routes and
+    # the derivative identity must still agree exactly
+    if base == "cube":
+        rays = [list(s) + [1] for s in itertools.product((-1, 1), repeat=5)]
+    else:
+        rays = [[s * int(i == j) for j in range(5)] + [1] for i in range(5) for s in (-1, 1)]
+    sigma = Cone.from_rays(rays)
+    assert len(sigma.rays) == len(rays)
+    eta = tuple(a + 2 * b + F(1, 2) * c for a, b, c in zip(rays[0], rays[3], rays[-1]))
+    setup = PolarizedToricSetup(sigma, (1, 0, 0, 0, 0, 3), eta=eta)
+    assert vol_xi(setup) == 720 * volume(setup.q)  # vol-routes
+    assert s_exact(setup, linear_form(eta)) == energy_tc(setup)  # thm4.2
 
 
 def test_d_vol_hand_value(orthant2):

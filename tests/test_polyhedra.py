@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import brute_lattice_points
+from conftest import brute_lattice_points, brute_vertices
 from reebvol import lattice
 from reebvol.arith import dot, mat_vec
 from reebvol.errors import (
@@ -125,6 +125,7 @@ def test_reeb_slice_orthant(orthant2):
     assert set(q.vertices) == {(F(0), F(0)), (F(1), F(0)), (F(0), F(1, 2))}
     assert set(p.vertices) == {(F(1), F(0)), (F(0), F(1, 2))}
     assert check_consistency(q, strict=True)
+    assert list(q.vertices) == brute_vertices(q.rank, q.halfspaces)
 
 
 def test_reeb_slice_a1(a1_cone):
@@ -163,6 +164,7 @@ def test_okounkov_unimodular_image(orthant2):
     assert list(body.vertices) == expected
     assert volume(body) == F(1, 2)
     assert check_consistency(body, strict=True)
+    assert list(body.vertices) == brute_vertices(body.rank, body.halfspaces)
 
 
 def test_okounkov_volume_preserved(a1_cone):
@@ -186,6 +188,7 @@ def test_okounkov_rational_basis(orthant2):
     body = okounkov_body(d, (1, 1), [[F(1, 2), F(1, 2)], [F(0), F(2)]])
     assert volume(body) == volume(q)
     assert check_consistency(body, strict=True)
+    assert list(body.vertices) == brute_vertices(body.rank, body.halfspaces)
 
 
 def test_okounkov_bad_basis(orthant2):
@@ -382,4 +385,5 @@ def test_emitted_polytopes_pass_consistency(orthant2, a1_cone, square_base_cone)
     for c, xi in [(orthant2, (1, 2)), (a1_cone, (1, 1)), (square_base_cone, (1, 1, 3))]:
         q, p = reeb_slice(dual_cone(c), xi)
         assert check_consistency(q, strict=True)
+        assert list(q.vertices) == brute_vertices(q.rank, q.halfspaces)
         assert check_consistency(p)

@@ -47,6 +47,27 @@ def test_parse_minimal():
     assert spec.xi == (F(1), F(1))
 
 
+def test_spec_builds_its_cone_once(monkeypatch):
+    from reebvol import problem
+    from reebvol.polyhedra import Cone
+
+    built = []
+    real = Cone.from_rays
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(problem.Cone, "from_rays", counting)
+    spec = parse_spec(MINIMAL)  # validates through setup()
+    first, second = spec.setup(), spec.setup()
+    assert first is not second and first.sigma is second.sigma
+    assert len(built) == 1
+    spec.sigma_rays = [(1, 0), (1, 2)]
+    assert spec.setup().sigma.rays == ((1, 0), (1, 2))
+    assert len(built) == 2
+
+
 def test_parse_rejects_non_reeb_xi():
     with pytest.raises(SpecError) as err:
         parse_spec(json.dumps(dict(MINIMAL, xi=["1", "-1"])))
