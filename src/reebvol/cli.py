@@ -2,8 +2,9 @@
 
 Commands take a JSON problem specification and emit exact rationals, with
 decimal renderings for reading convenience.  Output bytes are a pure
-function of (spec, command, flags): no timestamps, no float formatting,
-and worker counts never change results.
+function of (spec, command, flags): no timestamps, no float formatting.
+The worker count (``--jobs``, ``REEBVOL_JOBS`` or ``options.jobs``) is
+accepted for compatibility; it has no effect.
 
 Exit codes: 0 success, 2 specification/parse failure, 3 mathematical
 domain error, 4 failed gating verdict.
@@ -64,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--clamp", action="store_true",
                        help="replace filtration values by max(value, 0); leaves the standard axioms")
         p.add_argument("--jobs", type=int, default=None, metavar="K",
-                       help="worker count for lattice enumeration (env REEBVOL_JOBS)")
+                       help="accepted for compatibility; has no effect (env REEBVOL_JOBS)")
         return p
 
     add("volume", "exact volume of the polarization")
@@ -270,6 +271,8 @@ def _cmd_energy(out, args, spec, setup):
 
 
 def _cmd_stilde(out, args, spec, setup):
+    if args.t_max < 2:
+        raise SpecError("t-max", "must be >= 2")
     result = quasi_regular_check(setup, args.t_max, spec.options.tolerance)
     digits = spec.options.decimal
     rows = []

@@ -29,7 +29,7 @@ from .polyhedra import Cone, reeb_slice
 class GradedSetup:
     """Weight cone + polarization + filtration, with derived slice bodies."""
 
-    def __init__(self, dual: Cone, xi, psi: PLConcave, ceiling=False, clamp=False, jobs=1):
+    def __init__(self, dual: Cone, xi, psi: PLConcave, ceiling=False, clamp=False):
         self.dual = dual
         self.xi = vec(xi)
         if psi.rank != dual.rank:
@@ -37,7 +37,6 @@ class GradedSetup:
         self.psi = psi
         self.ceiling = bool(ceiling)
         self.clamp = bool(clamp)
-        self.jobs = max(1, int(jobs))
         self.q, self.p = reeb_slice(dual, self.xi)
         if not clamp:
             validate_nonnegative(psi, dual, self.q)
@@ -49,7 +48,7 @@ class GradedSetup:
         return self.dual.rank
 
     def with_xi(self, xi) -> "GradedSetup":
-        return GradedSetup(self.dual, xi, self.psi, self.ceiling, self.clamp, self.jobs)
+        return GradedSetup(self.dual, xi, self.psi, self.ceiling, self.clamp)
 
     def value(self, u) -> Fraction:
         v = self.psi.value(vec(u))
@@ -73,7 +72,7 @@ class JumpingSpectrum:
 
 
 def lattice_count(g: GradedSetup, m: int) -> int:
-    return lattice.count_points(g.q, m, jobs=g.jobs)
+    return lattice.count_points(g.q, m)
 
 
 def jumping_spectrum(g: GradedSetup, m: int) -> JumpingSpectrum:
@@ -84,9 +83,7 @@ def jumping_spectrum(g: GradedSetup, m: int) -> JumpingSpectrum:
 
 def spectrum_histogram(g: GradedSetup, m: int):
     """Sorted (value, multiplicity) pairs of the level-m spectrum."""
-    hist = lattice.value_histogram(
-        g.q, m, g._branches, floor_mode=g.ceiling, clamp=g.clamp, jobs=g.jobs
-    )
+    hist = lattice.value_histogram(g.q, m, g._branches, floor_mode=g.ceiling, clamp=g.clamp)
     d = 1 if g.ceiling else g._branches.denom
     return tuple((Fraction(k, d), c) for k, c in sorted(hist.items()))
 

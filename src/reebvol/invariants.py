@@ -56,7 +56,7 @@ class PolarizedToricSetup:
     and optionally a degeneration direction and a filtration."""
 
     def __init__(self, sigma: Cone, xi, eta=None, psi: PLConcave | None = None,
-                 ceiling=False, clamp=False, jobs=1):
+                 ceiling=False, clamp=False):
         self.sigma = sigma
         self.n = sigma.rank
         self.dual = dual_cone(sigma)
@@ -71,7 +71,6 @@ class PolarizedToricSetup:
             raise DimensionMismatchError("filtration rank does not match the cone")
         self.ceiling = bool(ceiling)
         self.clamp = bool(clamp)
-        self.jobs = max(1, int(jobs))
         self.q, self.p = reeb_slice(self.dual, self.xi)
         if psi is not None and not self.clamp:
             validate_nonnegative(psi, self.dual, self.q)
@@ -95,9 +94,7 @@ class PolarizedToricSetup:
             psi = self.effective_psi()
             if psi is None:
                 raise InvalidDirectionError("no filtration available for spectra")
-            self._graded_cache = GradedSetup(
-                self.dual, self.xi, psi, self.ceiling, self.clamp, self.jobs
-            )
+            self._graded_cache = GradedSetup(self.dual, self.xi, psi, self.ceiling, self.clamp)
         return self._graded_cache
 
     def subcones(self):
@@ -108,10 +105,8 @@ class PolarizedToricSetup:
 
     def rescaled(self, c) -> "PolarizedToricSetup":
         c = rat(c)
-        return PolarizedToricSetup(
-            self.sigma, tuple(c * x for x in self.xi), self.eta, self.psi,
-            self.ceiling, self.clamp, self.jobs,
-        )
+        return PolarizedToricSetup(self.sigma, tuple(c * x for x in self.xi), self.eta,
+                                   self.psi, self.ceiling, self.clamp)
 
 
 def _subcone_indices(dual: Cone, xi, p_slice):
@@ -300,12 +295,8 @@ def continuity_scan(setup: PolarizedToricSetup, path):
     trace = []
     for k, xi_k in enumerate(path):
         try:
-            s_val = s_exact(
-                PolarizedToricSetup(
-                    setup.sigma, xi_k, setup.eta, setup.psi,
-                    setup.ceiling, setup.clamp, setup.jobs,
-                )
-            )
+            s_val = s_exact(PolarizedToricSetup(setup.sigma, xi_k, setup.eta, setup.psi,
+                                                setup.ceiling, setup.clamp))
         except NotReebFieldError as exc:
             raise NotReebFieldError(f"path[{k}]: {exc}") from exc
         trace.append((vec(xi_k), s_val))
@@ -362,7 +353,7 @@ def s_monotonicity_probe(setup: PolarizedToricSetup, xi_other):
                   for r in setup.dual.rays)
     s1 = s_exact(setup)
     s2 = s_exact(PolarizedToricSetup(setup.sigma, xi2, setup.eta, setup.psi,
-                                     setup.ceiling, setup.clamp, setup.jobs))
+                                     setup.ceiling, setup.clamp))
     return {"premise": premise, "s_base": s1, "s_other": s2,
             "claim_holds": (not premise) or s2 <= s1}
 
@@ -382,8 +373,7 @@ def transform_setup(setup: PolarizedToricSetup, rows) -> PolarizedToricSetup:
         psi2 = PLConcave.make(
             [(mat_vec(a, b.linear), b.constant) for b in setup.psi.branches]
         )
-    return PolarizedToricSetup(sigma2, xi2, eta2, psi2, setup.ceiling, setup.clamp,
-                               setup.jobs)
+    return PolarizedToricSetup(sigma2, xi2, eta2, psi2, setup.ceiling, setup.clamp)
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,22 @@
 
 Enumeration works on integer inequality systems A x <= b obtained by
 clearing denominators of a polytope's halfspace description.  Per-variable
-bounds come from Fourier-Motzkin projection, computed once per system;
-enumeration then recurses coordinate by coordinate with exact integer
-ceil/floor bounds, so no bounding box is ever materialized.
+bounds come from Fourier-Motzkin projection, computed once per system.
+One walker, ``PrefixBounds.leaves``, fixes the coordinates one by one with
+exact integer ceil/floor bounds and yields each innermost slice as a
+prefix and the integer range of the last coordinate, so no bounding box is
+ever materialized.
 
-Besides streaming enumeration, the module offers closed-form reductions
-over the innermost coordinate: point counts, sums and maxima of a minimum
-of integer affine forms, and value histograms.  These give exact jumping
-number statistics without touching every lattice point individually.
+Every engine is a loop over those leaves: streaming enumeration expands
+each range, and the reductions treat it in closed form: point counts, sums
+and maxima of a minimum of integer affine forms, and value histograms.
+These give exact jumping number statistics without touching every lattice
+point individually.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 
@@ -108,6 +110,22 @@ class PrefixBounds:
             return None
         return lo, hi
 
+    def leaves(self):
+        """Every innermost slice of the system: (prefix, lo, hi) with
+        len(prefix) == nvars - 1 and lo..hi the integer range of the last
+        coordinate, in ascending lexicographic order of prefix."""
+        last = self.nvars - 1
+        stack = [()]
+        while stack:
+            prefix = stack.pop()
+            b = self.bounds(prefix)
+            if b is None:
+                continue
+            if len(prefix) == last:
+                yield prefix, b[0], b[1]
+            else:
+                stack.extend(prefix + (x,) for x in range(b[1], b[0] - 1, -1))
+
 
 # ---------------------------------------------------------------------------
 # streaming enumeration (lexicographic contract)
@@ -129,64 +147,22 @@ def iter_points(p, m):
     if m == 0:
         yield tuple(0 for _ in range(n))
         return
-    pb = PrefixBounds(int_rows_from_polytope(p, m), n)
-
-    def rec(prefix):
-        if len(prefix) == n:
-            yield prefix
-            return
-        b = pb.bounds(prefix)
-        if b is None:
-            return
-        for x in range(b[0], b[1] + 1):
-            yield from rec(prefix + (x,))
-
-    yield from rec(())
+    for prefix, lo, hi in PrefixBounds(int_rows_from_polytope(p, m), n).leaves():
+        for x in range(lo, hi + 1):
+            yield prefix + (x,)
 
 
 def count_points(p, m, jobs=1):
-    """#(m*p intersect Z^n), with a closed-form innermost level; the
-    outermost coordinate range may be partitioned across workers."""
+    """#(m*p intersect Z^n), with a closed-form innermost level.
+
+    ``jobs`` is accepted for compatibility; it has no effect."""
     _check_level(m)
     if p.affine_dim < 0 or not p.vertices:
         return 0
-    n = p.rank
     if m == 0:
         return 1
-    pb = PrefixBounds(int_rows_from_polytope(p, m), n)
-    if n == 1:
-        b = pb.bounds(())
-        return 0 if b is None else b[1] - b[0] + 1
-
-    def count_range(x_lo, x_hi):
-        total = 0
-
-        def rec(prefix):
-            nonlocal total
-            b = pb.bounds(prefix)
-            if b is None:
-                return
-            if len(prefix) == n - 1:
-                total += b[1] - b[0] + 1
-                return
-            for x in range(b[0], b[1] + 1):
-                rec(prefix + (x,))
-
-        for x0 in range(x_lo, x_hi + 1):
-            rec((x0,))
-        return total
-
-    top = pb.bounds(())
-    if top is None:
-        return 0
-    lo, hi = top
-    if jobs <= 1 or hi - lo < 2 * jobs:
-        return count_range(lo, hi)
-    width = (hi - lo + 1 + jobs - 1) // jobs
-    chunks = [(lo + i * width, min(hi, lo + (i + 1) * width - 1)) for i in range(jobs)]
-    chunks = [(a, b) for a, b in chunks if a <= b]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return sum(ex.map(lambda ab: count_range(*ab), chunks))
+    pb = PrefixBounds(int_rows_from_polytope(p, m), p.rank)
+    return sum(hi - lo + 1 for _, lo, hi in pb.leaves())
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +296,14 @@ def _leaf_affine(bd, prefix):
     return avals, bvals
 
 
-def _value_at_origin(branches, floor_mode, clamp):
+def _origin(branches, clamp):
+    """The scaled branch minimum at the origin, the one point of 0*p."""
     v = min(branches.consts)
-    if clamp:
-        v = max(v, 0)
+    return max(v, 0) if clamp else v
+
+
+def _value_at_origin(branches, floor_mode, clamp):
+    v = _origin(branches, clamp)
     return Fraction(v // branches.denom) if floor_mode else Fraction(v, branches.denom)
 
 
@@ -332,15 +312,12 @@ def sum_values(p, m, branches, floor_mode=False, clamp=False):
     _check_level(m)
     if p.affine_dim < 0 or not p.vertices:
         return Fraction(0)
-    n = p.rank
     if m == 0:
         return _value_at_origin(branches, floor_mode, clamp)
     pb, bd = _reduced_setup(p, m, branches)
     D = bd.denom
     total = 0
-
-    def leaf(prefix, lo, hi):
-        nonlocal total
+    for prefix, lo, hi in pb.leaves():
         avals, bvals = _leaf_affine(bd, prefix)
         for s, e, A, B in _leaf_pieces(avals, bvals, lo, hi, clamp):
             cnt = e - s + 1
@@ -348,18 +325,6 @@ def sum_values(p, m, branches, floor_mode=False, clamp=False):
                 total += floor_sum(cnt, D, A + B * s, B)
             else:
                 total += A * cnt + B * (s + e) * cnt // 2
-
-    def rec(prefix):
-        b = pb.bounds(prefix)
-        if b is None:
-            return
-        if len(prefix) == n - 1:
-            leaf(prefix, b[0], b[1])
-            return
-        for x in range(b[0], b[1] + 1):
-            rec(prefix + (x,))
-
-    rec(())
     return Fraction(total) if floor_mode else Fraction(total, D)
 
 
@@ -368,29 +333,17 @@ def max_value(p, m, branches, floor_mode=False, clamp=False):
     _check_level(m)
     if p.affine_dim < 0 or not p.vertices:
         return None
-    n = p.rank
     if m == 0:
         return _value_at_origin(branches, floor_mode, clamp)
     pb, bd = _reduced_setup(p, m, branches)
     best = None
-
-    def rec(prefix):
-        nonlocal best
-        b = pb.bounds(prefix)
-        if b is None:
-            return
-        if len(prefix) == n - 1:
-            avals, bvals = _leaf_affine(bd, prefix)
-            for s, e, A, B in _leaf_pieces(avals, bvals, b[0], b[1], clamp):
-                for t in (s, e):
-                    v = A + B * t
-                    if best is None or v > best:
-                        best = v
-            return
-        for x in range(b[0], b[1] + 1):
-            rec(prefix + (x,))
-
-    rec(())
+    for prefix, lo, hi in pb.leaves():
+        avals, bvals = _leaf_affine(bd, prefix)
+        for s, e, A, B in _leaf_pieces(avals, bvals, lo, hi, clamp):
+            for t in (s, e):
+                v = A + B * t
+                if best is None or v > best:
+                    best = v
     if best is None:
         return None
     return Fraction(best // bd.denom) if floor_mode else Fraction(best, bd.denom)
@@ -401,21 +354,19 @@ def value_histogram(p, m, branches, floor_mode=False, clamp=False, jobs=1):
 
     Keys are scaled integers (value = key/denom), or already-floored integers
     in floor_mode.  Runs whose value varies along the innermost coordinate
-    fall back to walking the run point by point.
+    fall back to walking the run point by point.  ``jobs`` is accepted for
+    compatibility; it has no effect.
     """
     _check_level(m)
     if p.affine_dim < 0 or not p.vertices:
         return {}
-    n = p.rank
     D = branches.denom
     if m == 0:
-        v = min(branches.consts)
-        if clamp:
-            v = max(v, 0)
+        v = _origin(branches, clamp)
         return {v // D if floor_mode else v: 1}
     pb, bd = _reduced_setup(p, m, branches)
-
-    def accumulate(hist, prefix, lo, hi):
+    hist = {}
+    for prefix, lo, hi in pb.leaves():
         avals, bvals = _leaf_affine(bd, prefix)
         for s, e, A, B in _leaf_pieces(avals, bvals, lo, hi, clamp):
             if B == 0:
@@ -426,48 +377,7 @@ def value_histogram(p, m, branches, floor_mode=False, clamp=False, jobs=1):
                     v = A + B * t
                     key = v // D if floor_mode else v
                     hist[key] = hist.get(key, 0) + 1
-
-    def walk(x_range):
-        hist = {}
-
-        def rec(prefix):
-            b = pb.bounds(prefix)
-            if b is None:
-                return
-            if len(prefix) == n - 1:
-                accumulate(hist, prefix, b[0], b[1])
-                return
-            for x in range(b[0], b[1] + 1):
-                rec(prefix + (x,))
-
-        if n == 1:
-            b = pb.bounds(())
-            if b is not None:
-                accumulate(hist, (), b[0], b[1])
-            return hist
-        for x0 in x_range:
-            rec((x0,))
-        return hist
-
-    if n == 1:
-        return walk(())
-    top = pb.bounds(())
-    if top is None:
-        return {}
-    lo, hi = top
-    if jobs <= 1 or hi - lo < 2 * jobs:
-        return walk(range(lo, hi + 1))
-    width = (hi - lo + 1 + jobs - 1) // jobs
-    chunks = [
-        range(lo + i * width, min(hi, lo + (i + 1) * width - 1) + 1) for i in range(jobs)
-    ]
-    chunks = [c for c in chunks if len(c)]
-    merged = {}
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        for part in ex.map(walk, chunks):
-            for k, v in part.items():
-                merged[k] = merged.get(k, 0) + v
-    return merged
+    return hist
 
 
 # ---------------------------------------------------------------------------
@@ -495,20 +405,13 @@ def points_on_level(dual, xi_int, t):
         coeffs = tuple(-(cj * h[i] - h[j] * xi[i]) * sign for i in rest)
         rhs = sign * h[j] * t
         rows.append(_normalize_row(coeffs, rhs))
-    pb = PrefixBounds(rows, n - 1)
-
-    def rec(prefix):
-        if len(prefix) == n - 1:
-            s = t - sum(xi[i] * x for i, x in zip(rest, prefix))
+    points = []
+    for prefix, lo, hi in PrefixBounds(rows, n - 1).leaves():
+        for x in range(lo, hi + 1):
+            free = prefix + (x,)
+            s = t - sum(xi[i] * y for i, y in zip(rest, free))
             if s % cj == 0:
-                point = list(prefix)
+                point = list(free)
                 point.insert(j, s // cj)
-                yield tuple(point)
-            return
-        b = pb.bounds(prefix)
-        if b is None:
-            return
-        for x in range(b[0], b[1] + 1):
-            yield from rec(prefix + (x,))
-
-    yield from sorted(rec(()))
+                points.append(tuple(point))
+    yield from sorted(points)

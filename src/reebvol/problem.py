@@ -26,7 +26,6 @@ class Options:
     tolerance: Fraction = DEFAULT_TOLERANCE
     ceiling: bool = False
     clamp: bool = False
-    jobs: int = 1
 
 
 @dataclass
@@ -62,7 +61,6 @@ class ProblemSpec:
                 psi=self.filtration,
                 ceiling=self.options.ceiling,
                 clamp=self.options.clamp,
-                jobs=self.options.jobs,
             )
         except NotReebFieldError as exc:
             raise SpecError("xi", str(exc)) from exc
@@ -83,9 +81,10 @@ def _vector(value, rank, path):
     return tuple(_rational(x, f"{path}[{i}]") for i, x in enumerate(value))
 
 
-def _positive_int(value, path) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise SpecError(path, "expected a positive integer")
+def _positive_int(value, path, least=1) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise SpecError(path, "expected a positive integer" if least == 1
+                        else f"expected an integer >= {least}")
     return value
 
 
@@ -108,7 +107,7 @@ def _parse_options(data) -> Options:
             raise SpecError("options.m_grid", "levels must be strictly increasing")
         opts.m_grid = values
     if "t_max" in data:
-        opts.t_max = _positive_int(data["t_max"], "options.t_max")
+        opts.t_max = _positive_int(data["t_max"], "options.t_max", least=2)
     if "decimal" in data:
         d = data["decimal"]
         if isinstance(d, bool) or not isinstance(d, int) or d < 0:
@@ -124,8 +123,8 @@ def _parse_options(data) -> Options:
             if not isinstance(data[key], bool):
                 raise SpecError(f"options.{key}", "expected true or false")
             setattr(opts, key, data[key])
-    if "jobs" in data:
-        opts.jobs = _positive_int(data["jobs"], "options.jobs")
+    if "jobs" in data:  # accepted for compatibility; has no effect
+        _positive_int(data["jobs"], "options.jobs")
     return opts
 
 

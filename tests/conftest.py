@@ -2,12 +2,24 @@
 
 import itertools
 import math
+import os
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from reebvol import Cone, PLConcave, PolarizedToricSetup
 from reebvol.arith import det, dot, orthogonal_complement_vector
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _children_import_src():
+    """``python -m reebvol`` subprocesses import the package from this
+    checkout's src/, as the test process does, also when PYTHONPATH is unset."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        yield
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -308,14 +310,24 @@ def test_csv_row_exports(orthant2):
     assert cdf_rows[-1] == ["1", "3/2"]
 
 
+def _oracle_value(psi, u, floor_mode, clamp):
+    v = psi.value(u)
+    if clamp:
+        v = max(v, F(0))
+    return F(math.floor(v)) if floor_mode else v
+
+
 def test_random_cones_and_modes_fast_paths_agree():
+    """Every lattice engine against the bounding-box oracle, at ranks 1-4,
+    plain and with ceiling and clamp; then the graded statistics against
+    the enumeration."""
     from reebvol.arith import det
     from reebvol.polyhedra import Cone
 
     rng = random.Random(101)
     cases = 0
     while cases < 25:
-        n = rng.choice((2, 3))
+        n = rng.choice((1, 2, 3, 4))
         rows = [[rng.randint(-2, 3) for _ in range(n)] for _ in range(n)]
         if det(rows) == 0:
             continue
@@ -341,7 +353,22 @@ def test_random_cones_and_modes_fast_paths_agree():
             dual_cone(sigma), xi, psi,
             ceiling=rng.random() < 0.4, clamp=rng.random() < 0.3,
         )
-        m = rng.randint(1, 5)
+        m = rng.randint(1, 5 if n < 4 else 3)
+        brute = brute_lattice_points(g.q, m)
+        assert list(lattice.iter_points(g.q, m)) == brute
+        assert lattice.count_points(g.q, m) == len(brute)
+        # lowering every branch makes some values negative, so the clamp bites
+        shift = F(rng.randint(0, 3 * m), rng.randint(1, 2))
+        shifted = PLConcave.make([(b.linear, b.constant - shift) for b in psi.branches])
+        bd = lattice.BranchData.from_plconcave(shifted)
+        d = bd.denom
+        for floor_mode, clamp in itertools.product((False, True), repeat=2):
+            expect = [_oracle_value(shifted, u, floor_mode, clamp) for u in brute]
+            assert lattice.sum_values(g.q, m, bd, floor_mode, clamp) == sum(expect)
+            assert lattice.max_value(g.q, m, bd, floor_mode, clamp) == max(expect)
+            hist = lattice.value_histogram(g.q, m, bd, floor_mode, clamp)
+            scale = 1 if floor_mode else d
+            assert Counter({F(k, scale): c for k, c in hist.items()}) == Counter(expect)
         vals = sorted(g.value(u) for u in lattice.iter_points(g.q, m))
         assert list(jumping_spectrum(g, m).values) == vals
         assert s_m(g, m) == sum(vals) / (m * len(vals))

@@ -128,6 +128,13 @@ def test_parse_options_validation():
     assert err.value.path == "options.tolerance"
 
 
+@pytest.mark.parametrize("t_max", [1, 0, -4])
+def test_parse_rejects_t_max_below_two(t_max):
+    with pytest.raises(SpecError) as err:
+        parse_spec(json.dumps(dict(MINIMAL, options={"t_max": t_max})))
+    assert err.value.path == "options.t_max"
+
+
 # -- CLI commands ---------------------------------------------------------------
 
 
@@ -205,6 +212,21 @@ def test_cli_stilde(tmp_path):
     assert "verdict lem3.17b  PASS" in out
 
 
+def test_cli_report_rejects_spec_t_max_below_two(tmp_path):
+    # the per-degree route runs for this integral xi, and used to crash on t_max = 1
+    path = spec_file(tmp_path, dict(ANCHOR, options={"t_max": 1}))
+    code, out, err = invoke(["report", path])
+    assert code == 2 and out == ""
+    assert "options.t_max" in err
+
+
+@pytest.mark.parametrize("t_max", ["1", "0", "-3"])
+def test_cli_stilde_rejects_t_max_below_two(tmp_path, t_max):
+    code, out, err = invoke(["stilde", spec_file(tmp_path, ANCHOR), "--t-max", t_max])
+    assert code == 2 and out == ""
+    assert "t-max" in err
+
+
 def test_cli_stilde_non_integral_is_math_error(tmp_path):
     path = spec_file(tmp_path, dict(ANCHOR, xi=["1", "1/2"]))
     code, _, err = invoke(["stilde", path, "--t-max", "8"])
@@ -257,6 +279,20 @@ def test_cli_env_jobs(tmp_path, monkeypatch):
     base = invoke(["report", path, "--format", "json"])[1]
     monkeypatch.delenv("REEBVOL_JOBS")
     assert base == invoke(["report", path, "--format", "json"])[1]
+
+
+def test_cli_spec_jobs_still_validated(tmp_path):
+    path = spec_file(tmp_path, dict(NONLINEAR, options={"jobs": 0}))
+    code, out, err = invoke(["volume", path])
+    assert code == 2 and out == ""
+    assert "options.jobs" in err
+
+
+def test_cli_env_jobs_still_validated(tmp_path, monkeypatch):
+    monkeypatch.setenv("REEBVOL_JOBS", "abc")
+    code, out, err = invoke(["volume", spec_file(tmp_path, NONLINEAR)])
+    assert code == 2 and out == ""
+    assert "REEBVOL_JOBS" in err
 
 
 def test_cli_clamp_flag_admits_negative_filtration(tmp_path):
