@@ -4,7 +4,8 @@ Commands take a JSON problem specification and emit exact rationals, with
 decimal renderings for reading convenience.  Output bytes are a pure
 function of (spec, command, flags): no timestamps, no float formatting.
 The worker count (``--jobs``, ``REEBVOL_JOBS`` or ``options.jobs``) is
-accepted for compatibility; it has no effect.
+accepted for compatibility; it has no effect, but each source given must
+be a positive integer.
 
 Exit codes: 0 success, 2 specification/parse failure, 3 mathematical
 domain error, 4 failed gating verdict.
@@ -33,8 +34,8 @@ from .invariants import (
     s_m,
     vol_xi,
 )
-from .plconcave import homogenize, legendre
-from .problem import parse_spec
+from .plconcave import legendre
+from .problem import decode_spec, parse_spec, positive_int
 
 EXIT_OK = 0
 EXIT_SPEC = 2
@@ -96,24 +97,24 @@ def _load(args):
             raise SpecError("spec", f"no such file: {args.spec}")
         with open(args.spec, "r", encoding="utf-8") as fh:
             text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError("<json>", f"malformed JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SpecError("<json>", "top level must be an object")
-    options = dict(data.get("options") or {})
+    data = decode_spec(text)
+    options = data.get("options")
+    if options is not None and not isinstance(options, dict):
+        raise SpecError("options", "expected an object")
+    options = dict(options or {})
     if args.ceiling:
         options["ceiling"] = True
     if args.clamp:
         options["clamp"] = True
     if args.jobs is not None:
-        options["jobs"] = max(1, args.jobs)
-    elif os.environ.get("REEBVOL_JOBS"):
+        positive_int(args.jobs, "jobs")
+    env_jobs = os.environ.get("REEBVOL_JOBS")
+    if env_jobs:
         try:
-            options["jobs"] = max(1, int(os.environ["REEBVOL_JOBS"]))
+            env_jobs = int(env_jobs)
         except ValueError:
-            raise SpecError("REEBVOL_JOBS", "must be an integer")
+            pass  # the check below rejects the text
+        positive_int(env_jobs, "REEBVOL_JOBS")
     if args.decimal is not None:
         if args.decimal < 0:
             raise SpecError("decimal", "must be >= 0")
@@ -253,7 +254,7 @@ def _cmd_energy(out, args, spec, setup):
     if setup.eta is not None:
         e = energy_tc(setup)
         rows.append(("energy_tc", e))
-    if setup.effective_psi() is not None and setup.n >= 2:
+    if setup.psi is not None and setup.n >= 2:
         paper, cone = energy_pxi(setup)
         rows.append(("energy_pxi_paper", paper))
         rows.append(("energy_pxi_cone", cone))
@@ -305,8 +306,7 @@ def _cmd_stilde(out, args, spec, setup):
 
 
 def _cmd_legendre(out, args, spec, setup):
-    psi = setup.effective_psi()
-    if psi is None:
+    if setup.psi is None:
         raise SpecError("filtration", "the legendre command needs a filtration or eta")
     try:
         direction = tuple(rat(x) for x in args.v.split(","))
@@ -314,7 +314,7 @@ def _cmd_legendre(out, args, spec, setup):
         raise SpecError("v", "expected comma-separated rationals")
     if len(direction) != setup.n:
         raise SpecError("v", f"expected {setup.n} components")
-    value = legendre(homogenize(psi), setup.p, direction)
+    value = legendre(setup.psi_tilde, setup.p, direction)
     _run_scalar(out, args, "legendre", value, spec.options.decimal)
     return EXIT_OK
 

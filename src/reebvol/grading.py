@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import lattice
 from .arith import vec
@@ -27,28 +28,32 @@ from .polyhedra import Cone, reeb_slice
 
 
 class GradedSetup:
-    """Weight cone + polarization + filtration, with derived slice bodies."""
+    """Weight cone + Reeb polarization + filtration; the slice bodies and the
+    admissibility check are derived once, here, the branch data on first use."""
 
-    def __init__(self, dual: Cone, xi, psi: PLConcave, ceiling=False, clamp=False):
+    def __init__(self, dual: Cone, xi, psi: PLConcave | None, ceiling=False, clamp=False):
         self.dual = dual
+        self.q, self.p = reeb_slice(dual, xi)
         self.xi = vec(xi)
-        if psi.rank != dual.rank:
+        if psi is not None and psi.rank != dual.rank:
             raise DimensionMismatchError("filtration rank does not match the weight cone")
         self.psi = psi
         self.ceiling = bool(ceiling)
         self.clamp = bool(clamp)
-        self.q, self.p = reeb_slice(dual, self.xi)
-        if not clamp:
+        if psi is not None and not self.clamp:
             validate_nonnegative(psi, dual, self.q)
-        self.psi_tilde = homogenize(psi)
-        self._branches = lattice.BranchData.from_plconcave(psi)
 
     @property
     def rank(self) -> int:
         return self.dual.rank
 
-    def with_xi(self, xi) -> "GradedSetup":
-        return GradedSetup(self.dual, xi, self.psi, self.ceiling, self.clamp)
+    @cached_property
+    def psi_tilde(self) -> PLConcave:
+        return homogenize(self.psi)
+
+    @cached_property
+    def _branches(self) -> lattice.BranchData:
+        return lattice.BranchData.from_plconcave(self.psi)
 
     def value(self, u) -> Fraction:
         v = self.psi.value(vec(u))

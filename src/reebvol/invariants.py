@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, prod
 
 from .arith import decimal_str, det, dot, fmt, mat, mat_vec, rat, vec
@@ -33,14 +34,13 @@ from .plconcave import (
     linear_form,
     restrict_to_chart,
     superlevel_profile,
-    validate_nonnegative,
 )
 from .polyhedra import (
     Cone,
+    FacetChart,
     dual_cone,
     facet_chart,
     polytope_from_halfspaces,
-    reeb_slice,
     require_reeb,
     simplex_volume,
     triangulate,
@@ -51,80 +51,88 @@ DEFAULT_TOLERANCE = Fraction(1, 100)
 HOMOGENEITY_SCALES = (Fraction(1, 3), Fraction(2), Fraction(7, 2))
 
 
-class PolarizedToricSetup:
+class PolarizedToricSetup(GradedSetup):
     """A cone in the coweight lattice, a polarization vector in its interior,
-    and optionally a degeneration direction and a filtration."""
+    and optionally a degeneration direction and a filtration.
+
+    ``psi`` is the explicit filtration, else the linear one of a direction
+    in the cone, else None.  The chart of P, its triangulation, the ray
+    subcones and vol(Q) are derived on first use and shared by every route.
+    """
 
     def __init__(self, sigma: Cone, xi, eta=None, psi: PLConcave | None = None,
                  ceiling=False, clamp=False):
         self.sigma = sigma
         self.n = sigma.rank
-        self.dual = dual_cone(sigma)
-        self.xi = require_reeb(self.dual, xi)
         self.eta = None
         if eta is not None:
             self.eta = vec(eta)
             if len(self.eta) != self.n:
                 raise DimensionMismatchError("eta length does not match rank")
-        self.psi = psi
-        if psi is not None and psi.rank != self.n:
-            raise DimensionMismatchError("filtration rank does not match the cone")
-        self.ceiling = bool(ceiling)
-        self.clamp = bool(clamp)
-        self.q, self.p = reeb_slice(self.dual, self.xi)
-        if psi is not None and not self.clamp:
-            validate_nonnegative(psi, self.dual, self.q)
-        self._subcones_cache = None
-        self._graded_cache = None
-
-    # -- derived data -------------------------------------------------------
+            if psi is None and sigma.contains(self.eta):
+                psi = linear_form(self.eta)
+        super().__init__(dual_cone(sigma), xi, psi, ceiling, clamp)
 
     def effective_psi(self) -> PLConcave | None:
-        """The filtration the report studies: the explicit one if given, else
-        the linear filtration of the degeneration direction when that
-        direction lies in the cone."""
-        if self.psi is not None:
-            return self.psi
-        if self.eta is not None and self.sigma.contains(self.eta):
-            return linear_form(self.eta)
-        return None
+        """The filtration the routes study, ``psi``."""
+        return self.psi
 
     def graded(self) -> GradedSetup:
-        if self._graded_cache is None:
-            psi = self.effective_psi()
-            if psi is None:
-                raise InvalidDirectionError("no filtration available for spectra")
-            self._graded_cache = GradedSetup(self.dual, self.xi, psi, self.ceiling, self.clamp)
-        return self._graded_cache
+        """The setup itself, as the graded data of its filtration."""
+        if self.psi is None:
+            raise InvalidDirectionError("no filtration available for spectra")
+        return self
 
-    def subcones(self):
-        """Ray-index simplices triangulating the weight cone."""
-        if self._subcones_cache is None:
-            self._subcones_cache = _subcone_indices(self.dual, self.xi, self.p)
-        return self._subcones_cache
+    def with_xi(self, xi) -> "PolarizedToricSetup":
+        """The same data under another polarization, derived afresh."""
+        return PolarizedToricSetup(self.sigma, xi, self.eta, self.psi, self.ceiling, self.clamp)
 
     def rescaled(self, c) -> "PolarizedToricSetup":
         c = rat(c)
-        return PolarizedToricSetup(self.sigma, tuple(c * x for x in self.xi), self.eta,
-                                   self.psi, self.ceiling, self.clamp)
+        return self.with_xi(tuple(c * x for x in self.xi))
 
+    # -- derived geometry ---------------------------------------------------
 
-def _subcone_indices(dual: Cone, xi, p_slice):
-    n = dual.rank
-    rays = dual.rays
-    if len(rays) == n:
-        return (tuple(range(n)),)
-    chart = facet_chart(p_slice)
-    tri = triangulate(chart.body)
-    ray_by_point = {}
-    for idx, r in enumerate(rays):
-        pt = tuple(Fraction(x) / dot(r, xi) for x in r)
-        ray_by_point[pt] = idx
-    out = []
-    for s in tri.simplices:
-        lifted = [chart.lift(chart.body.vertices[i]) for i in s]
-        out.append(tuple(sorted(ray_by_point[pt] for pt in lifted)))
-    return tuple(sorted(out))
+    @cached_property
+    def vol_q(self) -> Fraction:
+        """Lebesgue volume of the sub-level body Q."""
+        return volume(self.q)
+
+    @cached_property
+    def chart(self) -> FacetChart:
+        """Chart coordinates on the level-one slice P (rank >= 2)."""
+        return facet_chart(self.p)
+
+    @cached_property
+    def chart_simplices(self) -> tuple:
+        """A triangulation of the chart body of P, as tuples of points."""
+        body = self.chart.body
+        return tuple(tuple(body.vertices[i] for i in s) for s in triangulate(body).simplices)
+
+    @cached_property
+    def slice_density(self) -> Fraction:
+        """Cone measure on P over chart Lebesgue measure, taken on one simplex."""
+        first = self.chart_simplices[0]
+        cone_measure = abs(det([self.chart.lift(y) for y in first])) / factorial(self.n - 1)
+        return cone_measure / simplex_volume(first)
+
+    @cached_property
+    def slice_measure(self) -> Fraction:
+        """The cone measure of P."""
+        return self.slice_density * sum(simplex_volume(s) for s in self.chart_simplices)
+
+    @cached_property
+    def subcones(self) -> tuple:
+        """Ray-index simplices triangulating the weight cone, lifted from P."""
+        rays = self.dual.rays
+        if len(rays) == self.n:
+            return (tuple(range(self.n)),)
+        ray_by_point = {tuple(Fraction(x) / dot(r, self.xi) for x in r): idx
+                        for idx, r in enumerate(rays)}
+        return tuple(sorted(
+            tuple(sorted(ray_by_point[self.chart.lift(y)] for y in s))
+            for s in self.chart_simplices
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +145,9 @@ def vol_xi(setup: PolarizedToricSetup, at=None) -> Fraction:
     |det of the primitive rays| over the product of their pairings."""
     xi = setup.xi if at is None else require_reeb(setup.dual, at)
     total = Fraction(0)
-    for idx in setup.subcones():
+    for idx in setup.subcones:
         rows = [setup.dual.rays[i] for i in idx]
         pairings = [dot(r, xi) for r in rows]
-        if any(pr <= 0 for pr in pairings):
-            raise NotReebFieldError("polarization leaves the Reeb cone")
         total += abs(det(rows)) / prod(pairings)
     return total
 
@@ -155,11 +161,9 @@ def d_vol(setup: PolarizedToricSetup, eta=None) -> Fraction:
     if len(direction) != setup.n:
         raise DimensionMismatchError("direction length does not match rank")
     total = Fraction(0)
-    for idx in setup.subcones():
+    for idx in setup.subcones:
         rows = [setup.dual.rays[i] for i in idx]
         pairings = [dot(r, setup.xi) for r in rows]
-        if any(pr <= 0 for pr in pairings):
-            raise InvalidDirectionError("polarization pairing degenerates on a ray")
         ratio = sum(dot(r, direction) / pr for r, pr in zip(rows, pairings))
         total += abs(det(rows)) * ratio / prod(pairings)
     return total
@@ -183,16 +187,14 @@ def _restricted_body(q, psi_tilde, clamp):
 
 def s_exact(setup: PolarizedToricSetup, psi: PLConcave | None = None) -> Fraction:
     """Mean of the homogenized filtration over the sub-level body."""
-    f = psi if psi is not None else setup.effective_psi()
+    f = psi if psi is not None else setup.psi
     if f is None:
         raise InvalidDirectionError("no filtration available")
-    if psi is None and not setup.clamp:
-        setup.graded()  # validates admissibility once
     tilde = homogenize(f)
     body = _restricted_body(setup.q, tilde, setup.clamp and psi is None)
     if body.affine_dim < setup.n:
         return Fraction(0)
-    return integrate_moment(tilde, body, 1) / volume(setup.q)
+    return integrate_moment(tilde, body, 1) / setup.vol_q
 
 
 def energy_tc(setup: PolarizedToricSetup) -> Fraction:
@@ -209,31 +211,21 @@ def energy_pxi(setup: PolarizedToricSetup, psi: PLConcave | None = None):
     the slice measure whose radial extension is Lebesgue on the sub-level
     body; the other rescales it so the slice has measure vol_xi.
     """
-    f = psi if psi is not None else setup.effective_psi()
+    f = psi if psi is not None else setup.psi
     if f is None:
         raise InvalidDirectionError("no filtration available")
     n = setup.n
     if n < 2:
         raise UnsupportedGeometryError("slice energy requires rank >= 2")
-    tilde = homogenize(f)
-    chart = facet_chart(setup.p)
-    g = restrict_to_chart(tilde, chart)
-    # calibrate the cone measure against chart Lebesgue measure on one simplex
-    tri = triangulate(chart.body)
-    first = [chart.body.vertices[i] for i in tri.simplices[0]]
-    lifted = [chart.lift(y) for y in first]
-    cone_measure = abs(det(lifted)) / factorial(n - 1)
-    chart_measure = simplex_volume(first)
-    density = cone_measure / chart_measure
-    body = _restricted_body(chart.body, g, setup.clamp and psi is None)
+    g = restrict_to_chart(homogenize(f), setup.chart)
+    body = _restricted_body(setup.chart.body, g, setup.clamp and psi is None)
     if body.affine_dim < body.rank:
         slice_integral = Fraction(0)
     else:
-        slice_integral = density * integrate_moment(g, body, 1)
-    slice_measure = density * volume(chart.body)
+        slice_integral = setup.slice_density * integrate_moment(g, body, 1)
     v = vol_xi(setup)
     cone_normalized = slice_integral / ((n + 1) * v)
-    paper_normalized = cone_normalized * (v / slice_measure)
+    paper_normalized = cone_normalized * (v / setup.slice_measure)
     return paper_normalized, cone_normalized
 
 
@@ -295,8 +287,7 @@ def continuity_scan(setup: PolarizedToricSetup, path):
     trace = []
     for k, xi_k in enumerate(path):
         try:
-            s_val = s_exact(PolarizedToricSetup(setup.sigma, xi_k, setup.eta, setup.psi,
-                                                setup.ceiling, setup.clamp))
+            s_val = s_exact(setup.with_xi(xi_k))
         except NotReebFieldError as exc:
             raise NotReebFieldError(f"path[{k}]: {exc}") from exc
         trace.append((vec(xi_k), s_val))
@@ -352,8 +343,7 @@ def s_monotonicity_probe(setup: PolarizedToricSetup, xi_other):
     premise = all(dot(r, tuple(a - b for a, b in zip(xi2, setup.xi))) >= 0
                   for r in setup.dual.rays)
     s1 = s_exact(setup)
-    s2 = s_exact(PolarizedToricSetup(setup.sigma, xi2, setup.eta, setup.psi,
-                                     setup.ceiling, setup.clamp))
+    s2 = s_exact(setup.with_xi(xi2))
     return {"premise": premise, "s_base": s1, "s_other": s2,
             "claim_holds": (not premise) or s2 <= s1}
 
@@ -452,10 +442,10 @@ def consistency_report(setup: PolarizedToricSetup, m_grid=DEFAULT_M_GRID,
     n = setup.n
     verdicts = []
     vol_closed = vol_xi(setup)
-    vol_body = volume(setup.q)
+    vol_body = setup.vol_q
     verdicts.append(_verdict("vol-routes", vol_closed, factorial(n) * vol_body))
 
-    psi_eff = setup.effective_psi()
+    psi_eff = setup.psi
     d_val = None
     e_tc = None
     if setup.eta is not None:
@@ -571,10 +561,9 @@ def consistency_report(setup: PolarizedToricSetup, m_grid=DEFAULT_M_GRID,
 def mu_limit_cdf(setup: PolarizedToricSetup):
     """Exact CDF data of the limit measure: the superlevel profile of the
     homogenized filtration over the sub-level body."""
-    psi = setup.effective_psi()
-    if psi is None:
+    if setup.psi is None:
         raise InvalidDirectionError("no filtration available")
-    return superlevel_profile(homogenize(psi), setup.q)
+    return superlevel_profile(setup.psi_tilde, setup.q)
 
 
 def cdf_sup_distance(profile, empirical):

@@ -36,36 +36,29 @@ class ProblemSpec:
     eta: tuple | None = None
     filtration: PLConcave | None = None
     options: Options = field(default_factory=Options)
-    # the cone built from (rank, sigma_rays), with that key
-    _sigma: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def cone(self) -> Cone:
-        """The cone of the spec; built once, since it depends only on the
-        rank and the rays, while a setup is rebuilt per call."""
-        key = (self.rank, tuple(tuple(r) for r in self.sigma_rays))
-        if self._sigma is None or self._sigma[0] != key:
-            try:
-                cone = Cone.from_rays(self.sigma_rays, rank=self.rank, lattice="N")
-            except MathError as exc:
-                raise SpecError("sigma_rays", str(exc)) from exc
-            self._sigma = (key, cone)
-        return self._sigma[1]
+    # the setup derived from the fields in its key, with that key
+    _setup: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def setup(self) -> PolarizedToricSetup:
-        sigma = self.cone()
-        try:
-            return PolarizedToricSetup(
-                sigma,
-                self.xi,
-                eta=self.eta,
-                psi=self.filtration,
-                ceiling=self.options.ceiling,
-                clamp=self.options.clamp,
-            )
-        except NotReebFieldError as exc:
-            raise SpecError("xi", str(exc)) from exc
-        except MathError as exc:
-            raise SpecError("filtration", str(exc)) from exc
+        """The spec's setup: derived once, and again only after a field it
+        depends on has changed."""
+        key = (self.rank, tuple(tuple(r) for r in self.sigma_rays), tuple(self.xi),
+               None if self.eta is None else tuple(self.eta), self.filtration,
+               self.options.ceiling, self.options.clamp)
+        if self._setup is None or self._setup[0] != key:
+            try:
+                sigma = Cone.from_rays(self.sigma_rays, rank=self.rank, lattice="N")
+            except MathError as exc:
+                raise SpecError("sigma_rays", str(exc)) from exc
+            try:
+                setup = PolarizedToricSetup(sigma, self.xi, self.eta, self.filtration,
+                                            self.options.ceiling, self.options.clamp)
+            except NotReebFieldError as exc:
+                raise SpecError("xi", str(exc)) from exc
+            except MathError as exc:
+                raise SpecError("filtration", str(exc)) from exc
+            self._setup = (key, setup)
+        return self._setup[1]
 
 
 def _rational(value, path) -> Fraction:
@@ -81,7 +74,7 @@ def _vector(value, rank, path):
     return tuple(_rational(x, f"{path}[{i}]") for i, x in enumerate(value))
 
 
-def _positive_int(value, path, least=1) -> int:
+def positive_int(value, path, least=1) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise SpecError(path, "expected a positive integer" if least == 1
                         else f"expected an integer >= {least}")
@@ -102,12 +95,12 @@ def _parse_options(data) -> Options:
         grid = data["m_grid"]
         if not isinstance(grid, list) or not grid:
             raise SpecError("options.m_grid", "expected a nonempty list of levels")
-        values = tuple(_positive_int(m, f"options.m_grid[{i}]") for i, m in enumerate(grid))
+        values = tuple(positive_int(m, f"options.m_grid[{i}]") for i, m in enumerate(grid))
         if list(values) != sorted(set(values)):
             raise SpecError("options.m_grid", "levels must be strictly increasing")
         opts.m_grid = values
     if "t_max" in data:
-        opts.t_max = _positive_int(data["t_max"], "options.t_max", least=2)
+        opts.t_max = positive_int(data["t_max"], "options.t_max", least=2)
     if "decimal" in data:
         d = data["decimal"]
         if isinstance(d, bool) or not isinstance(d, int) or d < 0:
@@ -124,7 +117,7 @@ def _parse_options(data) -> Options:
                 raise SpecError(f"options.{key}", "expected true or false")
             setattr(opts, key, data[key])
     if "jobs" in data:  # accepted for compatibility; has no effect
-        _positive_int(data["jobs"], "options.jobs")
+        positive_int(data["jobs"], "options.jobs")
     return opts
 
 
@@ -145,6 +138,17 @@ def _parse_filtration(data, rank) -> PLConcave:
     return PLConcave.make(parsed)
 
 
+def decode_spec(text) -> dict:
+    """The JSON object of a specification's text, not yet validated."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecError("<json>", f"malformed JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SpecError("<json>", "top level must be an object")
+    return data
+
+
 def parse_spec(source) -> ProblemSpec:
     """Parse a problem specification from a JSON string, file path, or dict.
 
@@ -159,12 +163,7 @@ def parse_spec(source) -> ProblemSpec:
         if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecError("<json>", f"malformed JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SpecError("<json>", "top level must be an object")
+        data = decode_spec(text)
 
     known = {"rank", "sigma_rays", "xi", "eta", "filtration", "options"}
     for key in data:
@@ -195,5 +194,5 @@ def parse_spec(source) -> ProblemSpec:
     if data.get("filtration") is not None:
         filtration = _parse_filtration(data["filtration"], rank)
     spec = ProblemSpec(rank, parsed_rays, xi, eta, filtration, options)
-    spec.setup()  # validate eagerly so failures carry field paths
+    spec.setup()  # validate eagerly so failures carry field paths; kept for reuse
     return spec

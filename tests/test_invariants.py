@@ -294,6 +294,25 @@ def test_continuity_scan_names_bad_index(orthant2):
     assert "path[1]" in str(err.value)
 
 
+def test_with_xi_rederives_and_checks(orthant2):
+    setup = PolarizedToricSetup(orthant2, (1, 1), psi=min_form((1, 0), (0, 1)))
+    other = setup.with_xi((1, 2))
+    assert other.sigma is setup.sigma and other.psi is setup.psi
+    assert other.q == PolarizedToricSetup(orthant2, (1, 2), psi=setup.psi).q
+    with pytest.raises(NotReebFieldError):
+        setup.with_xi((1, -1))
+    with pytest.raises(NotReebFieldError) as err:
+        continuity_scan(setup, [(1, 1), (2, 1), (0, 1)])
+    assert "path[2]" in str(err.value)
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+def test_eta_filtration_needs_no_separate_check(a1_cone, clamp):
+    setup = PolarizedToricSetup(a1_cone, (1, 1), eta=(1, 1), clamp=clamp)
+    assert setup.graded() is setup
+    assert s_exact(setup) == s_exact(setup, linear_form((1, 1))) > 0
+
+
 # -- quasi-regular route ---------------------------------------------------------
 
 

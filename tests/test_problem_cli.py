@@ -61,11 +61,68 @@ def test_spec_builds_its_cone_once(monkeypatch):
     monkeypatch.setattr(problem.Cone, "from_rays", counting)
     spec = parse_spec(MINIMAL)  # validates through setup()
     first, second = spec.setup(), spec.setup()
-    assert first is not second and first.sigma is second.sigma
+    assert first is second
     assert len(built) == 1
     spec.sigma_rays = [(1, 0), (1, 2)]
     assert spec.setup().sigma.rays == ((1, 0), (1, 2))
     assert len(built) == 2
+
+
+def _count_calls(monkeypatch, name, counts):
+    """Count calls to a package function through every module binding it."""
+    import sys
+
+    modules = [m for k, m in sys.modules.items() if k.startswith("reebvol.") and name in vars(m)]
+    orig = vars(modules[0])[name]
+
+    def counting(*args, **kwargs):
+        counts[name] += 1
+        return orig(*args, **kwargs)
+
+    for mod in modules:
+        if vars(mod)[name] is orig:
+            monkeypatch.setattr(mod, name, counting)
+
+
+def test_report_derives_each_geometry_once_per_setup(tmp_path, monkeypatch):
+    from collections import Counter
+
+    from reebvol.grading import GradedSetup
+    from reebvol.invariants import HOMOGENEITY_SCALES, PolarizedToricSetup
+
+    counts = Counter()
+    for name in ("reeb_slice", "validate_nonnegative", "facet_chart", "volume"):
+        _count_calls(monkeypatch, name, counts)
+    setups, graded_only = [], []
+    real_setup, real_graded = PolarizedToricSetup.__init__, GradedSetup.__init__
+
+    def setup_init(self, *args, **kwargs):
+        setups.append(self)
+        real_setup(self, *args, **kwargs)
+
+    def graded_init(self, *args, **kwargs):
+        if not isinstance(self, PolarizedToricSetup):
+            graded_only.append(self)
+        real_graded(self, *args, **kwargs)
+
+    monkeypatch.setattr(PolarizedToricSetup, "__init__", setup_init)
+    monkeypatch.setattr(GradedSetup, "__init__", graded_init)
+    spec = {
+        "rank": 3,
+        "sigma_rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        "xi": [1, 1, 1],
+        "filtration": {"branches": [{"linear": [1, 0, 0]},
+                                    {"linear": [0, 1, 1], "constant": "1/2"}]},
+    }
+    code, out, _ = invoke(["report", spec_file(tmp_path, spec)])
+    assert code in (0, 4) and "verdict vol-routes  PASS" in out
+    # the parsed spec's setup, then one per homogeneity scale
+    assert len(setups) == 1 + len(HOMOGENEITY_SCALES)
+    assert counts["reeb_slice"] == len(setups)
+    assert counts["validate_nonnegative"] == len(setups)
+    assert counts["facet_chart"] == 1  # the parsed setup's slice energies
+    assert counts["volume"] == len(setups)  # vol(Q), once per setup
+    assert graded_only == []
 
 
 def test_parse_rejects_non_reeb_xi():
@@ -293,6 +350,36 @@ def test_cli_env_jobs_still_validated(tmp_path, monkeypatch):
     code, out, err = invoke(["volume", spec_file(tmp_path, NONLINEAR)])
     assert code == 2 and out == ""
     assert "REEBVOL_JOBS" in err
+
+
+@pytest.mark.parametrize("source, flags, env, options", [
+    ("jobs", ["--jobs", "0"], None, None),
+    ("REEBVOL_JOBS", [], "-3", None),
+    ("options.jobs", ["--jobs", "2"], None, {"jobs": 0}),
+])
+def test_cli_jobs_sources_share_one_rule(tmp_path, monkeypatch, source, flags, env, options):
+    if env is None:
+        monkeypatch.delenv("REEBVOL_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("REEBVOL_JOBS", env)
+    payload = NONLINEAR if options is None else dict(NONLINEAR, options=options)
+    code, out, err = invoke(["volume", spec_file(tmp_path, payload)] + flags)
+    assert (code, out) == (2, "")
+    assert err == f"specification error: {source}: expected a positive integer\n"
+
+
+@pytest.mark.parametrize("options", [5, [1], False])
+def test_cli_rejects_non_object_options(tmp_path, options):
+    code, out, err = invoke(["volume", spec_file(tmp_path, dict(MINIMAL, options=options))])
+    assert (code, out) == (2, "")
+    assert err == "specification error: options: expected an object\n"
+
+
+def test_cli_rejects_inadmissible_filtration(tmp_path):
+    wild = dict(MINIMAL, filtration={"branches": [{"linear": ["1", "-1"]}]})
+    code, out, err = invoke(["report", spec_file(tmp_path, wild)])
+    assert (code, out) == (2, "")
+    assert err.startswith("specification error: filtration: ")
 
 
 def test_cli_clamp_flag_admits_negative_filtration(tmp_path):
