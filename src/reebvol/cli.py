@@ -18,7 +18,6 @@ import csv
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .arith import decimal_str, fmt, rat
 from .errors import MathError, ReebvolError, SpecError
@@ -26,12 +25,11 @@ from .grading import spectrum_histogram
 from .invariants import (
     Verdict,
     consistency_report,
+    convergence_check,
     d_vol,
     energy_pxi,
     energy_tc,
     quasi_regular_check,
-    s_exact,
-    s_m,
     vol_xi,
 )
 from .plconcave import legendre
@@ -213,20 +211,10 @@ def _cmd_converge(out, args, spec, setup):
             raise SpecError("m-grid", "expected comma-separated integers")
         if not grid or list(grid) != sorted(set(grid)) or grid[0] < 1:
             raise SpecError("m-grid", "levels must be strictly increasing positives")
-    g = setup.graded()
-    s_limit = s_exact(setup)
+    s_limit, trace, (mono, last) = convergence_check(setup, grid, spec.options.tolerance)
     digits = spec.options.decimal
-    rows = []
-    errors = []
-    for m in grid:
-        val = s_m(g, m)
-        err = abs(val - s_limit)
-        errors.append(err)
-        rows.append([str(m), fmt(val), decimal_str(val, digits), fmt(err)])
-    monotone = all(errors[i + 1] <= errors[i] for i in range(len(errors) - 1))
-    gate = spec.options.tolerance * (abs(s_limit) if s_limit != 0 else Fraction(1))
-    within = errors[-1] <= gate
-    verdict = "pass" if monotone and within else "fail"
+    rows = [[str(m), fmt(val), decimal_str(val, digits), fmt(err)] for m, val, err in trace]
+    verdict = "pass" if mono.passed and last.passed else "fail"
     if args.format == "json":
         _emit_json(out, {
             "s_exact": fmt(s_limit),
@@ -234,8 +222,8 @@ def _cmd_converge(out, args, spec, setup):
                 {"m": int(r[0]), "s_m": r[1], "decimal": r[2], "abs_error": r[3]}
                 for r in rows
             ],
-            "monotone": monotone,
-            "final_within_tolerance": within,
+            "monotone": mono.passed,
+            "final_within_tolerance": last.passed,
             "verdict": verdict,
         })
     elif args.format == "csv":

@@ -170,16 +170,18 @@ def graded_s_tilde(g: GradedSetup, t: int) -> Fraction:
     """Per-degree average of filtration values on the weight level <u, xi> = t
     (integral polarization only)."""
     _require_integral(g)
-    points = list(lattice.points_on_level(g.dual, g.xi, t))
-    if not points:
+    if t < 1:
+        raise ValueError("degree must be at least 1")
+    runs = list(lattice.level_runs(g.dual, g.xi, t))
+    if not runs:
         raise EmptyDegreeError(f"no weights of degree {t}")
-    total = sum(g.value(u) for u in points)
-    return Fraction(total) / (t * len(points))
+    total = lattice.level_sum(runs, g._branches, floor_mode=g.ceiling, clamp=g.clamp)
+    return total / (t * sum(k + 1 for _, _, k in runs))
 
 
 def degree_count(g: GradedSetup, t: int) -> int:
     _require_integral(g)
-    return sum(1 for _ in lattice.points_on_level(g.dual, g.xi, t))
+    return sum(k + 1 for _, _, k in lattice.level_runs(g.dual, g.xi, t))
 
 
 def _require_integral(g: GradedSetup):

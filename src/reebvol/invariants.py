@@ -33,6 +33,7 @@ from .plconcave import (
     integrate_moment,
     linear_form,
     restrict_to_chart,
+    superlevel_body,
     superlevel_profile,
 )
 from .polyhedra import (
@@ -40,7 +41,6 @@ from .polyhedra import (
     FacetChart,
     dual_cone,
     facet_chart,
-    polytope_from_halfspaces,
     require_reeb,
     simplex_volume,
     triangulate,
@@ -57,7 +57,8 @@ class PolarizedToricSetup(GradedSetup):
 
     ``psi`` is the explicit filtration, else the linear one of a direction
     in the cone, else None.  The chart of P, its triangulation, the ray
-    subcones and vol(Q) are derived on first use and shared by every route.
+    subcones, vol(Q) and S are derived on first use and shared by every
+    route.
     """
 
     def __init__(self, sigma: Cone, xi, eta=None, psi: PLConcave | None = None,
@@ -89,7 +90,9 @@ class PolarizedToricSetup(GradedSetup):
 
     def rescaled(self, c) -> "PolarizedToricSetup":
         c = rat(c)
-        return self.with_xi(tuple(c * x for x in self.xi))
+        scaled = self.with_xi(tuple(c * x for x in self.xi))
+        scaled.subcones = self.subcones  # a positive scaling keeps the ray subcones
+        return scaled
 
     # -- derived geometry ---------------------------------------------------
 
@@ -134,6 +137,13 @@ class PolarizedToricSetup(GradedSetup):
             for s in self.chart_simplices
         ))
 
+    @cached_property
+    def s_value(self) -> Fraction:
+        """S of the setup's own filtration; see ``s_exact``."""
+        if self.psi is None:
+            raise InvalidDirectionError("no filtration available")
+        return _moment(self.psi_tilde, self.q, self.clamp) / self.vol_q
+
 
 # ---------------------------------------------------------------------------
 # volume and its directional derivative
@@ -174,27 +184,22 @@ def d_vol(setup: PolarizedToricSetup, eta=None) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _restricted_body(q, psi_tilde, clamp):
-    """The sub-level body, cut down to where every branch is nonnegative when
-    the clamp is active (elsewhere the clamped function vanishes)."""
-    if not clamp:
-        return q
-    halfspaces = list(q.halfspaces)
-    for b in psi_tilde.branches:
-        halfspaces.append((tuple(-x for x in b.linear), b.constant))
-    return polytope_from_halfspaces(q.rank, halfspaces, assume_bounded=True)
+def _moment(f, body, clamp) -> Fraction:
+    """Integral of f over the body; with the clamp, over the part where every
+    branch is nonnegative (elsewhere the clamped function vanishes)."""
+    if clamp:
+        body = superlevel_body(f, body, 0)
+    if body.affine_dim < body.rank:
+        return Fraction(0)
+    return integrate_moment(f, body, 1)
 
 
 def s_exact(setup: PolarizedToricSetup, psi: PLConcave | None = None) -> Fraction:
-    """Mean of the homogenized filtration over the sub-level body."""
-    f = psi if psi is not None else setup.psi
-    if f is None:
-        raise InvalidDirectionError("no filtration available")
-    tilde = homogenize(f)
-    body = _restricted_body(setup.q, tilde, setup.clamp and psi is None)
-    if body.affine_dim < setup.n:
-        return Fraction(0)
-    return integrate_moment(tilde, body, 1) / setup.vol_q
+    """Mean of the homogenized filtration over the sub-level body: of the
+    probe ``psi``, else of the setup's own filtration (computed once)."""
+    if psi is None:
+        return setup.s_value
+    return _moment(homogenize(psi), setup.q, False) / setup.vol_q
 
 
 def energy_tc(setup: PolarizedToricSetup) -> Fraction:
@@ -218,11 +223,8 @@ def energy_pxi(setup: PolarizedToricSetup, psi: PLConcave | None = None):
     if n < 2:
         raise UnsupportedGeometryError("slice energy requires rank >= 2")
     g = restrict_to_chart(homogenize(f), setup.chart)
-    body = _restricted_body(setup.chart.body, g, setup.clamp and psi is None)
-    if body.affine_dim < body.rank:
-        slice_integral = Fraction(0)
-    else:
-        slice_integral = setup.slice_density * integrate_moment(g, body, 1)
+    clamp = setup.clamp and psi is None
+    slice_integral = setup.slice_density * _moment(g, setup.chart.body, clamp)
     v = vol_xi(setup)
     cone_normalized = slice_integral / ((n + 1) * v)
     paper_normalized = cone_normalized * (v / setup.slice_measure)
@@ -334,6 +336,23 @@ def quasi_regular_check(setup: PolarizedToricSetup, t_max: int,
                             tolerance * target, "le"))
     return {"trace": trace, "verdicts": verdicts, "extrapolated": extrapolated,
             "s_exact": s_val}
+
+
+def convergence_check(setup: PolarizedToricSetup, m_grid,
+                      tolerance: Fraction = DEFAULT_TOLERANCE):
+    """Level averages against S: S, the trace of (m, s_m, |s_m - S|) over
+    the grid, and the cor3.12-monotone (errors never grow) and cor3.12 (last
+    error within tolerance of |S|) verdicts, none for an empty grid."""
+    g = setup.graded()
+    s_val = s_exact(setup)
+    trace = [(m, v, abs(v - s_val)) for m, v in ((m, s_m(g, m)) for m in m_grid)]
+    if not trace:
+        return s_val, trace, []
+    errors = [e for _, _, e in trace]
+    worst_increase = max((b - a for a, b in zip(errors, errors[1:])), default=Fraction(0))
+    gate = tolerance * (abs(s_val) if s_val != 0 else Fraction(1))
+    return s_val, trace, [_verdict("cor3.12-monotone", worst_increase, Fraction(0), "le"),
+                          _verdict("cor3.12", errors[-1], gate, "le")]
 
 
 def s_monotonicity_probe(setup: PolarizedToricSetup, xi_other):
@@ -466,22 +485,8 @@ def consistency_report(setup: PolarizedToricSetup, m_grid=DEFAULT_M_GRID,
     c_ratio = None
     probes = []
     if psi_eff is not None:
-        s_val = s_exact(setup)
-        g = setup.graded()
-        errors = []
-        for m in m_grid:
-            sm = s_m(g, m)
-            err = abs(sm - s_val)
-            s_trace.append((m, sm, err))
-            errors.append(err)
-        if errors:
-            worst_increase = max(
-                (errors[i + 1] - errors[i] for i in range(len(errors) - 1)),
-                default=Fraction(0),
-            )
-            verdicts.append(_verdict("cor3.12-monotone", worst_increase, Fraction(0), "le"))
-            gate = tolerance * (abs(s_val) if s_val != 0 else Fraction(1))
-            verdicts.append(_verdict("cor3.12", errors[-1], gate, "le"))
+        s_val, s_trace, cor = convergence_check(setup, m_grid, tolerance)
+        verdicts.extend(cor)
         if n >= 2:
             e_pxi = energy_pxi(setup)
             ratios = []

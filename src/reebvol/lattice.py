@@ -13,6 +13,10 @@ each range, and the reductions treat it in closed form: point counts, sums
 and maxima of a minimum of integer affine forms, and value histograms.
 These give exact jumping number statistics without touching every lattice
 point individually.
+
+A degree slice <u, xi> = t is walked the same way after solving for one
+coordinate: each innermost range gives one arithmetic progression of its
+points, along which the level sums' per-leaf reducer runs unchanged.
 """
 
 from __future__ import annotations
@@ -279,21 +283,22 @@ def _choose_order(n, branches):
     return [i for i in range(n) if i != inner] + [inner]
 
 
-def _reduced_setup(p, m, branches):
+def _reduced_leaves(p, m, branches):
+    """The leaves of m*p as (avals, bvals, lo, hi), coordinates in the order
+    of ``_choose_order``: along the last one, x in lo..hi, the scaled branch
+    b is avals[b] + bvals[b]*x."""
     n = p.rank
     order = _choose_order(n, branches)
     rows = [(tuple(a[i] for i in order), b) for a, b in int_rows_from_polytope(p, m)]
-    return PrefixBounds(rows, n), branches.permuted(order)
+    bd = branches.permuted(order)
+    bvals = [l[-1] for l in bd.linears]
+    for prefix, lo, hi in PrefixBounds(rows, n).leaves():
+        yield _offsets(bd, prefix), bvals, lo, hi
 
 
-def _leaf_affine(bd, prefix):
-    """(avals, bvals) of every branch as a function of the last coordinate."""
-    avals, bvals = [], []
-    k = len(prefix)
-    for l, c in zip(bd.linears, bd.consts):
-        avals.append(c + sum(ci * xi for ci, xi in zip(l, prefix)))
-        bvals.append(l[k])
-    return avals, bvals
+def _offsets(bd, point):
+    """Every scaled branch at ``point``; missing trailing coordinates are 0."""
+    return [c + sum(x * y for x, y in zip(l, point)) for l, c in zip(bd.linears, bd.consts)]
 
 
 def _origin(branches, clamp):
@@ -307,6 +312,21 @@ def _value_at_origin(branches, floor_mode, clamp):
     return Fraction(v // branches.denom) if floor_mode else Fraction(v, branches.denom)
 
 
+def _leaf_sum(leaves, denom, floor_mode, clamp):
+    """Exact sum of the branch minimum over leaves (avals, bvals, lo, hi),
+    each the integers lo..hi of one parameter along which every branch is
+    avals[b] + bvals[b]*x over ``denom``."""
+    total = 0
+    for avals, bvals, lo, hi in leaves:
+        for s, e, A, B in _leaf_pieces(avals, bvals, lo, hi, clamp):
+            cnt = e - s + 1
+            if floor_mode:
+                total += floor_sum(cnt, denom, A + B * s, B)
+            else:
+                total += A * cnt + B * (s + e) * cnt // 2
+    return Fraction(total) if floor_mode else Fraction(total, denom)
+
+
 def sum_values(p, m, branches, floor_mode=False, clamp=False):
     """Exact sum of the branch minimum over the points of m*p."""
     _check_level(m)
@@ -314,18 +334,7 @@ def sum_values(p, m, branches, floor_mode=False, clamp=False):
         return Fraction(0)
     if m == 0:
         return _value_at_origin(branches, floor_mode, clamp)
-    pb, bd = _reduced_setup(p, m, branches)
-    D = bd.denom
-    total = 0
-    for prefix, lo, hi in pb.leaves():
-        avals, bvals = _leaf_affine(bd, prefix)
-        for s, e, A, B in _leaf_pieces(avals, bvals, lo, hi, clamp):
-            cnt = e - s + 1
-            if floor_mode:
-                total += floor_sum(cnt, D, A + B * s, B)
-            else:
-                total += A * cnt + B * (s + e) * cnt // 2
-    return Fraction(total) if floor_mode else Fraction(total, D)
+    return _leaf_sum(_reduced_leaves(p, m, branches), branches.denom, floor_mode, clamp)
 
 
 def max_value(p, m, branches, floor_mode=False, clamp=False):
@@ -335,10 +344,8 @@ def max_value(p, m, branches, floor_mode=False, clamp=False):
         return None
     if m == 0:
         return _value_at_origin(branches, floor_mode, clamp)
-    pb, bd = _reduced_setup(p, m, branches)
     best = None
-    for prefix, lo, hi in pb.leaves():
-        avals, bvals = _leaf_affine(bd, prefix)
+    for avals, bvals, lo, hi in _reduced_leaves(p, m, branches):
         for s, e, A, B in _leaf_pieces(avals, bvals, lo, hi, clamp):
             for t in (s, e):
                 v = A + B * t
@@ -346,7 +353,7 @@ def max_value(p, m, branches, floor_mode=False, clamp=False):
                     best = v
     if best is None:
         return None
-    return Fraction(best // bd.denom) if floor_mode else Fraction(best, bd.denom)
+    return Fraction(best // branches.denom) if floor_mode else Fraction(best, branches.denom)
 
 
 def value_histogram(p, m, branches, floor_mode=False, clamp=False, jobs=1):
@@ -364,10 +371,8 @@ def value_histogram(p, m, branches, floor_mode=False, clamp=False, jobs=1):
     if m == 0:
         v = _origin(branches, clamp)
         return {v // D if floor_mode else v: 1}
-    pb, bd = _reduced_setup(p, m, branches)
     hist = {}
-    for prefix, lo, hi in pb.leaves():
-        avals, bvals = _leaf_affine(bd, prefix)
+    for avals, bvals, lo, hi in _reduced_leaves(p, m, branches):
         for s, e, A, B in _leaf_pieces(avals, bvals, lo, hi, clamp):
             if B == 0:
                 key = A // D if floor_mode else A
@@ -385,18 +390,19 @@ def value_histogram(p, m, branches, floor_mode=False, clamp=False, jobs=1):
 # ---------------------------------------------------------------------------
 
 
-def points_on_level(dual, xi_int, t):
+def level_runs(dual, xi_int, t):
     """Integer points u of the weight cone with <u, xi> exactly t, for an
-    integer vector xi; ascending lexicographic order."""
+    integer vector xi, as arithmetic progressions (u0, du, k): the points
+    u0 + i*du for 0 <= i <= k.  The coordinate j with the least nonzero
+    |xi_j| is solved for and the others walked with ``PrefixBounds.leaves``;
+    each innermost range holds one progression."""
     n = dual.rank
     xi = [int(x) for x in xi_int]
     j = min((i for i in range(n) if xi[i] != 0), key=lambda i: (abs(xi[i]), i))
     cj = xi[j]
     if n == 1:
-        if t % cj == 0:
-            u = t // cj
-            if all(h[0] * u >= 0 for h in dual.halfspaces):
-                yield (u,)
+        if t % cj == 0 and all(h[0] * (t // cj) >= 0 for h in dual.halfspaces):
+            yield (t // cj,), (0,), 0
         return
     rest = [i for i in range(n) if i != j]
     sign = 1 if cj > 0 else -1
@@ -405,13 +411,32 @@ def points_on_level(dual, xi_int, t):
         coeffs = tuple(-(cj * h[i] - h[j] * xi[i]) * sign for i in rest)
         rhs = sign * h[j] * t
         rows.append(_normalize_row(coeffs, rhs))
-    points = []
+    # xi_j divides s - a*x exactly for the x in one class modulo `period`
+    a = xi[rest[-1]]
+    g = gcd(a, cj)
+    period = abs(cj) // g
+    inverse = pow(a // g, -1, period)
+    free_du = (0,) * (n - 2) + (period,)
+    du = free_du[:j] + (-(a * period) // cj,) + free_du[j:]
     for prefix, lo, hi in PrefixBounds(rows, n - 1).leaves():
-        for x in range(lo, hi + 1):
+        s = t - sum(xi[i] * y for i, y in zip(rest, prefix))
+        x = lo + (s // g * inverse - lo) % period
+        if s % g == 0 and x <= hi:
             free = prefix + (x,)
-            s = t - sum(xi[i] * y for i, y in zip(rest, free))
-            if s % cj == 0:
-                point = list(free)
-                point.insert(j, s // cj)
-                points.append(tuple(point))
-    yield from sorted(points)
+            yield free[:j] + ((s - a * x) // cj,) + free[j:], du, (hi - x) // period
+
+
+def level_sum(runs, branches, floor_mode=False, clamp=False):
+    """Exact sum of the branch minimum over the points of progressions
+    (u0, du, k), such as those of ``level_runs``."""
+    slopes = BranchData(branches.linears, [0] * len(branches.linears), branches.denom)
+    leaves = ((_offsets(branches, u0), _offsets(slopes, du), 0, k) for u0, du, k in runs)
+    return _leaf_sum(leaves, branches.denom, floor_mode, clamp)
+
+
+def points_on_level(dual, xi_int, t):
+    """The points of ``level_runs``, in ascending lexicographic order."""
+    yield from sorted(
+        tuple(x + i * y for x, y in zip(u0, du))
+        for u0, du, k in level_runs(dual, xi_int, t) for i in range(k + 1)
+    )

@@ -283,7 +283,7 @@ class SuperlevelProfile:
         return rows
 
 
-def _superlevel_body(f: PLConcave, delta: Polytope, t) -> Polytope:
+def superlevel_body(f: PLConcave, delta: Polytope, t) -> Polytope:
     halfspaces = list(delta.halfspaces)
     for b in f.branches:
         halfspaces.append((tuple(-x for x in b.linear), b.constant - t))
@@ -340,9 +340,9 @@ def superlevel_profile(f: PLConcave, delta: Polytope) -> SuperlevelProfile:
         nodes = []
         for j in range(1, n + 2):
             t = a + (b - a) * Fraction(j, n + 2)
-            nodes.append((t, volume(_superlevel_body(f, delta, t))))
+            nodes.append((t, volume(superlevel_body(f, delta, t))))
         polys.append(_lagrange(nodes))
-    values_at = tuple(volume(_superlevel_body(f, delta, t)) for t in breakpoints)
+    values_at = tuple(volume(superlevel_body(f, delta, t)) for t in breakpoints)
     return SuperlevelProfile(breakpoints, tuple(polys), values_at)
 
 

@@ -5,12 +5,16 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, seed, settings
+from hypothesis import strategies as st
 
 from conftest import brute_lattice_points, min_form
 from reebvol import lattice
+from reebvol.arith import dot, rank_of
 from reebvol.errors import (
     EmptyDegreeError,
     InvalidFiltrationError,
+    MathError,
     QuasiRegularRequiredError,
 )
 from reebvol.grading import (
@@ -27,7 +31,7 @@ from reebvol.grading import (
     t_m,
 )
 from reebvol.plconcave import PLConcave, linear_form
-from reebvol.polyhedra import dual_cone
+from reebvol.polyhedra import Cone, dual_cone
 
 
 def graded(cone, xi, psi, **kw):
@@ -242,6 +246,78 @@ def test_s_tilde_requires_integral_xi(orthant2):
     g = graded(orthant2, (1, F(3, 2)), linear_form((1, 0)))
     with pytest.raises(QuasiRegularRequiredError):
         graded_s_tilde(g, 3)
+
+
+@pytest.mark.parametrize("t", [0, -2])
+def test_s_tilde_rejects_degrees_below_one(orthant2, t):
+    g = graded(orthant2, (1, 1), linear_form((1, 0)))
+    with pytest.raises(ValueError, match="degree must be at least 1"):
+        graded_s_tilde(g, t)
+    assert degree_count(g, t) == (1 if t == 0 else 0)  # degree 0 holds the origin
+
+
+@st.composite
+def degree_slices(draw):
+    """A rank 1-4 cone, an integral Reeb xi with gcd 1-4, a filtration, a
+    ceiling/clamp mode and a degree t in -1..10."""
+    n = draw(st.sampled_from([1, 2, 3, 4]))
+    count = n if n == 1 else draw(st.integers(n, n + 1))
+    coordinate = st.sampled_from(range(-2, 3))
+    rays = draw(st.lists(st.tuples(*[coordinate] * n), min_size=count, max_size=count))
+    assume(rank_of(rays) == n and all(any(r) for r in rays))
+    try:
+        sigma = Cone.from_rays(rays)
+    except MathError:
+        assume(False)
+    k = len(sigma.rays)
+    weights = draw(st.lists(st.sampled_from([1, 1, 2]), min_size=k, max_size=k))
+    xi = [sum(w * r[i] for w, r in zip(weights, sigma.rays)) for i in range(n)]
+    g = draw(st.sampled_from([1, 2, 3, 4]))
+    xi = tuple(g * x // math.gcd(*xi) for x in xi)
+    ceiling, clamp = draw(st.booleans()), draw(st.booleans())
+    branches = []
+    for _ in range(draw(st.integers(1, 3))):
+        w = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+        linear = tuple(sum(c * r[i] for c, r in zip(w, sigma.rays)) for i in range(n))
+        constant = F(draw(st.integers(0, 2)), draw(st.integers(1, 3)))
+        if clamp:  # lowered, so the clamp can bite
+            constant -= draw(st.integers(0, 4))
+        branches.append((linear, constant))
+    return sigma.rays, xi, branches, ceiling, clamp, draw(st.sampled_from(range(-1, 11)))
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(degree_slices())
+@example((((1, -2), (1, 1)), (6, -3), [((2, -1), F(1, 2)), ((1, 1), F(0))], False, False, 9))
+@example((((1, -2), (1, 1)), (6, -3), [((2, -1), F(-1)), ((3, -3), F(1))], True, True, 6))
+@example((((1, 0, 0), (0, 1, 0), (1, 1, -2)), (4, 4, -4), [((1, 0, 0), F(0))], True, False, 8))
+@example((((-1,),), (-3,), [((-1,), F(1, 2))], True, True, 9))
+@example((((1, 0, 0), (-2, 1, 0), (0, 0, 1)), (-3, 3, 3), [((1, 0, 0), F(0)), ((-1, 1, 1), F(1, 3))],
+          False, False, 9))
+@example((((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)), (2, 2, 4),
+          [((0, 0, 1), F(-1)), ((1, 0, 1), F(0)), ((1, 1, 1), F(-2))], True, True, 10))
+@example((((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (-2, -1, 0, 1)), (-2, 0, 2, 2),
+          [((1, 0, 0, 0), F(1, 2)), ((-2, -1, 1, 1), F(0))], True, False, 10))
+def test_degree_slices_match_brute_filter(case):
+    """Counts, point lists and per-degree averages against the bounding-box
+    oracle filtered to <u, xi> = t, for every ceiling/clamp mode."""
+    rays, xi, branches, ceiling, clamp, t = case
+    psi = PLConcave.make(branches)
+    g = GradedSetup(dual_cone(Cone.from_rays(rays)), xi, psi, ceiling=ceiling, clamp=clamp)
+    oracle = [u for u in brute_lattice_points(g.q, t) if dot(u, xi) == t]
+    assert list(lattice.points_on_level(g.dual, g.xi, t)) == sorted(oracle)
+    assert degree_count(g, t) == len(oracle)
+    if t < 1:
+        with pytest.raises(ValueError):
+            graded_s_tilde(g, t)
+    elif not oracle:
+        with pytest.raises(EmptyDegreeError):
+            graded_s_tilde(g, t)
+    else:
+        total = sum(_oracle_value(psi, u, ceiling, clamp) for u in oracle)
+        assert graded_s_tilde(g, t) == total / (t * len(oracle))
 
 
 def test_s_tilde_empty_degree(orthant2):

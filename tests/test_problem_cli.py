@@ -84,6 +84,24 @@ def _count_calls(monkeypatch, name, counts):
             monkeypatch.setattr(mod, name, counting)
 
 
+ORTHANT3_REPORT = {
+    "rank": 3,
+    "sigma_rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    "xi": [1, 1, 1],
+    "filtration": {"branches": [{"linear": [1, 0, 0]},
+                                {"linear": [0, 1, 1], "constant": "1/2"}]},
+}
+
+SQUARE_REPORT = {
+    "rank": 3,
+    "sigma_rays": [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
+    "xi": [1, 1, 2],
+    "filtration": {"branches": [{"linear": [0, 0, 1]}, {"linear": [1, 0, 1]},
+                                {"linear": [1, 1, 1]}]},
+    "options": {"m_grid": [4, 8], "t_max": 8},
+}
+
+
 def test_report_derives_each_geometry_once_per_setup(tmp_path, monkeypatch):
     from collections import Counter
 
@@ -91,7 +109,8 @@ def test_report_derives_each_geometry_once_per_setup(tmp_path, monkeypatch):
     from reebvol.invariants import HOMOGENEITY_SCALES, PolarizedToricSetup
 
     counts = Counter()
-    for name in ("reeb_slice", "validate_nonnegative", "facet_chart", "volume"):
+    for name in ("reeb_slice", "validate_nonnegative", "facet_chart", "volume",
+                 "integrate_moment"):
         _count_calls(monkeypatch, name, counts)
     setups, graded_only = [], []
     real_setup, real_graded = PolarizedToricSetup.__init__, GradedSetup.__init__
@@ -107,22 +126,23 @@ def test_report_derives_each_geometry_once_per_setup(tmp_path, monkeypatch):
 
     monkeypatch.setattr(PolarizedToricSetup, "__init__", setup_init)
     monkeypatch.setattr(GradedSetup, "__init__", graded_init)
-    spec = {
-        "rank": 3,
-        "sigma_rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-        "xi": [1, 1, 1],
-        "filtration": {"branches": [{"linear": [1, 0, 0]},
-                                    {"linear": [0, 1, 1], "constant": "1/2"}]},
-    }
-    code, out, _ = invoke(["report", spec_file(tmp_path, spec)])
-    assert code in (0, 4) and "verdict vol-routes  PASS" in out
-    # the parsed spec's setup, then one per homogeneity scale
-    assert len(setups) == 1 + len(HOMOGENEITY_SCALES)
-    assert counts["reeb_slice"] == len(setups)
-    assert counts["validate_nonnegative"] == len(setups)
-    assert counts["facet_chart"] == 1  # the parsed setup's slice energies
-    assert counts["volume"] == len(setups)  # vol(Q), once per setup
-    assert graded_only == []
+    for spec in (ORTHANT3_REPORT, SQUARE_REPORT):
+        counts.clear()
+        setups.clear()
+        code, out, _ = invoke(["report", spec_file(tmp_path, spec)])
+        assert code in (0, 4) and "verdict vol-routes  PASS" in out
+        # the parsed spec's setup, then one per homogeneity scale
+        assert len(setups) == 1 + len(HOMOGENEITY_SCALES)
+        assert counts["reeb_slice"] == len(setups)
+        assert counts["validate_nonnegative"] == len(setups)
+        # the parsed setup's chart: its slice energies and its ray subcones,
+        # which the rescaled setups share
+        assert counts["facet_chart"] == 1
+        assert counts["volume"] == len(setups)  # vol(Q), once per setup
+        # S once per setup, the parsed setup's slice energy, and the S and
+        # slice energy of each of its four probes
+        assert counts["integrate_moment"] == len(setups) + 1 + 2 * 4
+        assert graded_only == []
 
 
 def test_parse_rejects_non_reeb_xi():
