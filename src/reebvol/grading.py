@@ -97,8 +97,7 @@ def s_m(g: GradedSetup, m: int) -> Fraction:
     """The normalized average of the level-m spectrum."""
     if m < 1:
         raise ValueError("level must be at least 1")
-    n_m = lattice_count(g, m)
-    total = lattice.sum_values(
+    n_m, total = lattice.count_and_sum(
         g.q, m, g._branches, floor_mode=g.ceiling, clamp=g.clamp
     )
     return total / (m * n_m)
@@ -166,17 +165,28 @@ def cdf_csv_rows(cdf, decimal_digits=None):
     return rows
 
 
-def graded_s_tilde(g: GradedSetup, t: int) -> Fraction:
-    """Per-degree average of filtration values on the weight level <u, xi> = t
-    (integral polarization only)."""
+def degree_slice(g: GradedSetup, t: int):
+    """(N_t, S~_t) on the weight level <u, xi> = t from one walk of it: the
+    number of weights of degree t and their per-degree average, None when
+    there are none (integral polarization only)."""
     _require_integral(g)
     if t < 1:
         raise ValueError("degree must be at least 1")
     runs = list(lattice.level_runs(g.dual, g.xi, t))
-    if not runs:
-        raise EmptyDegreeError(f"no weights of degree {t}")
+    n_t = sum(k + 1 for _, _, k in runs)
+    if not n_t:
+        return 0, None
     total = lattice.level_sum(runs, g._branches, floor_mode=g.ceiling, clamp=g.clamp)
-    return total / (t * sum(k + 1 for _, _, k in runs))
+    return n_t, total / (t * n_t)
+
+
+def graded_s_tilde(g: GradedSetup, t: int) -> Fraction:
+    """Per-degree average of filtration values on the weight level <u, xi> = t
+    (integral polarization only)."""
+    s_tilde = degree_slice(g, t)[1]
+    if s_tilde is None:
+        raise EmptyDegreeError(f"no weights of degree {t}")
+    return s_tilde
 
 
 def degree_count(g: GradedSetup, t: int) -> int:

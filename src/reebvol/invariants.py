@@ -26,7 +26,7 @@ from .errors import (
     QuasiRegularRequiredError,
     UnsupportedGeometryError,
 )
-from .grading import GradedSetup, degree_count, graded_s_tilde, s_m
+from .grading import GradedSetup, degree_slice, s_m
 from .plconcave import (
     PLConcave,
     homogenize,
@@ -311,8 +311,7 @@ def quasi_regular_check(setup: PolarizedToricSetup, t_max: int,
     ts = sorted({max(1, t_max // 4), t_max // 2, t_max})
     trace = []
     for t in ts:
-        n_t = degree_count(g, t)
-        val = graded_s_tilde(g, t) if n_t else None
+        n_t, val = degree_slice(g, t)
         trace.append({"t": t, "n_t": n_t, "s_tilde": val})
     usable = [row for row in trace if row["n_t"] > 0]
     verdicts = []

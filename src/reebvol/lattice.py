@@ -2,17 +2,24 @@
 
 Enumeration works on integer inequality systems A x <= b obtained by
 clearing denominators of a polytope's halfspace description.  Per-variable
-bounds come from Fourier-Motzkin projection, computed once per system.
-One walker, ``PrefixBounds.leaves``, fixes the coordinates one by one with
-exact integer ceil/floor bounds and yields each innermost slice as a
-prefix and the integer range of the last coordinate, so no bounding box is
-ever materialized.
+bounds come from Fourier-Motzkin projection, computed once per system, and
+the rows of each projection level are split once by the sign of their last
+coefficient into upper and lower bounds.  One walker, ``PrefixBounds``,
+fixes the coordinates one by one: a node fixes a prefix and knows the
+integer range of the next coordinate.  It forms the residual
+r = b - head.prefix of each row of its children's level once, and each
+child x then gets its bounds as min((r - c*x) // a) over the upper rows and
+the matching integer ceiling over the lower ones, a subtraction and a floor
+division per row.  A node builds the list of its own children only, and the
+innermost slices come out as leaves: a prefix and the integer range of the
+last coordinate, in ascending lexicographic order.  No bounding box is ever
+materialized.
 
 Every engine is a loop over those leaves: streaming enumeration expands
-each range, and the reductions treat it in closed form: point counts, sums
-and maxima of a minimum of integer affine forms, and value histograms.
-These give exact jumping number statistics without touching every lattice
-point individually.
+each range, and the reductions treat it in closed form, in integers only:
+point counts, sums and maxima of a minimum of integer affine forms, and
+value histograms.  These give exact jumping number statistics without
+touching every lattice point individually.
 
 A degree slice <u, xi> = t is walked the same way after solving for one
 coordinate: each innermost range gives one arithmetic progression of its
@@ -21,9 +28,11 @@ points, along which the level sums' per-leaf reducer runs unchanged.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from itertools import combinations, product, repeat
+from math import gcd, lcm
+from operator import floordiv, mul
 
 from .errors import UnsupportedGeometryError
 
@@ -50,13 +59,18 @@ def int_rows_from_polytope(p, scale=1):
 
 
 class PrefixBounds:
-    """Fourier-Motzkin projections of an integer system, queried for exact
-    integer bounds of x_k given values of x_1..x_{k-1}."""
+    """Fourier-Motzkin projections of an integer system A x <= b in ``nvars``
+    unknowns, walked for the exact integer range of each coordinate.
+
+    Level k holds the projected rows whose last nonzero coefficient is that
+    of x_k, split once by its sign into upper and lower bounds of x_k.  A
+    row with a zero x_k coefficient is left out of level k: projection
+    carries it down to the level of its last nonzero coefficient, where the
+    walk has already enforced it."""
 
     def __init__(self, rows, nvars):
         self.nvars = nvars
         self.infeasible = False
-        levels = [None] * (nvars + 1)
         current = []
         for a, b in rows:
             if all(c == 0 for c in a):
@@ -64,10 +78,11 @@ class PrefixBounds:
                     self.infeasible = True
             else:
                 current.append(_normalize_row(a, b))
-        levels[nvars] = sorted(set(current))
-        for k in range(nvars, 1, -1):
+        current = sorted(set(current))
+        self._split = [None] * (nvars + 1)
+        for k in range(nvars, 0, -1):
             nxt, pos, neg = [], [], []
-            for a, b in levels[k]:
+            for a, b in current:
                 ak = a[k - 1]
                 if ak == 0:
                     nxt.append((a, b))
@@ -75,7 +90,9 @@ class PrefixBounds:
                     pos.append((a, b))
                 else:
                     neg.append((a, b))
-            for (ap, bp), (an, bn) in itertools.product(pos, neg):
+            self._split[k] = ([_bound_row(a, b, k, -1) for a, b in pos],
+                              [_bound_row(a, b, k, 1) for a, b in neg])
+            for (ap, bp), (an, bn) in product(pos, neg):
                 cp, cn = ap[k - 1], -an[k - 1]
                 comb = tuple(cn * x + cp * y for x, y in zip(ap, an))
                 rhs = cn * bp + cp * bn
@@ -84,51 +101,75 @@ class PrefixBounds:
                         self.infeasible = True
                     continue
                 nxt.append(_normalize_row(comb, rhs))
-            levels[k - 1] = sorted(set(nxt))
-        self.levels = levels
+            current = sorted(set(nxt))
 
-    def bounds(self, prefix):
-        """Integer (lo, hi) for the coordinate after ``prefix``; None if the
-        slice holds no integer point."""
-        if self.infeasible:
-            return None
-        k = len(prefix) + 1
-        lo, hi = None, None
-        for a, b in self.levels[k]:
-            ak = a[k - 1]
-            if ak == 0:
-                if sum(c * x for c, x in zip(a, prefix)) > b:
-                    return None
-                continue
-            rest = b - sum(c * x for c, x in zip(a, prefix))
-            if ak > 0:
-                bound = rest // ak
-                hi = bound if hi is None else min(hi, bound)
-            else:
-                q, r = divmod(rest, ak)
-                bound = q if r == 0 else q + 1
-                lo = bound if lo is None else max(lo, bound)
-        if lo is None or hi is None:
+    def _children(self, k, prefix, lo, hi):
+        """(x, lo_k, hi_k) for each x in lo..hi at which x_k, over the prefix
+        ``prefix + (x,)`` of length k - 1, has the integer range lo_k..hi_k;
+        at k = 1 the prefix is empty and x a placeholder."""
+        upper, lower = self._split[k]
+        if not upper or not lower:
             raise UnsupportedGeometryError("unbounded direction in lattice enumeration")
-        if lo > hi:
-            return None
-        return lo, hi
+        xs = range(lo, hi + 1)
+        return [(x, l, h) for x, l, h in zip(xs, _envelope(lower, prefix, xs, max),
+                                             _envelope(upper, prefix, xs, min)) if l <= h]
+
+    def nodes(self):
+        """Every node whose children are leaves, as (head, children) in
+        ascending lexicographic order of head: ``head`` fixes x_1..x_{n-2}
+        and ``children`` lists (x, lo, hi) for each x_{n-1} = x whose slice
+        holds an integer point, lo..hi being the range of x_n.  Needs
+        nvars >= 2."""
+        if self.infeasible:
+            return
+        last = self.nvars
+        stack = [((), lo, hi) for _, lo, hi in self._children(1, (), 0, 0)]
+        while stack:
+            prefix, lo, hi = stack.pop()
+            k = len(prefix) + 2
+            children = self._children(k, prefix, lo, hi)
+            if k < last:
+                stack.extend((prefix + (x,), l, h) for x, l, h in reversed(children))
+            elif children:
+                yield prefix, children
 
     def leaves(self):
         """Every innermost slice of the system: (prefix, lo, hi) with
         len(prefix) == nvars - 1 and lo..hi the integer range of the last
         coordinate, in ascending lexicographic order of prefix."""
-        last = self.nvars - 1
-        stack = [()]
-        while stack:
-            prefix = stack.pop()
-            b = self.bounds(prefix)
-            if b is None:
-                continue
-            if len(prefix) == last:
-                yield prefix, b[0], b[1]
-            else:
-                stack.extend(prefix + (x,) for x in range(b[1], b[0] - 1, -1))
+        if self.nvars == 1:
+            if not self.infeasible:
+                yield from (((), lo, hi) for _, lo, hi in self._children(1, (), 0, 0))
+            return
+        for head, children in self.nodes():
+            for x, lo, hi in children:
+                yield head + (x,), lo, hi
+
+
+def _bound_row(a, b, k, sign):
+    """Row a.x <= b of level k as (h, c, d, r) with d > 0: at a prefix
+    head + (x,) of length k - 1, it bounds x_k by (r + h.head + c*x) // d,
+    from above for sign -1 (a_k > 0) and, as an integer ceiling, from below
+    for sign 1 (a_k < 0)."""
+    d = -sign * a[k - 1]
+    h = tuple(sign * v for v in a[:k - 2]) if k > 1 else ()
+    c = sign * a[k - 2] if k > 1 else 0
+    return h, c, d, (b if sign < 0 else d - 1 - b)
+
+
+def _envelope(rows, prefix, xs, pick):
+    """``pick`` over bound rows (h, c, d, r) of (r + h.prefix + c*x) // d, for
+    each x in the range ``xs``: the residual r + h.prefix is formed once."""
+    fixed, cols = None, []
+    for h, c, d, r in rows:
+        r += sum(map(mul, h, prefix))
+        if c:
+            cols.append([(r + c * x) // d for x in xs])
+        else:
+            fixed = r // d if fixed is None else pick(fixed, r // d)
+    if fixed is not None:
+        cols.append(repeat(fixed, len(xs)))
+    return cols[0] if len(cols) == 1 else map(pick, *cols)
 
 
 # ---------------------------------------------------------------------------
@@ -227,52 +268,58 @@ def floor_sum(n, m, a, b):
     return ans
 
 
-def _leaf_runs(avals, bvals, lo, hi):
+def _crossings(bvals):
+    """(p, q, bvals[p] - bvals[q]) for the branch pairs p < q of distinct
+    slopes, the only pairs whose order can change along a leaf."""
+    return [(p, q, bvals[p] - bvals[q])
+            for p, q in combinations(range(len(bvals)), 2) if bvals[p] != bvals[q]]
+
+
+def _leaf_runs(avals, bvals, crossings, lo, hi):
     """Partition the integers of [lo, hi] into runs on which one branch of
-    min_b(avals[b] + bvals[b]*t) stays minimal; yields (s, e, A, B)."""
-    k = len(avals)
+    min_b(avals[b] + bvals[b]*t) stays minimal: a list of (s, e, A, B).
+    ``crossings`` is ``_crossings(bvals)``."""
+    if not crossings:
+        return [(lo, hi, min(avals), bvals[0])]
     cuts = set()
-    for p in range(k):
-        for q in range(p + 1, k):
-            db = bvals[p] - bvals[q]
-            if db == 0:
-                continue
-            t0 = floor(Fraction(avals[q] - avals[p], db)) + 1
-            if lo < t0 <= hi:
-                cuts.add(t0)
-    boundaries = [lo] + sorted(cuts) + [hi + 1]
-    for i in range(len(boundaries) - 1):
-        s, e = boundaries[i], boundaries[i + 1] - 1
-        if s > e:
-            continue
-        vals = [avals[b] + bvals[b] * s for b in range(k)]
-        bstar = min(range(k), key=lambda b: vals[b])
-        yield s, e, avals[bstar], bvals[bstar]
+    for p, q, db in crossings:
+        t0 = (avals[q] - avals[p]) // db + 1  # the first integer past their crossing
+        if lo < t0 <= hi:
+            cuts.add(t0)
+    runs = []
+    s = lo
+    for nxt in sorted(cuts) + [hi + 1]:
+        vals = [a + b * s for a, b in zip(avals, bvals)]
+        i = vals.index(min(vals))
+        runs.append((s, nxt - 1, avals[i], bvals[i]))
+        s = nxt
+    return runs
 
 
-def _leaf_pieces(avals, bvals, lo, hi, clamp):
-    """Runs with the clamp (max with 0) applied; the value on each yielded
-    run (s, e, A, B) is exactly A + B*t for every integer t in it."""
-    for s, e, A, B in _leaf_runs(avals, bvals, lo, hi):
-        if not clamp:
-            yield s, e, A, B
-            continue
+def _leaf_pieces(avals, bvals, crossings, lo, hi, clamp):
+    """Runs with the clamp (max with 0) applied; the value on each run
+    (s, e, A, B) of the returned list is exactly A + B*t for every integer t
+    in it."""
+    runs = _leaf_runs(avals, bvals, crossings, lo, hi)
+    if not clamp:
+        return runs
+    pieces = []
+    for s, e, A, B in runs:
         if B == 0:
-            yield s, e, max(A, 0), 0
-            continue
-        c = Fraction(-A, B)
-        if B > 0:
-            pos_lo = max(s, ceil(c))
-            if s <= min(e, pos_lo - 1):
-                yield s, min(e, pos_lo - 1), 0, 0
-            if pos_lo <= e:
-                yield pos_lo, e, A, B
+            pieces.append((s, e, max(A, 0), 0))
+        elif B > 0:
+            z = -(A // B)  # the first t with A + B*t >= 0
+            if s < z:
+                pieces.append((s, min(e, z - 1), 0, 0))
+            if z <= e:
+                pieces.append((max(s, z), e, A, B))
         else:
-            pos_hi = min(e, floor(c))
-            if s <= pos_hi:
-                yield s, pos_hi, A, B
-            if max(s, pos_hi + 1) <= e:
-                yield max(s, pos_hi + 1), e, 0, 0
+            z = (-A) // B  # the last t with A + B*t >= 0
+            if s <= z:
+                pieces.append((s, min(e, z), A, B))
+            if z < e:
+                pieces.append((max(s, z + 1), e, 0, 0))
+    return pieces
 
 
 def _choose_order(n, branches):
@@ -283,22 +330,44 @@ def _choose_order(n, branches):
     return [i for i in range(n) if i != inner] + [inner]
 
 
-def _reduced_leaves(p, m, branches):
-    """The leaves of m*p as (avals, bvals, lo, hi), coordinates in the order
-    of ``_choose_order``: along the last one, x in lo..hi, the scaled branch
-    b is avals[b] + bvals[b]*x."""
+def _reduced_pieces(p, m, branches, clamp):
+    """The points of m*p as pieces (s, e, A, B), coordinates in the order of
+    ``_choose_order``: along the last one, the clamped scaled branch minimum
+    is A + B*x for x in s..e.  Each node's offsets are formed once, and each
+    leaf below it adds its penultimate coordinate's term."""
     n = p.rank
     order = _choose_order(n, branches)
     rows = [(tuple(a[i] for i in order), b) for a, b in int_rows_from_polytope(p, m)]
     bd = branches.permuted(order)
-    bvals = [l[-1] for l in bd.linears]
-    for prefix, lo, hi in PrefixBounds(rows, n).leaves():
-        yield _offsets(bd, prefix), bvals, lo, hi
+    leaves = _offset_leaves(PrefixBounds(rows, n), bd)
+    return _pieces([l[-1] for l in bd.linears], leaves, clamp)
+
+
+def _offset_leaves(pb, bd):
+    """The leaves of ``pb`` as (avals, lo, hi), avals being the scaled
+    branches at the leaf's prefix."""
+    if pb.nvars == 1:
+        for _, lo, hi in pb.leaves():
+            yield bd.consts, lo, hi
+        return
+    pens = [l[-2] for l in bd.linears]
+    for head, children in pb.nodes():
+        base = _offsets(bd, head)
+        for x, lo, hi in children:
+            yield [a + c * x for a, c in zip(base, pens)], lo, hi
+
+
+def _pieces(bvals, leaves, clamp):
+    """The pieces of leaves (avals, lo, hi), each the integers lo..hi of one
+    parameter along which every branch is avals[b] + bvals[b]*x."""
+    crossings = _crossings(bvals)
+    for avals, lo, hi in leaves:
+        yield from _leaf_pieces(avals, bvals, crossings, lo, hi, clamp)
 
 
 def _offsets(bd, point):
     """Every scaled branch at ``point``; missing trailing coordinates are 0."""
-    return [c + sum(x * y for x, y in zip(l, point)) for l, c in zip(bd.linears, bd.consts)]
+    return [c + sum(map(mul, l, point)) for l, c in zip(bd.linears, bd.consts)]
 
 
 def _origin(branches, clamp):
@@ -307,34 +376,39 @@ def _origin(branches, clamp):
     return max(v, 0) if clamp else v
 
 
-def _value_at_origin(branches, floor_mode, clamp):
-    v = _origin(branches, clamp)
-    return Fraction(v // branches.denom) if floor_mode else Fraction(v, branches.denom)
+def _scaled(v, denom, floor_mode):
+    """The value of a scaled integer v, floored in floor_mode."""
+    return Fraction(v // denom) if floor_mode else Fraction(v, denom)
 
 
-def _leaf_sum(leaves, denom, floor_mode, clamp):
-    """Exact sum of the branch minimum over leaves (avals, bvals, lo, hi),
-    each the integers lo..hi of one parameter along which every branch is
-    avals[b] + bvals[b]*x over ``denom``."""
-    total = 0
-    for avals, bvals, lo, hi in leaves:
-        for s, e, A, B in _leaf_pieces(avals, bvals, lo, hi, clamp):
-            cnt = e - s + 1
-            if floor_mode:
-                total += floor_sum(cnt, denom, A + B * s, B)
-            else:
-                total += A * cnt + B * (s + e) * cnt // 2
-    return Fraction(total) if floor_mode else Fraction(total, denom)
+def _leaf_sum(pieces, denom, floor_mode):
+    """The number of points and the exact sum of the scaled values over
+    ``pieces`` (s, e, A, B), over ``denom``."""
+    count = total = 0
+    for s, e, A, B in pieces:
+        cnt = e - s + 1
+        count += cnt
+        if floor_mode:
+            total += floor_sum(cnt, denom, A + B * s, B)
+        else:
+            total += A * cnt + B * (s + e) * cnt // 2
+    return count, (Fraction(total) if floor_mode else Fraction(total, denom))
+
+
+def count_and_sum(p, m, branches, floor_mode=False, clamp=False):
+    """The number of points of m*p and the exact sum of the branch minimum
+    over them, from one walk."""
+    _check_level(m)
+    if p.affine_dim < 0 or not p.vertices:
+        return 0, Fraction(0)
+    if m == 0:
+        return 1, _scaled(_origin(branches, clamp), branches.denom, floor_mode)
+    return _leaf_sum(_reduced_pieces(p, m, branches, clamp), branches.denom, floor_mode)
 
 
 def sum_values(p, m, branches, floor_mode=False, clamp=False):
     """Exact sum of the branch minimum over the points of m*p."""
-    _check_level(m)
-    if p.affine_dim < 0 or not p.vertices:
-        return Fraction(0)
-    if m == 0:
-        return _value_at_origin(branches, floor_mode, clamp)
-    return _leaf_sum(_reduced_leaves(p, m, branches), branches.denom, floor_mode, clamp)
+    return count_and_sum(p, m, branches, floor_mode, clamp)[1]
 
 
 def max_value(p, m, branches, floor_mode=False, clamp=False):
@@ -343,25 +417,18 @@ def max_value(p, m, branches, floor_mode=False, clamp=False):
     if p.affine_dim < 0 or not p.vertices:
         return None
     if m == 0:
-        return _value_at_origin(branches, floor_mode, clamp)
-    best = None
-    for avals, bvals, lo, hi in _reduced_leaves(p, m, branches):
-        for s, e, A, B in _leaf_pieces(avals, bvals, lo, hi, clamp):
-            for t in (s, e):
-                v = A + B * t
-                if best is None or v > best:
-                    best = v
-    if best is None:
-        return None
-    return Fraction(best // branches.denom) if floor_mode else Fraction(best, branches.denom)
+        return _scaled(_origin(branches, clamp), branches.denom, floor_mode)
+    best = max((max(A + B * s, A + B * e) for s, e, A, B in _reduced_pieces(p, m, branches, clamp)),
+               default=None)
+    return None if best is None else _scaled(best, branches.denom, floor_mode)
 
 
 def value_histogram(p, m, branches, floor_mode=False, clamp=False, jobs=1):
     """Exact multiplicity histogram of the branch minimum over m*p.
 
     Keys are scaled integers (value = key/denom), or already-floored integers
-    in floor_mode.  Runs whose value varies along the innermost coordinate
-    fall back to walking the run point by point.  ``jobs`` is accepted for
+    in floor_mode.  A run whose value varies along the innermost coordinate
+    counts its values as one range.  ``jobs`` is accepted for
     compatibility; it has no effect.
     """
     _check_level(m)
@@ -371,17 +438,13 @@ def value_histogram(p, m, branches, floor_mode=False, clamp=False, jobs=1):
     if m == 0:
         v = _origin(branches, clamp)
         return {v // D if floor_mode else v: 1}
-    hist = {}
-    for avals, bvals, lo, hi in _reduced_leaves(p, m, branches):
-        for s, e, A, B in _leaf_pieces(avals, bvals, lo, hi, clamp):
-            if B == 0:
-                key = A // D if floor_mode else A
-                hist[key] = hist.get(key, 0) + (e - s + 1)
-            else:
-                for t in range(s, e + 1):
-                    v = A + B * t
-                    key = v // D if floor_mode else v
-                    hist[key] = hist.get(key, 0) + 1
+    hist = Counter()
+    for s, e, A, B in _reduced_pieces(p, m, branches, clamp):
+        if B == 0:
+            hist[A // D if floor_mode else A] += e - s + 1
+        else:
+            values = range(A + B * s, A + B * e + (1 if B > 0 else -1), B)
+            hist.update(map(floordiv, values, repeat(D)) if floor_mode else values)
     return hist
 
 
@@ -428,10 +491,12 @@ def level_runs(dual, xi_int, t):
 
 def level_sum(runs, branches, floor_mode=False, clamp=False):
     """Exact sum of the branch minimum over the points of progressions
-    (u0, du, k), such as those of ``level_runs``."""
-    slopes = BranchData(branches.linears, [0] * len(branches.linears), branches.denom)
-    leaves = ((_offsets(branches, u0), _offsets(slopes, du), 0, k) for u0, du, k in runs)
-    return _leaf_sum(leaves, branches.denom, floor_mode, clamp)
+    (u0, du, k) that share one step du, such as those of ``level_runs``."""
+    if not runs:
+        return Fraction(0)
+    bvals = [sum(map(mul, l, runs[0][1])) for l in branches.linears]
+    leaves = ((_offsets(branches, u0), 0, k) for u0, _, k in runs)
+    return _leaf_sum(_pieces(bvals, leaves, clamp), branches.denom, floor_mode)[1]
 
 
 def points_on_level(dual, xi_int, t):

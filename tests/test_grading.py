@@ -116,6 +116,20 @@ def test_s_m_matches_materialized(orthant2, orthant3, a1_cone):
             assert s_m(g, m) == sum(spec.values) / (m * spec.n_m)
 
 
+def test_s_m_walks_the_level_once(orthant3, monkeypatch):
+    built = []
+    real = lattice.PrefixBounds
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lattice, "PrefixBounds", counting)
+    g = graded(orthant3, (1, 2, 3), min_form((1, 0, 0), (0, 1, 1)))
+    s_m(g, 6)  # N_m and the sum from one walk
+    assert len(built) == 1
+
+
 def test_s_m_zero_filtration(orthant2):
     g = graded(orthant2, (1, 1), ZERO2)
     assert s_m(g, 7) == 0

@@ -145,6 +145,17 @@ def test_report_derives_each_geometry_once_per_setup(tmp_path, monkeypatch):
         assert graded_only == []
 
 
+def test_stilde_walks_each_sampled_degree_once(tmp_path, monkeypatch):
+    from collections import Counter
+
+    counts = Counter()
+    _count_calls(monkeypatch, "level_runs", counts)
+    code, out, _ = invoke(["stilde", spec_file(tmp_path, SQUARE_REPORT), "--t-max", "64"])
+    assert code in (0, 4) and "lem3.17b" in out
+    # the sampled degrees 16, 32 and 64, each counted and summed from one walk
+    assert counts["level_runs"] == 3
+
+
 def test_parse_rejects_non_reeb_xi():
     with pytest.raises(SpecError) as err:
         parse_spec(json.dumps(dict(MINIMAL, xi=["1", "-1"])))
