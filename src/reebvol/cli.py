@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import sys
+from functools import cache
 
 from .arith import decimal_str, fmt, rat
 from .errors import MathError, ReebvolError, SpecError
@@ -41,7 +42,9 @@ EXIT_MATH = 3
 EXIT_VERDICT = 4
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="reebvol",
         description=(
@@ -181,9 +184,15 @@ def _cmd_derivative(out, args, spec, setup):
     return EXIT_OK
 
 
+def _require_filtration(setup, command):
+    if setup.psi is None:
+        raise SpecError("filtration", f"the {command} command needs a filtration or eta")
+
+
 def _cmd_jumping(out, args, spec, setup):
     if args.m < 0:
         raise SpecError("m", "level must be >= 0")
+    _require_filtration(setup, "jumping")
     hist = spectrum_histogram(setup.graded(), args.m)
     digits = spec.options.decimal
     rows = [[fmt(v), str(c), decimal_str(v, digits)] for v, c in hist]
@@ -211,6 +220,7 @@ def _cmd_converge(out, args, spec, setup):
             raise SpecError("m-grid", "expected comma-separated integers")
         if not grid or list(grid) != sorted(set(grid)) or grid[0] < 1:
             raise SpecError("m-grid", "levels must be strictly increasing positives")
+    _require_filtration(setup, "converge")
     s_limit, trace, (mono, last) = convergence_check(setup, grid, spec.options.tolerance)
     digits = spec.options.decimal
     rows = [[str(m), fmt(val), decimal_str(val, digits), fmt(err)] for m, val, err in trace]
@@ -262,6 +272,7 @@ def _cmd_energy(out, args, spec, setup):
 def _cmd_stilde(out, args, spec, setup):
     if args.t_max < 2:
         raise SpecError("t-max", "must be >= 2")
+    _require_filtration(setup, "stilde")
     result = quasi_regular_check(setup, args.t_max, spec.options.tolerance)
     digits = spec.options.decimal
     rows = []
@@ -273,7 +284,7 @@ def _cmd_stilde(out, args, spec, setup):
             decimal_str(val, digits) if val is not None else "",
         ])
     verdicts = result["verdicts"]
-    failed = [v for v in verdicts if not v.skipped and not v.passed]
+    failed = [v for v in verdicts if v.status == "fail"]
     if args.format == "json":
         _emit_json(out, {
             "trace": [
@@ -294,8 +305,7 @@ def _cmd_stilde(out, args, spec, setup):
 
 
 def _cmd_legendre(out, args, spec, setup):
-    if setup.psi is None:
-        raise SpecError("filtration", "the legendre command needs a filtration or eta")
+    _require_filtration(setup, "legendre")
     try:
         direction = tuple(rat(x) for x in args.v.split(","))
     except (ValueError, ZeroDivisionError):
@@ -308,12 +318,11 @@ def _cmd_legendre(out, args, spec, setup):
 
 
 def _print_verdict_line(out, v: Verdict):
-    status = "SKIP" if v.skipped else ("PASS" if v.passed else "FAIL")
     detail = v.reason if v.skipped else (
         f"lhs={fmt(v.lhs)} rhs={fmt(v.rhs)} ({v.relation})"
         if v.lhs is not None else ""
     )
-    out.write(f"verdict {v.name}  {status}  {detail}\n")
+    out.write(f"verdict {v.name}  {v.status.upper()}  {detail}\n")
 
 
 def _cmd_report(out, args, spec, setup):
@@ -331,7 +340,7 @@ def _cmd_report(out, args, spec, setup):
             out,
             ["verdict", "status", "lhs", "rhs", "relation"],
             [
-                [v.name, "skip" if v.skipped else ("pass" if v.passed else "fail"),
+                [v.name, v.status,
                  fmt(v.lhs) if v.lhs is not None else "",
                  fmt(v.rhs) if v.rhs is not None else "", v.relation]
                 for v in report.verdicts

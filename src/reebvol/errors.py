@@ -70,7 +70,3 @@ class EmptyDegreeError(MathError):
 
 class InvalidDirectionError(MathError):
     pass
-
-
-class VerdictFailure(ReebvolError):
-    """A gating consistency verdict failed."""

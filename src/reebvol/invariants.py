@@ -44,6 +44,7 @@ from .polyhedra import (
     require_reeb,
     simplex_volume,
     triangulate,
+    triangulate_cone,
     volume,
 )
 
@@ -90,9 +91,7 @@ class PolarizedToricSetup(GradedSetup):
 
     def rescaled(self, c) -> "PolarizedToricSetup":
         c = rat(c)
-        scaled = self.with_xi(tuple(c * x for x in self.xi))
-        scaled.subcones = self.subcones  # a positive scaling keeps the ray subcones
-        return scaled
+        return self.with_xi(tuple(c * x for x in self.xi))
 
     # -- derived geometry ---------------------------------------------------
 
@@ -126,16 +125,9 @@ class PolarizedToricSetup(GradedSetup):
 
     @cached_property
     def subcones(self) -> tuple:
-        """Ray-index simplices triangulating the weight cone, lifted from P."""
-        rays = self.dual.rays
-        if len(rays) == self.n:
-            return (tuple(range(self.n)),)
-        ray_by_point = {tuple(Fraction(x) / dot(r, self.xi) for x in r): idx
-                        for idx, r in enumerate(rays)}
-        return tuple(sorted(
-            tuple(sorted(ray_by_point[self.chart.lift(y)] for y in s))
-            for s in self.chart_simplices
-        ))
+        """Ray-index simplices triangulating the weight cone, from its
+        ray-facet incidences alone: no chart, and the same for every xi."""
+        return triangulate_cone(self.dual).simplices
 
     @cached_property
     def s_value(self) -> Fraction:
@@ -246,10 +238,15 @@ class Verdict:
     skipped: bool = False
     reason: str = ""
 
+    @property
+    def status(self) -> str:
+        """One of skip, pass and fail; a failed verdict gates."""
+        return "skip" if self.skipped else ("pass" if self.passed else "fail")
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "status": "skip" if self.skipped else ("pass" if self.passed else "fail"),
+            "status": self.status,
             "lhs": None if self.lhs is None else fmt(self.lhs),
             "rhs": None if self.rhs is None else fmt(self.rhs),
             "relation": self.relation,
@@ -410,7 +407,7 @@ class InvariantReport:
     notes: dict = field(default_factory=dict)
 
     def failed(self):
-        return [v for v in self.verdicts if not v.skipped and not v.passed]
+        return [v for v in self.verdicts if v.status == "fail"]
 
     def to_dict(self, decimal_digits=6) -> dict:
         def ex(x):

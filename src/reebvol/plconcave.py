@@ -81,9 +81,6 @@ class PLConcave:
     def value(self, u):
         return min(b.value(u) for b in self.branches)
 
-    def is_homogeneous(self) -> bool:
-        return all(b.constant == 0 for b in self.branches)
-
     def shifted(self, c) -> "PLConcave":
         c = rat(c)
         return PLConcave.make([(b.linear, b.constant + c) for b in self.branches])

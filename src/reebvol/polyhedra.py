@@ -17,11 +17,14 @@ bitmask, and those incidences decide which generators are extreme and
 which inequalities are facets, with no rank test.
 
 Polytopes carry a vertex list and an irredundant inequality description
-``<normal, x> <= offset`` simultaneously; triangulation is the
-deterministic pulling triangulation anchored at the lexicographically
-smallest vertex, so identical inputs always produce identical output.  It
-walks the face lattice through the vertex-facet incidences, so it needs no
-hull of any face.
+``<normal, x> <= offset`` simultaneously.  Triangulation is the pulling
+triangulation (De Loera, Rambau and Santos 2010, section 4.3) that pulls
+every face from its lowest-index vertex; vertices are sorted, so that is
+the lexicographically smallest one, and identical inputs always produce
+identical, face-to-face output.  It walks the face lattice through the
+incidence bitmasks alone, so it needs no hull or chart of any face, and
+the same routine splits a cone into simplicial subcones from its ray-facet
+incidences.
 """
 
 from __future__ import annotations
@@ -198,10 +201,6 @@ class Cone:
     def contains(self, v) -> bool:
         v = vec(v)
         return all(dot(h, v) >= 0 for h in self.halfspaces)
-
-    def contains_interior(self, v) -> bool:
-        v = vec(v)
-        return all(dot(h, v) > 0 for h in self.halfspaces)
 
     def to_json(self) -> dict:
         return {
@@ -486,53 +485,29 @@ class Triangulation:
     simplices: tuple
 
 
-def _pulling(vertices, normals, masks):
-    """Pulling triangulation from vertex-facet incidences; returns simplices
-    as tuples of vertex indices.
+def _pulling(masks, face, dim):
+    """Pulling triangulation of a face of dimension ``dim`` from incidence
+    bitmasks; returns simplices as ascending tuples of member indices.
 
-    ``masks[g]`` is the bitmask of the vertices on facet g and
-    ``normals[g]`` its integer normal.  A face is pulled from its
-    lexicographically smallest vertex, in the chart that drops one
-    coordinate per level: the first one on which the normal of the facet
-    just entered, restricted to the current chart, is nonzero.  The facets
-    of a face are the maximal proper intersections of it with facets of
-    the body.
+    ``face`` is the bitmask of the face's members and ``masks[g]`` that of
+    the members on facet g of the whole body.  A face with dim + 1 members
+    is a simplex; any other is pulled from its lowest-index member, which
+    is joined to each of its facets that miss it.  The facets of a face are
+    its maximal proper intersections with the facets of the body.  Every
+    face takes its anchor from the one index order, so the simplices meet
+    face to face.
     """
-    out = []
-
-    def pull(face, keep, normals, apex):
-        members = _bits(face)
-        if len(members) == len(keep) + 1:
-            out.append(apex + tuple(members))
-            return
-        anchor = min(members, key=lambda i: tuple(vertices[i][c] for c in keep))
-        cuts = {}
-        for g, m in enumerate(masks):
-            sub = face & m
-            if sub and sub != face and sub not in cuts:
-                cuts[sub] = g
-        for sub, g in cuts.items():
-            if sub >> anchor & 1 or any(sub | o == o and o != sub for o in cuts):
-                continue
-            normal = normals[g]
-            j = next(i for i, x in enumerate(normal) if x)
-            restricted = [
-                _restrict(h, normal, j) if h is not None and sub & m not in (0, sub) else None
-                for h, m in zip(normals, masks)
-            ]
-            pull(sub, keep[:j] + keep[j + 1 :], restricted, apex + (anchor,))
-
-    pull((1 << len(vertices)) - 1, tuple(range(len(vertices[0]))), normals, ())
-    return out
-
-
-def _restrict(h, normal, j):
-    """Linear part of <h, .> on the hyperplane <normal, .> = const, in the
-    chart that drops coordinate j (where normal[j] != 0); gcd-reduced."""
-    out = [normal[j] * x - h[j] * y for x, y in zip(h, normal)]
-    del out[j]
-    g = gcd(*out)
-    return [x // g for x in out] if g > 1 else out
+    members = _bits(face)
+    if len(members) == dim + 1:
+        return [tuple(members)]
+    anchor = members[0]
+    cuts = {face & m for m in masks} - {0, face}
+    return [
+        (anchor,) + s
+        for sub in cuts
+        if not sub >> anchor & 1 and not any(sub & o == sub and o != sub for o in cuts)
+        for s in _pulling(masks, sub, dim - 1)
+    ]
 
 
 def triangulate(p: Polytope) -> Triangulation:
@@ -540,21 +515,26 @@ def triangulate(p: Polytope) -> Triangulation:
     volumes add up to the volume of the whole body."""
     if p.affine_dim < p.rank:
         raise DegeneratePolytopeError(p.affine_dim)
-    if len(p.vertices) == p.rank + 1:
-        return Triangulation((tuple(range(p.rank + 1)),))
     scaled = []
     for v in p.vertices:
         d = lcm(*(x.denominator for x in v))
         scaled.append((d, [x.numerator * (d // x.denominator) for x in v]))
-    normals, masks = [], []
+    masks = []
     for a, b in p.halfspaces:
         *normal, offset = primitive(tuple(a) + (-b,))
-        normals.append(normal)
         masks.append(sum(
             1 << i for i, (d, x) in enumerate(scaled) if sum(map(mul, normal, x)) + offset * d == 0
         ))
-    simplices = _pulling(p.vertices, normals, masks)
-    return Triangulation(tuple(sorted(tuple(sorted(s)) for s in simplices)))
+    return Triangulation(tuple(sorted(_pulling(masks, (1 << len(scaled)) - 1, p.rank))))
+
+
+def triangulate_cone(c: Cone) -> Triangulation:
+    """Deterministic triangulation of a cone into simplicial subcones, as
+    tuples of ray indices: the pulling triangulation of any slice of it
+    transverse to every ray, read off the ray-facet incidences."""
+    masks = [sum(1 << i for i, r in enumerate(c.rays) if sum(map(mul, h, r)) == 0)
+             for h in c.halfspaces]
+    return Triangulation(tuple(sorted(_pulling(masks, (1 << len(c.rays)) - 1, c.rank - 1))))
 
 
 def simplex_volume(points) -> Fraction:

@@ -128,19 +128,22 @@ def brute_hull(points):
     return vertices, sorted(facets)
 
 
-def brute_pulling(points):
+def brute_pulling(points, original=None):
     """Pulling triangulation of a full-dimensional point set through a
-    subset hull of every face: at each level the lexicographically smallest
-    vertex is joined to the facets missing it, and a facet is triangulated
-    in the chart that drops the first coordinate its normal uses.  The
-    oracle for triangulations; simplices as sorted tuples of points."""
+    subset hull of every face: at each level the vertex that is
+    lexicographically smallest in the original coordinates is joined to
+    the facets missing it, and a facet is hulled in the chart that drops
+    the first coordinate its normal uses.  ``original`` maps chart points
+    back to the original ones.  The oracle for triangulations; simplices
+    as tuples of points."""
+    original = original or (lambda pt: pt)
     d = len(points[0])
     if d == 1:
         return [(min(points), max(points))]
     vs, facets = brute_hull(points)
     if len(vs) == d + 1:
         return [tuple(vs)]
-    anchor = vs[0]
+    anchor = min(vs, key=original)
     simplices = []
     for a, b in facets:
         if dot(a, anchor) == b:
@@ -148,7 +151,7 @@ def brute_pulling(points):
         tight = [v for v in vs if dot(a, v) == b]
         j = min(i for i, x in enumerate(a) if x != 0)
         back = {v[:j] + v[j + 1 :]: v for v in tight}
-        for s in brute_pulling(list(back)):
+        for s in brute_pulling(list(back), lambda pt, back=back: original(back[pt])):
             simplices.append((anchor,) + tuple(back[pt] for pt in s))
     return simplices
 

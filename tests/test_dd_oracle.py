@@ -8,6 +8,7 @@ cross-polytope cells), lower-dimensional Reeb slices and empty systems.
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import brute_hull, brute_pulling, brute_vertices, min_form, permutation_det
-from reebvol.arith import rank_of
+from reebvol.arith import dot, rank_of
 from reebvol.plconcave import linearity_subdivision
 from reebvol.polyhedra import (
     Cone,
@@ -26,6 +27,7 @@ from reebvol.polyhedra import (
     polytope_from_vertices,
     reeb_slice,
     triangulate,
+    triangulate_cone,
     volume,
 )
 
@@ -92,11 +94,12 @@ def test_hull_and_vertices_match_oracles(case):
 
 
 @st.composite
-def zero_one_polytopes(draw):
-    """Random 0/1-polytopes of ranks 4-5: their faces are often not
-    simplices, and two facets may meet in a face of lower dimension than a
-    ridge, which the pulling recursion must not mistake for a facet."""
-    n = draw(st.integers(4, 5))
+def zero_one_polytopes(draw, min_rank=4):
+    """Random 0/1-polytopes of ranks ``min_rank``-5: their faces are often
+    not simplices, and two facets may meet in a face of lower dimension
+    than a ridge, which the pulling recursion must not mistake for a
+    facet."""
+    n = draw(st.integers(min_rank, 5))
     k = draw(st.integers(n + 4, 11))
     pts = draw(st.permutations(list(itertools.product((0, 1), repeat=n))))[:k]
     assume(rank_of([tuple(x - y for x, y in zip(p, pts[0])) for p in pts[1:]]) == n)
@@ -112,6 +115,26 @@ def test_zero_one_polytopes_match_oracles(pts):
     p = polytope_from_vertices(pts)
     assert (list(p.vertices), list(p.halfspaces)) == brute_hull(pts)
     assert_triangulation_matches_oracle(p)
+
+
+def assert_face_to_face(p):
+    """Every ridge of a simplex lies in exactly one simplex when it is on a
+    facet of the body and in exactly two when it is interior."""
+    ridges = Counter(
+        r for s in triangulate(p).simplices for r in itertools.combinations(s, len(s) - 1)
+    )
+    for ridge, count in ridges.items():
+        boundary = any(all(dot(a, p.vertices[i]) == b for i in ridge) for a, b in p.halfspaces)
+        assert count == (1 if boundary else 2), ridge
+
+
+@seed(20240615)
+@settings(SETTINGS, max_examples=60)
+@given(st.one_of(zero_one_polytopes(min_rank=3), point_sets().map(lambda case: case[1])))
+@example([(0, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 0, 1, 0, 0), (0, 0, 1, 0, 1),
+          (0, 0, 1, 1, 0), (0, 0, 1, 1, 1), (0, 1, 0, 0, 0), (0, 1, 1, 0, 1), (1, 0, 1, 0, 0)])
+def test_triangulations_are_face_to_face(pts):
+    assert_face_to_face(polytope_from_vertices(pts))
 
 
 # -- random inequality systems -------------------------------------------------
@@ -234,6 +257,26 @@ def test_reeb_slices_match_vertex_oracle(case):
     assert again.vertices == p.vertices
     assert again.affine_dim == n - 1
     assert polytope_from_halfspaces(n, q.halfspaces) == q
+
+
+@seed(20240616)
+@SETTINGS
+@given(cones_with_xi())
+def test_cone_subcones_match_volume_oracle(case):
+    """The weight cone's subcones are simplicial, and the closed form over
+    them is n! vol(Q), with vol(Q) from the brute-force pulling oracle."""
+    sigma, xi = case
+    n = sigma.rank
+    dual = dual_cone(sigma)
+    rays = dual.rays
+    assume(len(rays) <= 12)  # the oracle hulls Q by brute force
+    total = F(0)
+    for idx in triangulate_cone(dual).simplices:
+        rows = [rays[i] for i in idx]
+        assert len(rows) == n and rank_of(rows) == n
+        total += abs(permutation_det(rows)) / math.prod(dot(r, xi) for r in rows)
+    q = [(F(0),) * n] + [tuple(F(x, dot(r, xi)) for x in r) for r in rays]
+    assert total == math.factorial(n) * sum(oracle_simplex_volume(s) for s in brute_pulling(q))
 
 
 # -- empty systems -----------------------------------------------------------------

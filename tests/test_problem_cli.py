@@ -135,14 +135,25 @@ def test_report_derives_each_geometry_once_per_setup(tmp_path, monkeypatch):
         assert len(setups) == 1 + len(HOMOGENEITY_SCALES)
         assert counts["reeb_slice"] == len(setups)
         assert counts["validate_nonnegative"] == len(setups)
-        # the parsed setup's chart: its slice energies and its ray subcones,
-        # which the rescaled setups share
+        # the parsed setup's chart, for its slice energies; the ray subcones
+        # come from the weight cone's incidences, with no chart
         assert counts["facet_chart"] == 1
         assert counts["volume"] == len(setups)  # vol(Q), once per setup
         # S once per setup, the parsed setup's slice energy, and the S and
         # slice energy of each of its four probes
         assert counts["integrate_moment"] == len(setups) + 1 + 2 * 4
         assert graded_only == []
+
+
+@pytest.mark.parametrize("spec", [ORTHANT3_REPORT, SQUARE_REPORT])
+def test_volume_builds_no_chart(tmp_path, monkeypatch, spec):
+    from collections import Counter
+
+    counts = Counter()
+    _count_calls(monkeypatch, "facet_chart", counts)
+    code, _, _ = invoke(["volume", spec_file(tmp_path, spec)])
+    assert code == 0
+    assert counts["facet_chart"] == 0
 
 
 def test_stilde_walks_each_sampled_degree_once(tmp_path, monkeypatch):
@@ -320,6 +331,15 @@ def test_cli_stilde_non_integral_is_math_error(tmp_path):
     code, _, err = invoke(["stilde", path, "--t-max", "8"])
     assert code == 3
     assert "math error" in err
+
+
+@pytest.mark.parametrize("spec", [MINIMAL, dict(MINIMAL, eta=["-1", "0"])])
+@pytest.mark.parametrize("argv", [["jumping", "--m", "2"], ["converge"],
+                                  ["stilde", "--t-max", "8"], ["legendre", "--v", "0,0"]])
+def test_cli_missing_filtration_is_spec_error(tmp_path, spec, argv):
+    code, out, err = invoke(argv[:1] + [spec_file(tmp_path, spec)] + argv[1:])
+    assert code == 2 and out == ""
+    assert err == f"specification error: filtration: the {argv[0]} command needs a filtration or eta\n"
 
 
 def test_cli_legendre(tmp_path):
