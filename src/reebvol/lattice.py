@@ -19,7 +19,16 @@ Every engine is a loop over those leaves: streaming enumeration expands
 each range, and the reductions treat it in closed form, in integers only:
 point counts, sums and maxima of a minimum of integer affine forms, and
 value histograms.  These give exact jumping number statistics without
-touching every lattice point individually.
+touching every lattice point individually.  Streaming enumeration keeps
+the natural coordinate order, as its output is lexicographic.  Counts and
+reductions take as innermost the coordinate with the least
+(1 + branch pairs of distinct slopes along it) per unit of the body's
+width along it (``_walk_order``): a leaf costs about one step per run of
+one branch, and a wider innermost range means fewer leaves.  Along a
+leaf the branch minimum splits into maximal runs of one affine piece.  A
+histogram never visits points: a constant run adds its length to its
+value, a varying one adds two endpoint events keyed by its step, and one
+sorted sweep per step writes each covered value once, with its count.
 
 A degree slice <u, xi> = t is walked the same way after solving for one
 coordinate: each innermost range gives one arithmetic progression of its
@@ -32,7 +41,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product, repeat
 from math import gcd, lcm
-from operator import floordiv, mul
+from operator import mul
 
 from .errors import UnsupportedGeometryError
 
@@ -206,8 +215,32 @@ def count_points(p, m, jobs=1):
         return 0
     if m == 0:
         return 1
-    pb = PrefixBounds(int_rows_from_polytope(p, m), p.rank)
+    pb = _walker(p, m, _walk_order(p))
     return sum(hi - lo + 1 for _, lo, hi in pb.leaves())
+
+
+def _walk_order(p, branches=None):
+    """The coordinate order of a walk over m*p, innermost coordinate last.
+
+    A leaf costs about one step per run of its innermost range, and a run
+    ends only where two branches of distinct slopes along that coordinate
+    cross, while the number of leaves falls as the innermost range widens.
+    So the innermost coordinate is the one that minimizes (1 + the branch
+    pairs of distinct slopes along it) / (the width of p along it), ties
+    going to the highest index.  A coordinate along which p is flat is
+    never innermost.  The order depends on p and the branches only."""
+    n = p.rank
+    pairs = list(combinations(branches.linears, 2)) if branches is not None else []
+    widths = [max(v[i] for v in p.vertices) - min(v[i] for v in p.vertices) for i in range(n)]
+    inner = min((i for i in range(n) if widths[i]), default=n - 1,
+                key=lambda i: ((1 + sum(a[i] != b[i] for a, b in pairs)) / widths[i], -i))
+    return [i for i in range(n) if i != inner] + [inner]
+
+
+def _walker(p, m, order):
+    """The walker of m*p with its coordinates taken in ``order``."""
+    rows = [(tuple(a[i] for i in order), b) for a, b in int_rows_from_polytope(p, m)]
+    return PrefixBounds(rows, p.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +309,10 @@ def _crossings(bvals):
 
 
 def _leaf_runs(avals, bvals, crossings, lo, hi):
-    """Partition the integers of [lo, hi] into runs on which one branch of
-    min_b(avals[b] + bvals[b]*t) stays minimal: a list of (s, e, A, B).
-    ``crossings`` is ``_crossings(bvals)``."""
+    """Partition the integers of [lo, hi] into maximal runs on which one
+    branch of min_b(avals[b] + bvals[b]*t) stays minimal: a list of
+    (s, e, A, B), consecutive runs differing in (A, B).  ``crossings`` is
+    ``_crossings(bvals)``; a crossing off the lower envelope splits no run."""
     if not crossings:
         return [(lo, hi, min(avals), bvals[0])]
     cuts = set()
@@ -291,9 +325,18 @@ def _leaf_runs(avals, bvals, crossings, lo, hi):
     for nxt in sorted(cuts) + [hi + 1]:
         vals = [a + b * s for a, b in zip(avals, bvals)]
         i = vals.index(min(vals))
-        runs.append((s, nxt - 1, avals[i], bvals[i]))
+        _extend(runs, s, nxt - 1, avals[i], bvals[i])
         s = nxt
     return runs
+
+
+def _extend(runs, s, e, A, B):
+    """Append the run (s, e, A, B) that follows ``runs``, merged into the
+    last one when that carries the same (A, B)."""
+    if runs and runs[-1][2] == A and runs[-1][3] == B:
+        runs[-1] = (runs[-1][0], e, A, B)
+    else:
+        runs.append((s, e, A, B))
 
 
 def _leaf_pieces(avals, bvals, crossings, lo, hi, clamp):
@@ -306,11 +349,11 @@ def _leaf_pieces(avals, bvals, crossings, lo, hi, clamp):
     pieces = []
     for s, e, A, B in runs:
         if B == 0:
-            pieces.append((s, e, max(A, 0), 0))
+            _extend(pieces, s, e, max(A, 0), 0)
         elif B > 0:
             z = -(A // B)  # the first t with A + B*t >= 0
             if s < z:
-                pieces.append((s, min(e, z - 1), 0, 0))
+                _extend(pieces, s, min(e, z - 1), 0, 0)
             if z <= e:
                 pieces.append((max(s, z), e, A, B))
         else:
@@ -318,28 +361,18 @@ def _leaf_pieces(avals, bvals, crossings, lo, hi, clamp):
             if s <= z:
                 pieces.append((s, min(e, z), A, B))
             if z < e:
-                pieces.append((max(s, z + 1), e, 0, 0))
+                _extend(pieces, max(s, z + 1), e, 0, 0)
     return pieces
-
-
-def _choose_order(n, branches):
-    """Variable order for reductions: innermost coordinate is the one with
-    the most zero branch coefficients (closed-form friendly)."""
-    zero_counts = [sum(1 for l in branches.linears if l[i] == 0) for i in range(n)]
-    inner = max(range(n), key=lambda i: (zero_counts[i], i))
-    return [i for i in range(n) if i != inner] + [inner]
 
 
 def _reduced_pieces(p, m, branches, clamp):
     """The points of m*p as pieces (s, e, A, B), coordinates in the order of
-    ``_choose_order``: along the last one, the clamped scaled branch minimum
+    ``_walk_order``: along the last one, the clamped scaled branch minimum
     is A + B*x for x in s..e.  Each node's offsets are formed once, and each
     leaf below it adds its penultimate coordinate's term."""
-    n = p.rank
-    order = _choose_order(n, branches)
-    rows = [(tuple(a[i] for i in order), b) for a, b in int_rows_from_polytope(p, m)]
+    order = _walk_order(p, branches)
     bd = branches.permuted(order)
-    leaves = _offset_leaves(PrefixBounds(rows, n), bd)
+    leaves = _offset_leaves(_walker(p, m, order), bd)
     return _pieces([l[-1] for l in bd.linears], leaves, clamp)
 
 
@@ -427,9 +460,12 @@ def value_histogram(p, m, branches, floor_mode=False, clamp=False, jobs=1):
     """Exact multiplicity histogram of the branch minimum over m*p.
 
     Keys are scaled integers (value = key/denom), or already-floored integers
-    in floor_mode.  A run whose value varies along the innermost coordinate
-    counts its values as one range.  ``jobs`` is accepted for
-    compatibility; it has no effect.
+    in floor_mode.  The work is in the pieces and the distinct keys, not in
+    the points: a constant piece adds its length to its key, and a varying
+    one of step |B| marks +1 at its first value and -1 one step past its
+    last; one sorted sweep per step then writes each value it covers once,
+    with its coverage count.  In floor_mode the scaled keys are floored at
+    the end.  ``jobs`` is accepted for compatibility; it has no effect.
     """
     _check_level(m)
     if p.affine_dim < 0 or not p.vertices:
@@ -439,13 +475,40 @@ def value_histogram(p, m, branches, floor_mode=False, clamp=False, jobs=1):
         v = _origin(branches, clamp)
         return {v // D if floor_mode else v: 1}
     hist = Counter()
+    steps = {}
     for s, e, A, B in _reduced_pieces(p, m, branches, clamp):
         if B == 0:
-            hist[A // D if floor_mode else A] += e - s + 1
-        else:
-            values = range(A + B * s, A + B * e + (1 if B > 0 else -1), B)
-            hist.update(map(floordiv, values, repeat(D)) if floor_mode else values)
-    return hist
+            hist[A] += e - s + 1
+            continue
+        first, last = A + B * s, A + B * e
+        if B < 0:
+            first, last, B = last, first, -B
+        events = steps.setdefault(B, {})
+        events[first] = events.get(first, 0) + 1
+        events[last + B] = events.get(last + B, 0) - 1
+    for b, events in steps.items():
+        hist.update(_coverage(events, b))
+    if not floor_mode:
+        return hist
+    folded = Counter()
+    for k, c in hist.items():
+        folded[k // D] += c
+    return folded
+
+
+def _coverage(events, b):
+    """The values that progressions of step b cover, each with the number of
+    progressions covering it, from their endpoint events {value: +1 per
+    first value and -1 per value one step past a last one}.  Each residue
+    class modulo b is swept in ascending order."""
+    covered = {}
+    count = prev = 0
+    for k in sorted(events, key=lambda k: (k % b, k)):
+        if count:
+            covered.update(zip(range(prev, k, b), repeat(count)))
+        count += events[k]
+        prev = k
+    return covered
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,21 @@
-"""The lattice walker and the per-leaf run splitter against brute force."""
+"""The lattice walker, the per-leaf run splitter and the reductions
+against brute force."""
 
 import itertools
+from collections import Counter
+from fractions import Fraction as F
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, example, given, seed, settings
+from hypothesis import HealthCheck, assume, example, given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import brute_lattice_points, min_form
 from reebvol import lattice
 from reebvol.arith import dot
-from reebvol.errors import UnsupportedGeometryError
+from reebvol.errors import DegeneratePolytopeError, UnsupportedGeometryError
+from reebvol.grading import GradedSetup, s_m
+from reebvol.polyhedra import Cone, dual_cone, polytope_from_vertices, reeb_slice
 
 
 def _unit(n, i, c):
@@ -114,14 +121,157 @@ def leaf_lines(draw):
 @example(([0, 5], [2, 0], 0, 5), False)  # ... and at t = 5/2
 @example(([1, 1, 3], [2, 2, 0], -3, 4), True)  # tied branches
 @example(([4, -4, 0], [-2, 2, 0], -4, 4), False)  # three lines through one point
+@example(([0, 10, 20], [0, 1, -1], 0, 10), False)  # a crossing above the minimum
+@example(([0, 0], [-1, 1], 0, 10), True)  # two negative runs clamp to one zero piece
 def test_leaf_pieces_match_direct_evaluation(case, clamp):
     """The pieces tile lo..hi in order, and on each one A + B*t is the branch
-    minimum, clamped at 0 when asked, at every t."""
+    minimum, clamped at 0 when asked, at every t.  Runs and pieces are
+    maximal: consecutive ones differ in (A, B)."""
     avals, bvals, lo, hi = case
-    pieces = lattice._leaf_pieces(avals, bvals, lattice._crossings(bvals), lo, hi, clamp)
+    crossings = lattice._crossings(bvals)
+    pieces = lattice._leaf_pieces(avals, bvals, crossings, lo, hi, clamp)
     assert [t for s, e, _, _ in pieces for t in range(s, e + 1)] == list(range(lo, hi + 1))
     for s, e, A, B in pieces:
         assert s <= e
         for t in range(s, e + 1):
             v = min(a + b * t for a, b in zip(avals, bvals))
             assert A + B * t == (max(v, 0) if clamp else v)
+    for runs in (pieces, lattice._leaf_runs(avals, bvals, crossings, lo, hi)):
+        assert all(x[2:] != y[2:] for x, y in zip(runs, runs[1:]))
+
+
+# -- the reductions over m*p, in every walk order ------------------------------
+
+
+def oracle_value(bd, u, floor_mode, clamp):
+    v = min(dot(l, u) + c for l, c in zip(bd.linears, bd.consts))
+    if clamp:
+        v = max(v, 0)
+    return F(v // bd.denom) if floor_mode else F(v, bd.denom)
+
+
+def assert_reductions_match(p, m, bd, points):
+    """count_points, count_and_sum, max_value and value_histogram over m*p
+    against its lattice ``points`` from the bounding-box oracle, in all four
+    ceiling/clamp modes."""
+    assert lattice.count_points(p, m) == len(points)
+    for floor_mode, clamp in itertools.product((False, True), repeat=2):
+        values = [oracle_value(bd, u, floor_mode, clamp) for u in points]
+        assert lattice.count_and_sum(p, m, bd, floor_mode, clamp) == (len(values), sum(values))
+        assert lattice.max_value(p, m, bd, floor_mode, clamp) == max(values, default=None)
+        hist = lattice.value_histogram(p, m, bd, floor_mode, clamp)
+        scale = 1 if floor_mode else bd.denom
+        assert Counter({F(k, scale): c for k, c in hist.items()}) == Counter(values)
+
+
+def innermost(n, i):
+    return [j for j in range(n) if j != i] + [i]
+
+
+@st.composite
+def bodies_and_branches(draw, n):
+    """A random full-dimensional polytope of rank n with small rational
+    vertices, a level (up to 40 at rank <= 2, 12 above) and 1-3 integer
+    branches of both slope signs, with constants that may be negative."""
+    d = draw(st.integers(1, 3))
+    low = -d if n <= 3 else 0
+    coord = st.integers(low, d).map(lambda k: F(k, d))
+    # simplices at rank 4: more facets grow the Fourier-Motzkin levels in
+    # some orders, and every reduction builds them anew
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=min(n + 3, 5)))
+    try:
+        p = polytope_from_vertices(pts)
+    except DegeneratePolytopeError:
+        assume(False)
+    m = draw(st.integers(0, 40 if n <= 2 else 12))
+    k = draw(st.integers(1, 3))
+    linears = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=k, max_size=k))
+    consts = draw(st.lists(st.integers(-6 * m - 6, 6), min_size=k, max_size=k))
+    return p, m, lattice.BranchData(linears, consts, draw(st.integers(1, 3)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_reductions_match_brute_force_in_every_walk_order(n):
+    """Every reduction equals the oracle whichever coordinate is innermost;
+    at these levels runs are long and overlap within a residue class of
+    their step, and the negative constants make the clamp act."""
+
+    @seed(20261018 + n)
+    @settings(max_examples=25, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(bodies_and_branches(n))
+    def check(case):
+        p, m, bd = case
+        points = brute_lattice_points(p, m)
+        for i in range(n):
+            with mock.patch.object(lattice, "_walk_order", lambda *_: innermost(n, i)):
+                assert_reductions_match(p, m, bd, points)
+
+    check()
+
+
+def _cone_q_p(rays, xi):
+    return reeb_slice(dual_cone(Cone.from_rays(rays)), xi)
+
+
+CROSS4 = [[s * int(i == j) for j in range(3)] + [1] for i in range(3) for s in (-1, 1)]
+SQUARE = [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]
+
+
+@pytest.mark.parametrize("body, bd", [
+    # slices P at <u, xi> = 1 with a flat last coordinate
+    (_cone_q_p(SQUARE, (0, 0, 1))[1],
+     lattice.BranchData([(1, 1, 0), (0, -1, 0), (2, 0, 0)], [0, 1, -3], 2)),
+    (_cone_q_p(CROSS4, (0, 0, 0, 1))[1],
+     lattice.BranchData([(1, 0, 0, 1), (0, 1, 1, 0)], [-2, 1], 1)),
+    # a slice without a flat coordinate
+    (_cone_q_p([[1, 0, 0], [0, 1, 0], [0, 0, 1]], (1, 2, 3))[1],
+     lattice.BranchData([(1, 0, 0), (0, 1, 1)], [0, -1], 3)),
+    # rank 1: the slice is a point; Q and a segment across 0
+    (_cone_q_p([[1]], (2,))[1], lattice.BranchData([(1,), (-2,)], [0, 3], 2)),
+    (_cone_q_p([[1]], (2,))[0], lattice.BranchData([(1,), (-2,)], [0, 3], 2)),
+    (polytope_from_vertices([(F(-3, 2),), (F(5, 2),)]),
+     lattice.BranchData([(3,), (-1,)], [-2, 1], 2)),
+])
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 9])
+def test_reductions_on_degenerate_and_rank_one_bodies(body, bd, m):
+    """The walk order skips coordinates along which the body is flat."""
+    order = lattice._walk_order(body, bd)
+    widths = [max(v[i] for v in body.vertices) - min(v[i] for v in body.vertices)
+              for i in range(body.rank)]
+    assert widths[order[-1]] > 0 or not any(widths)
+    assert_reductions_match(body, m, bd, brute_lattice_points(body, m))
+
+
+def leaves_walked(monkeypatch, walk):
+    """The leaves that ``walk()`` visits, counted at ``PrefixBounds.nodes``."""
+    walked = []
+    real = lattice.PrefixBounds.nodes
+
+    def nodes(self):
+        for head, children in real(self):
+            walked.append(len(children))
+            yield head, children
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lattice.PrefixBounds, "nodes", nodes)
+        walk()
+    return sum(walked)
+
+
+def widest_walk(p, m, widest):
+    rows = [(tuple(a[i] for i in innermost(p.rank, widest)), b)
+            for a, b in lattice.int_rows_from_polytope(p, m)]
+    return lambda: list(lattice.PrefixBounds(rows, p.rank).leaves())
+
+
+def test_walks_take_the_widest_axis_innermost(orthant3, monkeypatch):
+    """Two branches crossing along every axis, and no branches at all: either
+    way the cheapest innermost axis is the widest one."""
+    g = GradedSetup(dual_cone(orthant3), (1, 2, 3), min_form((1, 0, 0), (0, 1, 1)))
+    walked = leaves_walked(monkeypatch, lambda: s_m(g, 60))
+    assert walked <= leaves_walked(monkeypatch, widest_walk(g.q, 60, 0))
+    q = _cone_q_p(CROSS4, (0, 0, 0, 1))[0]
+    assert lattice._walk_order(q) == [0, 1, 3, 2]  # three widest axes tie: the highest wins
+    walked = leaves_walked(monkeypatch, lambda: lattice.count_points(q, 16))
+    assert walked <= leaves_walked(monkeypatch, widest_walk(q, 16, 2))
