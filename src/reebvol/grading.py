@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat, starmap
 
 from . import lattice
 from .arith import vec
@@ -81,8 +82,9 @@ def lattice_count(g: GradedSetup, m: int) -> int:
 
 
 def jumping_spectrum(g: GradedSetup, m: int) -> JumpingSpectrum:
-    """Values of the filtration over the level-m lattice points, sorted."""
-    values = sorted(g.value(u) for u in lattice.iter_points(g.q, m))
+    """Values of the filtration over the level-m lattice points, sorted: each
+    value of the spectrum histogram, repeated by its multiplicity."""
+    values = chain.from_iterable(starmap(repeat, spectrum_histogram(g, m)))
     return JumpingSpectrum(m, tuple(values))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, partial
 from math import factorial, prod
 
 from .arith import decimal_str, det, dot, fmt, mat, mat_vec, rat, vec
@@ -461,13 +461,21 @@ def consistency_report(setup: PolarizedToricSetup, m_grid=DEFAULT_M_GRID,
     verdicts.append(_verdict("vol-routes", vol_closed, factorial(n) * vol_body))
 
     psi_eff = setup.psi
+
+    # each probe's S and energy once per report; None stands for the setup's
+    # own filtration, which an equal probe is when the clamp is off
+    s_of, energy_of = cache(partial(s_exact, setup)), cache(partial(energy_pxi, setup))
+
+    def own(probe):
+        return None if probe == psi_eff and not setup.clamp else probe
+
     d_val = None
     e_tc = None
     if setup.eta is not None:
         d_val = d_vol(setup)
         e_tc = energy_tc(setup)
         if setup.sigma.contains(setup.eta):
-            verdicts.append(_verdict("thm4.2", s_exact(setup, linear_form(setup.eta)), e_tc))
+            verdicts.append(_verdict("thm4.2", s_of(own(linear_form(setup.eta))), e_tc))
         else:
             verdicts.append(_skipped(
                 "thm4.2", "direction lies outside the cone; its filtration is undefined"
@@ -484,17 +492,17 @@ def consistency_report(setup: PolarizedToricSetup, m_grid=DEFAULT_M_GRID,
         s_val, s_trace, cor = convergence_check(setup, m_grid, tolerance)
         verdicts.extend(cor)
         if n >= 2:
-            e_pxi = energy_pxi(setup)
+            e_pxi = energy_of(None)
             ratios = []
             probe_list = [("input", psi_eff)]
             for i, r in enumerate(setup.sigma.rays[:2]):
                 probe_list.append((f"ray{i}", linear_form(r)))
             probe_list.append(("xi-direction", linear_form(setup.xi)))
             for label, probe in probe_list:
-                paper, _cone = energy_pxi(setup, probe)
+                paper, _cone = energy_of(own(probe))
                 if paper == 0:
                     continue
-                ratios.append((label, s_exact(setup, probe) / paper))
+                ratios.append((label, s_of(own(probe)) / paper))
             probes = ratios
             if ratios:
                 c_ratio = ratios[0][1]

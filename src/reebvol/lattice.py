@@ -5,43 +5,39 @@ clearing denominators of a polytope's halfspace description.  Per-variable
 bounds come from Fourier-Motzkin projection, computed once per system, and
 the rows of each projection level are split once by the sign of their last
 coefficient into upper and lower bounds.  One walker, ``PrefixBounds``,
-fixes the coordinates one by one: a node fixes a prefix and knows the
-integer range of the next coordinate.  It forms the residual
+fixes the coordinates one by one.  A node forms the residual
 r = b - head.prefix of each row of its children's level once, and each
 child x then gets its bounds as min((r - c*x) // a) over the upper rows and
-the matching integer ceiling over the lower ones, a subtraction and a floor
-division per row.  A node builds the list of its own children only, and the
-innermost slices come out as leaves: a prefix and the integer range of the
-last coordinate, in ascending lexicographic order.  No bounding box is ever
-materialized.
+the matching integer ceiling over the lower ones: a subtraction and a floor
+division per row.  The nodes whose children are leaves come out in
+ascending lexicographic order, their children as integer columns: the
+penultimate coordinate x and the range lo..hi of the last one.  No
+bounding box is ever materialized.
 
-Every engine is a loop over those leaves: streaming enumeration expands
-each range, and the reductions treat it in closed form, in integers only:
-point counts, sums and maxima of a minimum of integer affine forms, and
-value histograms.  These give exact jumping number statistics without
-touching every lattice point individually.  Streaming enumeration keeps
-the natural coordinate order, as its output is lexicographic.  Counts and
-reductions take as innermost the coordinate with the least
-(1 + branch pairs of distinct slopes along it) per unit of the body's
-width along it (``_walk_order``): a leaf costs about one step per run of
-one branch, and a wider innermost range means fewer leaves.  Along a
-leaf the branch minimum splits into maximal runs of one affine piece.  A
-histogram never visits points: a constant run adds its length to its
-value, a varying one adds two endpoint events keyed by its step, and one
-sorted sweep per step writes each covered value once, with its count.
+Streaming enumeration expands each leaf's range in the natural coordinate
+order, as its output is lexicographic.  The reductions (point counts, sums
+and maxima of a minimum of integer affine forms, value histograms) take the
+innermost coordinate from ``_walk_order`` and reduce each node as one batch
+of columns, in integers only, without visiting points.  The branches of one
+slope along the last coordinate form a group, and one floor division per
+pair of groups and leaf bounds the piece of the leaf where a group is the
+minimum; the clamp cuts each piece at its zero.  Sums are closed forms over
+the pieces.  A histogram marks two endpoint events per varying piece, keyed
+by its step, and one sorted sweep per step writes each covered value once,
+with its count.
 
 A degree slice <u, xi> = t is walked the same way after solving for one
 coordinate: each innermost range gives one arithmetic progression of its
-points, along which the level sums' per-leaf reducer runs unchanged.
+points, and the progressions of a slice form one batch of the same reducer.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import combinations, product, repeat
+from itertools import chain, combinations, compress, product, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import add, ge, le, mul, sub
 
 from .errors import UnsupportedGeometryError
 
@@ -113,46 +109,45 @@ class PrefixBounds:
             current = sorted(set(nxt))
 
     def _children(self, k, prefix, lo, hi):
-        """(x, lo_k, hi_k) for each x in lo..hi at which x_k, over the prefix
-        ``prefix + (x,)`` of length k - 1, has the integer range lo_k..hi_k;
+        """Columns (xs, los, his): the x in lo..hi over whose prefix
+        ``prefix + (x,)`` x_k has a nonempty integer range los[i]..his[i];
         at k = 1 the prefix is empty and x a placeholder."""
         upper, lower = self._split[k]
         if not upper or not lower:
             raise UnsupportedGeometryError("unbounded direction in lattice enumeration")
         xs = range(lo, hi + 1)
-        return [(x, l, h) for x, l, h in zip(xs, _envelope(lower, prefix, xs, max),
-                                             _envelope(upper, prefix, xs, min)) if l <= h]
+        los = _envelope(lower, prefix, xs, max)
+        his = _envelope(upper, prefix, xs, min)
+        if all(map(le, los, his)):
+            return xs, los, his
+        keep = list(map(le, los, his))
+        return list(compress(xs, keep)), list(compress(los, keep)), list(compress(his, keep))
 
     def nodes(self):
-        """Every node whose children are leaves, as (head, children) in
-        ascending lexicographic order of head: ``head`` fixes x_1..x_{n-2}
-        and ``children`` lists (x, lo, hi) for each x_{n-1} = x whose slice
-        holds an integer point, lo..hi being the range of x_n.  Needs
-        nvars >= 2."""
+        """Every node whose children are leaves, as (head, xs, los, his) in
+        ascending lexicographic order of head: ``head`` fixes x_1..x_{n-2},
+        and for each x_{n-1} = xs[i] whose slice holds an integer point,
+        los[i]..his[i] is the range of x_n.  At nvars = 1 the one node is
+        the root, with an empty head and a placeholder x = 0."""
         if self.infeasible:
             return
-        last = self.nvars
-        stack = [((), lo, hi) for _, lo, hi in self._children(1, (), 0, 0)]
+        stack = [((), 1, 0, 0)]  # (prefix, k, lo, hi): x_{k-1} ranges over lo..hi
         while stack:
-            prefix, lo, hi = stack.pop()
-            k = len(prefix) + 2
-            children = self._children(k, prefix, lo, hi)
-            if k < last:
-                stack.extend((prefix + (x,), l, h) for x, l, h in reversed(children))
-            elif children:
-                yield prefix, children
+            prefix, k, lo, hi = stack.pop()
+            xs, los, his = self._children(k, prefix, lo, hi)
+            if k < self.nvars:  # the root's x is a placeholder, not a coordinate
+                stack.extend(((prefix + (x,))[:k - 1], k + 1, l, h)
+                             for x, l, h in zip(reversed(xs), reversed(los), reversed(his)))
+            elif xs:
+                yield prefix, xs, los, his
 
     def leaves(self):
         """Every innermost slice of the system: (prefix, lo, hi) with
         len(prefix) == nvars - 1 and lo..hi the integer range of the last
         coordinate, in ascending lexicographic order of prefix."""
-        if self.nvars == 1:
-            if not self.infeasible:
-                yield from (((), lo, hi) for _, lo, hi in self._children(1, (), 0, 0))
-            return
-        for head, children in self.nodes():
-            for x, lo, hi in children:
-                yield head + (x,), lo, hi
+        for head, xs, los, his in self.nodes():
+            prefixes = repeat(()) if self.nvars == 1 else (head + (x,) for x in xs)
+            yield from zip(prefixes, los, his)
 
 
 def _bound_row(a, b, k, sign):
@@ -167,8 +162,9 @@ def _bound_row(a, b, k, sign):
 
 
 def _envelope(rows, prefix, xs, pick):
-    """``pick`` over bound rows (h, c, d, r) of (r + h.prefix + c*x) // d, for
-    each x in the range ``xs``: the residual r + h.prefix is formed once."""
+    """The list of ``pick`` over bound rows (h, c, d, r) of
+    (r + h.prefix + c*x) // d, for each x in the range ``xs``: the residual
+    r + h.prefix is formed once."""
     fixed, cols = None, []
     for h, c, d, r in rows:
         r += sum(map(mul, h, prefix))
@@ -177,8 +173,8 @@ def _envelope(rows, prefix, xs, pick):
         else:
             fixed = r // d if fixed is None else pick(fixed, r // d)
     if fixed is not None:
-        cols.append(repeat(fixed, len(xs)))
-    return cols[0] if len(cols) == 1 else map(pick, *cols)
+        cols.append([fixed] * len(xs))
+    return cols[0] if len(cols) == 1 else list(map(pick, *cols))
 
 
 # ---------------------------------------------------------------------------
@@ -215,19 +211,18 @@ def count_points(p, m, jobs=1):
         return 0
     if m == 0:
         return 1
-    pb = _walker(p, m, _walk_order(p))
-    return sum(hi - lo + 1 for _, lo, hi in pb.leaves())
+    return sum(_size(los, his) for _, _, los, his in _walker(p, m, _walk_order(p)).nodes())
 
 
 def _walk_order(p, branches=None):
     """The coordinate order of a walk over m*p, innermost coordinate last.
 
-    A leaf costs about one step per run of its innermost range, and a run
-    ends only where two branches of distinct slopes along that coordinate
-    cross, while the number of leaves falls as the innermost range widens.
-    So the innermost coordinate is the one that minimizes (1 + the branch
-    pairs of distinct slopes along it) / (the width of p along it), ties
-    going to the highest index.  A coordinate along which p is flat is
+    A leaf costs about one column entry per group of branches of one slope
+    along the innermost coordinate and per pair of such groups, while the
+    number of leaves falls as the innermost range widens.  So the innermost
+    coordinate is the one that minimizes (1 + the branch pairs of distinct
+    slopes along it) / (the width of p along it), ties going to the highest
+    index.  A coordinate along which p is flat is
     never innermost.  The order depends on p and the branches only."""
     n = p.rank
     pairs = list(combinations(branches.linears, 2)) if branches is not None else []
@@ -301,106 +296,85 @@ def floor_sum(n, m, a, b):
     return ans
 
 
-def _crossings(bvals):
-    """(p, q, bvals[p] - bvals[q]) for the branch pairs p < q of distinct
-    slopes, the only pairs whose order can change along a leaf."""
-    return [(p, q, bvals[p] - bvals[q])
-            for p, q in combinations(range(len(bvals)), 2) if bvals[p] != bvals[q]]
+def _slope_groups(slopes, pens):
+    """The distinct ``slopes``, descending, each with its branches as (c, ix)
+    per penultimate coefficient c in ``pens``: the branches ix share the
+    slope and c, so the least of their offsets is their minimum."""
+    keys = sorted(set(slopes), reverse=True)
+    return keys, [[(c, [b for b in range(len(pens)) if slopes[b] == k and pens[b] == c])
+                   for c in sorted({c for c, B in zip(pens, slopes) if B == k})]
+                  for k in keys]
 
 
-def _leaf_runs(avals, bvals, crossings, lo, hi):
-    """Partition the integers of [lo, hi] into maximal runs on which one
-    branch of min_b(avals[b] + bvals[b]*t) stays minimal: a list of
-    (s, e, A, B), consecutive runs differing in (A, B).  ``crossings`` is
-    ``_crossings(bvals)``; a crossing off the lower envelope splits no run."""
-    if not crossings:
-        return [(lo, hi, min(avals), bvals[0])]
-    cuts = set()
-    for p, q, db in crossings:
-        t0 = (avals[q] - avals[p]) // db + 1  # the first integer past their crossing
-        if lo < t0 <= hi:
-            cuts.add(t0)
-    runs = []
-    s = lo
-    for nxt in sorted(cuts) + [hi + 1]:
-        vals = [a + b * s for a, b in zip(avals, bvals)]
-        i = vals.index(min(vals))
-        _extend(runs, s, nxt - 1, avals[i], bvals[i])
-        s = nxt
-    return runs
+def _group_columns(groups, offsets, xs):
+    """The offset column of each group over ``xs``: the elementwise min of
+    its lines a + c*x, a being the least offset among its branches of
+    penultimate coefficient c."""
+    cols = []
+    for lines in groups:
+        least = [min(map(offsets.__getitem__, ix)) for _, ix in lines]
+        cols.append(_least([[a + c * x for x in xs] if c else [a] * len(xs)
+                            for a, (c, _) in zip(least, lines)]))
+    return cols
 
 
-def _extend(runs, s, e, A, B):
-    """Append the run (s, e, A, B) that follows ``runs``, merged into the
-    last one when that carries the same (A, B)."""
-    if runs and runs[-1][2] == A and runs[-1][3] == B:
-        runs[-1] = (runs[-1][0], e, A, B)
-    else:
-        runs.append((s, e, A, B))
+def _least(cols):
+    """The elementwise min of nonempty ``cols``."""
+    col = cols[0]
+    for other in cols[1:]:
+        col = [u if u < v else v for u, v in zip(col, other)]
+    return col
 
 
-def _leaf_pieces(avals, bvals, crossings, lo, hi, clamp):
-    """Runs with the clamp (max with 0) applied; the value on each run
-    (s, e, A, B) of the returned list is exactly A + B*t for every integer t
-    in it."""
-    runs = _leaf_runs(avals, bvals, crossings, lo, hi)
-    if not clamp:
-        return runs
-    pieces = []
-    for s, e, A, B in runs:
-        if B == 0:
-            _extend(pieces, s, e, max(A, 0), 0)
-        elif B > 0:
-            z = -(A // B)  # the first t with A + B*t >= 0
-            if s < z:
-                _extend(pieces, s, min(e, z - 1), 0, 0)
-            if z <= e:
-                pieces.append((max(s, z), e, A, B))
-        else:
-            z = (-A) // B  # the last t with A + B*t >= 0
-            if s <= z:
-                pieces.append((s, min(e, z), A, B))
-            if z < e:
-                _extend(pieces, max(s, z + 1), e, 0, 0)
-    return pieces
-
-
-def _reduced_pieces(p, m, branches, clamp):
-    """The points of m*p as pieces (s, e, A, B), coordinates in the order of
-    ``_walk_order``: along the last one, the clamped scaled branch minimum
-    is A + B*x for x in s..e.  Each node's offsets are formed once, and each
-    leaf below it adds its penultimate coordinate's term."""
+def _node_pieces(p, m, branches, clamp):
+    """One batch (los, his, pieces) per walker node of m*p, coordinates in
+    the order of ``_walk_order``: its leaves' ranges of the last coordinate
+    and their ``_pieces``, the node's offsets formed once."""
     order = _walk_order(p, branches)
     bd = branches.permuted(order)
-    leaves = _offset_leaves(_walker(p, m, order), bd)
-    return _pieces([l[-1] for l in bd.linears], leaves, clamp)
+    pb = _walker(p, m, order)
+    pens = [l[-2] if pb.nvars > 1 else 0 for l in bd.linears]
+    slopes, groups = _slope_groups([l[-1] for l in bd.linears], pens)
+    lines = list(zip(bd.linears, bd.consts))
+    for head, xs, los, his in pb.nodes():
+        offsets = [c + sum(map(mul, l, head)) for l, c in lines]
+        yield los, his, _pieces(slopes, _group_columns(groups, offsets, xs), los, his, clamp)
 
 
-def _offset_leaves(pb, bd):
-    """The leaves of ``pb`` as (avals, lo, hi), avals being the scaled
-    branches at the leaf's prefix."""
-    if pb.nvars == 1:
-        for _, lo, hi in pb.leaves():
-            yield bd.consts, lo, hi
-        return
-    pens = [l[-2] for l in bd.linears]
-    for head, children in pb.nodes():
-        base = _offsets(bd, head)
-        for x, lo, hi in children:
-            yield [a + c * x for a, c in zip(base, pens)], lo, hi
+def _pieces(slopes, cols, los, his, clamp):
+    """The pieces of a batch of leaves as integer columns: one (B, A, ss, es)
+    per group of slope B = slopes[g], descending, whose minimum on leaf i is
+    A[i] + B*t for t in los[i]..his[i].
 
-
-def _pieces(bvals, leaves, clamp):
-    """The pieces of leaves (avals, lo, hi), each the integers lo..hi of one
-    parameter along which every branch is avals[b] + bvals[b]*x."""
-    crossings = _crossings(bvals)
-    for avals, lo, hi in leaves:
-        yield from _leaf_pieces(avals, bvals, crossings, lo, hi, clamp)
-
-
-def _offsets(bd, point):
-    """Every scaled branch at ``point``; missing trailing coordinates are 0."""
-    return [c + sum(map(mul, l, point)) for l, c in zip(bd.linears, bd.consts)]
+    On leaf i the group's piece is ss[i]..es[i], the part of the leaf where
+    the group is the minimum, a tie going to the lower group index; it is
+    empty when es[i] == ss[i] - 1.  A leaf's pieces come in group order,
+    tile it and differ in B.  Each bound is one floor division per pair of
+    groups.  Under the clamp each piece keeps only its part where
+    A + B*t > 0, and the rest of a leaf, where the minimum is <= 0, is its
+    zero piece."""
+    pairs = {}
+    for g, h in combinations(range(len(slopes)), 2):
+        # group g is at most group h exactly for t <= q
+        d = slopes[g] - slopes[h]
+        pairs[g, h] = [(y - x) // d for x, y in zip(cols[g], cols[h])]
+    out = []
+    for g, (B, A) in enumerate(zip(slopes, cols)):
+        ss, es = los, his
+        for h in range(g):
+            ss = [s if s > q else q + 1 for s, q in zip(ss, pairs[h, g])]
+        for h in range(g + 1, len(slopes)):
+            es = [e if e < q else q for e, q in zip(es, pairs[g, h])]
+        if clamp and B > 0:  # A + B*t > 0 from t = -A // B + 1 on
+            ss = [s if a + B * s > 0 else -a // B + 1 for a, s in zip(A, ss)]
+        elif clamp and B < 0:  # ... up to t = (A - 1) // -B
+            es = [e if a + B * e > 0 else (a - 1) // -B for a, e in zip(A, es)]
+        elif clamp:  # B == 0: the whole piece where A > 0
+            es = [e if a > 0 else s - 1 for a, s, e in zip(A, ss, es)]
+        if ss is not los or es is not his:
+            es = [e if e >= s else s - 1 for s, e in zip(ss, es)]
+        out.append((B, A, ss, es))
+    return out
 
 
 def _origin(branches, clamp):
@@ -414,18 +388,22 @@ def _scaled(v, denom, floor_mode):
     return Fraction(v // denom) if floor_mode else Fraction(v, denom)
 
 
-def _leaf_sum(pieces, denom, floor_mode):
-    """The number of points and the exact sum of the scaled values over
-    ``pieces`` (s, e, A, B), over ``denom``."""
-    count = total = 0
-    for s, e, A, B in pieces:
-        cnt = e - s + 1
-        count += cnt
+def _size(los, his):
+    """The number of points of the leaves los[i]..his[i]."""
+    return sum(his) - sum(los) + len(los)
+
+
+def _total(pieces, denom, floor_mode):
+    """The sum of the values over ``_pieces`` (B, A, ss, es), an integer: of
+    the scaled values, or in floor_mode of the floored ones."""
+    total = 0
+    for B, A, ss, es in pieces:
         if floor_mode:
-            total += floor_sum(cnt, denom, A + B * s, B)
-        else:
-            total += A * cnt + B * (s + e) * cnt // 2
-    return count, (Fraction(total) if floor_mode else Fraction(total, denom))
+            total += sum(floor_sum(e - s + 1, denom, a + B * s, B)
+                         for a, s, e in zip(A, ss, es) if e >= s)
+        else:  # twice the sum of A + B*t over s..e, summed
+            total += sum([(2 * a + B * (s + e)) * (e - s + 1) for a, s, e in zip(A, ss, es)]) // 2
+    return total
 
 
 def count_and_sum(p, m, branches, floor_mode=False, clamp=False):
@@ -436,7 +414,11 @@ def count_and_sum(p, m, branches, floor_mode=False, clamp=False):
         return 0, Fraction(0)
     if m == 0:
         return 1, _scaled(_origin(branches, clamp), branches.denom, floor_mode)
-    return _leaf_sum(_reduced_pieces(p, m, branches, clamp), branches.denom, floor_mode)
+    count = total = 0
+    for los, his, pieces in _node_pieces(p, m, branches, clamp):
+        count += _size(los, his)
+        total += _total(pieces, branches.denom, floor_mode)
+    return count, (Fraction(total) if floor_mode else Fraction(total, branches.denom))
 
 
 def sum_values(p, m, branches, floor_mode=False, clamp=False):
@@ -445,27 +427,33 @@ def sum_values(p, m, branches, floor_mode=False, clamp=False):
 
 
 def max_value(p, m, branches, floor_mode=False, clamp=False):
-    """Exact maximum of the branch minimum over the points of m*p."""
+    """Exact maximum of the branch minimum over the points of m*p, from the
+    unclamped pieces' ends (starts for B < 0), then clamped."""
     _check_level(m)
     if p.affine_dim < 0 or not p.vertices:
         return None
     if m == 0:
         return _scaled(_origin(branches, clamp), branches.denom, floor_mode)
-    best = max((max(A + B * s, A + B * e) for s, e, A, B in _reduced_pieces(p, m, branches, clamp)),
-               default=None)
-    return None if best is None else _scaled(best, branches.denom, floor_mode)
+    best = max(chain.from_iterable(
+        compress(map(add, A, map(mul, es if B >= 0 else ss, repeat(B))), map(ge, es, ss))
+        for _, _, pieces in _node_pieces(p, m, branches, False) for B, A, ss, es in pieces),
+        default=None)
+    if best is None:
+        return None
+    return _scaled(max(best, 0) if clamp else best, branches.denom, floor_mode)
 
 
 def value_histogram(p, m, branches, floor_mode=False, clamp=False, jobs=1):
     """Exact multiplicity histogram of the branch minimum over m*p.
 
     Keys are scaled integers (value = key/denom), or already-floored integers
-    in floor_mode.  The work is in the pieces and the distinct keys, not in
-    the points: a constant piece adds its length to its key, and a varying
-    one of step |B| marks +1 at its first value and -1 one step past its
-    last; one sorted sweep per step then writes each value it covers once,
-    with its coverage count.  In floor_mode the scaled keys are floored at
-    the end.  ``jobs`` is accepted for compatibility; it has no effect.
+    in floor_mode.  The work is in the ``_pieces`` columns and the distinct
+    keys, not in the points: a constant piece adds its length to its key, a
+    piece of slope B != 0 marks +1 at its first value and -1 one step |B|
+    past its last (an empty one both at one key), and one sorted sweep per
+    step writes each covered value once, with its count.  Under the clamp
+    the points outside the positive pieces count at the key 0.  ``jobs`` is
+    accepted for compatibility; it has no effect.
     """
     _check_level(m)
     if p.affine_dim < 0 or not p.vertices:
@@ -475,18 +463,23 @@ def value_histogram(p, m, branches, floor_mode=False, clamp=False, jobs=1):
         v = _origin(branches, clamp)
         return {v // D if floor_mode else v: 1}
     hist = Counter()
-    steps = {}
-    for s, e, A, B in _reduced_pieces(p, m, branches, clamp):
-        if B == 0:
-            hist[A] += e - s + 1
-            continue
-        first, last = A + B * s, A + B * e
-        if B < 0:
-            first, last, B = last, first, -B
-        events = steps.setdefault(B, {})
-        events[first] = events.get(first, 0) + 1
-        events[last + B] = events.get(last + B, 0) - 1
-    for b, events in steps.items():
+    firsts, lasts = defaultdict(list), defaultdict(list)  # per step |B|
+    for los, his, pieces in _node_pieces(p, m, branches, clamp):
+        zeros = clamp and _size(los, his) - sum(_size(ss, es) for _, _, ss, es in pieces)
+        if zeros:
+            hist[0] += zeros
+        for B, A, ss, es in pieces:
+            if B == 0:
+                for a, s, e in zip(A, ss, es):
+                    if e >= s:
+                        hist[a] += e - s + 1
+                continue
+            first, last = (ss, es) if B > 0 else (es, ss)
+            firsts[abs(B)].extend(map(add, A, map(mul, first, repeat(B))))
+            lasts[abs(B)].extend(map(add, A, map(mul, last, repeat(B))))
+    for b, first in firsts.items():
+        events = Counter(first)
+        events.subtract(Counter(map(add, lasts[b], repeat(b))))
         hist.update(_coverage(events, b))
     if not floor_mode:
         return hist
@@ -554,12 +547,18 @@ def level_runs(dual, xi_int, t):
 
 def level_sum(runs, branches, floor_mode=False, clamp=False):
     """Exact sum of the branch minimum over the points of progressions
-    (u0, du, k) that share one step du, such as those of ``level_runs``."""
+    (u0, du, k) that share one step du, such as those of ``level_runs``: one
+    batch of ``_pieces`` whose leaf i is the progression i along 0..k."""
     if not runs:
         return Fraction(0)
-    bvals = [sum(map(mul, l, runs[0][1])) for l in branches.linears]
-    leaves = ((_offsets(branches, u0), 0, k) for u0, _, k in runs)
-    return _leaf_sum(_pieces(bvals, leaves, clamp), branches.denom, floor_mode)[1]
+    slopes = [sum(map(mul, l, runs[0][1])) for l in branches.linears]
+    offsets = [[c + sum(map(mul, l, u0)) for u0, _, _ in runs]
+               for l, c in zip(branches.linears, branches.consts)]
+    keys = sorted(set(slopes), reverse=True)
+    cols = [_least([col for col, B in zip(offsets, slopes) if B == k]) for k in keys]
+    pieces = _pieces(keys, cols, [0] * len(runs), [k for _, _, k in runs], clamp)
+    total = _total(pieces, branches.denom, floor_mode)
+    return Fraction(total) if floor_mode else Fraction(total, branches.denom)
 
 
 def points_on_level(dual, xi_int, t):

@@ -473,6 +473,30 @@ def test_report_skips_unavailable_routes(a1_cone):
     assert not rep.failed()
 
 
+@pytest.mark.parametrize("clamp", [False, True])
+def test_report_integrates_each_moment_once(orthant2, square_base_cone, monkeypatch, clamp):
+    """A report integrates no function over one body twice: a probe that is
+    the setup's own unclamped filtration reuses its S and energy."""
+    from reebvol import invariants
+
+    moments = []
+    real = invariants._moment
+
+    def moment(f, body, clamp):
+        moments.append((f, tuple(body.vertices), clamp))
+        return real(f, body, clamp)
+
+    monkeypatch.setattr(invariants, "_moment", moment)
+    for setup in (
+        PolarizedToricSetup(orthant2, (1, 1), eta=(1, 0), clamp=clamp),
+        PolarizedToricSetup(square_base_cone, (0, 0, 1), psi=min_form((1, 0, 1), (0, 1, 1)),
+                            clamp=clamp),
+    ):
+        moments.clear()
+        consistency_report(setup, m_grid=(2, 4), t_max=4)
+        assert moments and len(set(moments)) == len(moments)
+
+
 def test_monotonicity_probe(orthant2):
     setup = PolarizedToricSetup(orthant2, (1, 1), psi=min_form((1, 0), (0, 1)))
     probe = s_monotonicity_probe(setup, (2, 3))

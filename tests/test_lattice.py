@@ -102,42 +102,66 @@ def test_unbounded_direction_raises(rows, nvars):
 
 
 @st.composite
-def leaf_lines(draw):
+def leaf_batches(draw):
+    """1-4 branches and a batch of 1-4 leaves, each with its own offsets."""
     k = draw(st.integers(1, 4))
-    avals = draw(st.lists(st.integers(-20, 20), min_size=k, max_size=k))
     bvals = draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k))
-    lo = draw(st.integers(-8, 8))
-    return avals, bvals, lo, lo + draw(st.integers(0, 16))
+    leaves = []
+    for _ in range(draw(st.integers(1, 4))):
+        avals = draw(st.lists(st.integers(-20, 20), min_size=k, max_size=k))
+        lo = draw(st.integers(-8, 8))
+        leaves.append((avals, lo, lo + draw(st.integers(0, 16))))
+    return bvals, leaves
+
+
+def one_leaf(avals, bvals, lo, hi):
+    return bvals, [(avals, lo, hi)]
 
 
 @seed(20261018)
 @settings(max_examples=300, deadline=None, database=None)
-@given(leaf_lines(), st.booleans())
-@example(([-6], [3], 0, 5), True)  # the clamp's crossing -A/B = 2 is an integer
-@example(([-5], [3], 0, 5), True)  # ... and 5/3 is not
-@example(([6], [-3], 0, 5), True)
-@example(([7], [-3], -2, 5), True)
-@example(([0, 4], [2, 0], 0, 5), False)  # branches cross at the integer t = 2
-@example(([0, 5], [2, 0], 0, 5), False)  # ... and at t = 5/2
-@example(([1, 1, 3], [2, 2, 0], -3, 4), True)  # tied branches
-@example(([4, -4, 0], [-2, 2, 0], -4, 4), False)  # three lines through one point
-@example(([0, 10, 20], [0, 1, -1], 0, 10), False)  # a crossing above the minimum
-@example(([0, 0], [-1, 1], 0, 10), True)  # two negative runs clamp to one zero piece
+@given(leaf_batches(), st.booleans())
+@example(one_leaf([-6], [3], 0, 5), True)  # the clamp's crossing -A/B = 2 is an integer
+@example(one_leaf([-5], [3], 0, 5), True)  # ... and 5/3 is not
+@example(one_leaf([6], [-3], 0, 5), True)
+@example(one_leaf([7], [-3], -2, 5), True)
+@example(one_leaf([0, 4], [2, 0], 0, 5), False)  # branches cross at the integer t = 2
+@example(one_leaf([0, 5], [2, 0], 0, 5), False)  # ... and at t = 5/2
+@example(one_leaf([1, 1, 3], [2, 2, 0], -3, 4), True)  # tied branches
+@example(one_leaf([4, -4, 0], [-2, 2, 0], -4, 4), False)  # three lines through one point
+@example(one_leaf([0, 10, 20], [0, 1, -1], 0, 10), False)  # a crossing above the minimum
+@example(one_leaf([0, 0], [-1, 1], 0, 10), True)  # two negative runs clamp to one zero piece
+# batches: three slope groups over leaves of other offsets, one a single point
+@example(([2, 0, -2], [([0, 4, 8], 0, 5), ([-9, 0, 9], -3, 3), ([5, 5, 5], 0, 0)]), True)
+# ... and a group of two branches whose order flips from leaf to leaf
+@example(([1, 1, 0], [([3, 0, 1], 0, 6), ([0, 3, 2], -6, 0), ([-1, -1, -1], 2, 9)]), True)
 def test_leaf_pieces_match_direct_evaluation(case, clamp):
-    """The pieces tile lo..hi in order, and on each one A + B*t is the branch
-    minimum, clamped at 0 when asked, at every t.  Runs and pieces are
-    maximal: consecutive ones differ in (A, B)."""
-    avals, bvals, lo, hi = case
-    crossings = lattice._crossings(bvals)
-    pieces = lattice._leaf_pieces(avals, bvals, crossings, lo, hi, clamp)
-    assert [t for s, e, _, _ in pieces for t in range(s, e + 1)] == list(range(lo, hi + 1))
-    for s, e, A, B in pieces:
-        assert s <= e
-        for t in range(s, e + 1):
-            v = min(a + b * t for a, b in zip(avals, bvals))
-            assert A + B * t == (max(v, 0) if clamp else v)
-    for runs in (pieces, lattice._leaf_runs(avals, bvals, crossings, lo, hi)):
-        assert all(x[2:] != y[2:] for x, y in zip(runs, runs[1:]))
+    """On every leaf of a batch, the positive pieces come in group order and
+    with the zero pieces around them tile lo..hi in order, and on each one
+    A + B*t is the branch minimum, clamped at 0 when asked, at every t.
+    Pieces are maximal: consecutive ones differ in (A, B); so are the
+    unclamped ones."""
+    bvals, leaves = case
+    slopes, groups = lattice._slope_groups(bvals, [0] * len(bvals))
+    cols = [[min(avals[b] for b in ix) for avals, _, _ in leaves] for (_, ix), in groups]
+    los, his = [lo for _, lo, _ in leaves], [hi for _, _, hi in leaves]
+    for mode in {clamp, False}:
+        batch = lattice._pieces(slopes, cols, los, his, mode)
+        for i, (avals, lo, hi) in enumerate(leaves):
+            pieces = [(ss[i], es[i], A[i], B) for B, A, ss, es in batch if es[i] >= ss[i]]
+            assert all(es[i] == ss[i] - 1 for _, _, ss, es in batch if es[i] < ss[i])
+            assert all(x[1] + 1 == y[0] for x, y in zip(pieces, pieces[1:]))
+            first, last = (pieces[0][0], pieces[-1][1]) if pieces else (hi + 1, hi)
+            if first > lo:
+                pieces.insert(0, (lo, first - 1, 0, 0))
+            if last < hi:
+                pieces.append((last + 1, hi, 0, 0))
+            assert [t for s, e, _, _ in pieces for t in range(s, e + 1)] == list(range(lo, hi + 1))
+            for s, e, A, B in pieces:
+                for t in range(s, e + 1):
+                    v = min(a + b * t for a, b in zip(avals, bvals))
+                    assert A + B * t == (max(v, 0) if mode else v)
+            assert all(x[2:] != y[2:] for x, y in zip(pieces, pieces[1:]))
 
 
 # -- the reductions over m*p, in every walk order ------------------------------
@@ -249,9 +273,9 @@ def leaves_walked(monkeypatch, walk):
     real = lattice.PrefixBounds.nodes
 
     def nodes(self):
-        for head, children in real(self):
-            walked.append(len(children))
-            yield head, children
+        for head, xs, los, his in real(self):
+            walked.append(len(los))
+            yield head, xs, los, his
 
     with monkeypatch.context() as mp:
         mp.setattr(lattice.PrefixBounds, "nodes", nodes)

@@ -140,8 +140,8 @@ def test_report_derives_each_geometry_once_per_setup(tmp_path, monkeypatch):
         assert counts["facet_chart"] == 1
         assert counts["volume"] == len(setups)  # vol(Q), once per setup
         # S once per setup, the parsed setup's slice energy, and the S and
-        # slice energy of each of its four probes
-        assert counts["integrate_moment"] == len(setups) + 1 + 2 * 4
+        # slice energy of each of its three probes besides its own filtration
+        assert counts["integrate_moment"] == len(setups) + 1 + 2 * 3
         assert graded_only == []
 
 
