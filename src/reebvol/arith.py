@@ -95,7 +95,7 @@ def _integer_row(row):
     return [x.numerator * (d // x.denominator) for x in fr], d
 
 
-def _bareiss_det(a) -> int:
+def bareiss_det(a) -> int:
     """Fraction-free Bareiss determinant of a square integer matrix."""
     n = len(a)
     a = [row[:] for row in a]
@@ -127,7 +127,7 @@ def det(m) -> Fraction:
         ints, d = _integer_row(row)
         rows.append(ints)
         scale *= d
-    return Fraction(_bareiss_det(rows), scale)
+    return Fraction(bareiss_det(rows), scale)
 
 
 def _cleared(row, pivot_row, col):
@@ -235,11 +235,11 @@ def primitive(v) -> tuple:
     """Scale a nonzero rational vector to its primitive integer representative,
     preserving direction."""
     fr = [rat(x) for x in v]
-    if all(x == 0 for x in fr):
-        raise ValueError("zero vector has no primitive representative")
     d = math.lcm(*(x.denominator for x in fr))
-    ints = [int(x * d) for x in fr]
-    g = math.gcd(*(abs(x) for x in ints))
+    ints = [x.numerator * (d // x.denominator) for x in fr]
+    g = math.gcd(*ints)
+    if not g:
+        raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in ints)
 
 

@@ -42,8 +42,7 @@ from .polyhedra import (
     dual_cone,
     facet_chart,
     require_reeb,
-    simplex_volume,
-    triangulate,
+    triangulate,  # noqa: F401 -- perfbench's tests check that tracing restores this binding
     triangulate_cone,
     volume,
 )
@@ -57,9 +56,9 @@ class PolarizedToricSetup(GradedSetup):
     and optionally a degeneration direction and a filtration.
 
     ``psi`` is the explicit filtration, else the linear one of a direction
-    in the cone, else None.  The chart of P, its triangulation, the ray
-    subcones, vol(Q) and S are derived on first use and shared by every
-    route.
+    in the cone, else None.  The chart of P, the ray subcones, vol(Q) and S
+    are derived on first use and shared by every route, as are the
+    triangulations and first moments that Q and the chart body keep.
     """
 
     def __init__(self, sigma: Cone, xi, eta=None, psi: PLConcave | None = None,
@@ -106,22 +105,18 @@ class PolarizedToricSetup(GradedSetup):
         return facet_chart(self.p)
 
     @cached_property
-    def chart_simplices(self) -> tuple:
-        """A triangulation of the chart body of P, as tuples of points."""
-        body = self.chart.body
-        return tuple(tuple(body.vertices[i] for i in s) for s in triangulate(body).simplices)
-
-    @cached_property
     def slice_density(self) -> Fraction:
-        """Cone measure on P over chart Lebesgue measure, taken on one simplex."""
-        first = self.chart_simplices[0]
-        cone_measure = abs(det([self.chart.lift(y) for y in first])) / factorial(self.n - 1)
-        return cone_measure / simplex_volume(first)
+        """Cone measure on P over chart Lebesgue measure, taken on the first
+        simplex of the chart body's triangulation."""
+        m = self.chart.body.measure
+        first = [self.chart.lift(self.chart.body.vertices[i]) for i in m.simplices[0]]
+        # the simplex's chart volume is dets[0] / ((n-1)! denom^(n-1))
+        return abs(det(first)) * m.denom ** m.rank / m.dets[0]
 
     @cached_property
     def slice_measure(self) -> Fraction:
         """The cone measure of P."""
-        return self.slice_density * sum(simplex_volume(s) for s in self.chart_simplices)
+        return self.slice_density * self.chart.body.measure.volume
 
     @cached_property
     def subcones(self) -> tuple:

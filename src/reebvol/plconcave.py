@@ -2,9 +2,14 @@
 
 These model monomial filtrations on the weight cone: the function value at
 a weight u is min over branches of <u, linear> + constant.  Exact
-integration over polytopes goes through the linearity subdivision and the
-closed form for powers of an affine function over a simplex; superlevel
-set volumes are recovered as exact polynomial splines in the level.
+integration over a polytope goes through the linearity subdivision, whose
+cells are cut from the body's own vertices (``polyhedra.cut``); a branch
+that is the minimum at every vertex is the minimum on the whole body, and
+then the body is its only cell.  Each cell's integer measure data gives
+the integral of an affine branch as one dot product with the cell's first
+moment plus the constant times its volume; higher powers use the closed
+form over each simplex of its triangulation.  Superlevel set volumes are
+recovered as exact polynomial splines in the level.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le, mul
 
 from .arith import dot, fmt, rat, vec
 from .errors import (
@@ -23,10 +29,9 @@ from .errors import (
 from .polyhedra import (
     FacetChart,
     Polytope,
+    cut,
     facet_chart,
-    polytope_from_halfspaces,
     simplex_volume,
-    triangulate,
     volume,
 )
 
@@ -129,15 +134,35 @@ def homogenize(f: PLConcave, dual=None) -> PLConcave:
     return PLConcave.make([(b.linear, 0) for b in f.branches])
 
 
+def _integer_branches(f: PLConcave):
+    """The branches times the least common denominator of all their
+    entries, as (integer linear part, integer constant) pairs."""
+    d = math.lcm(*(x.denominator for b in f.branches for x in b.linear + (b.constant,)))
+    return [(tuple(x.numerator * (d // x.denominator) for x in b.linear),
+             b.constant.numerator * (d // b.constant.denominator)) for b in f.branches]
+
+
+def _vertex_values(branches, p: Polytope):
+    """For each integer branch, its values at the vertices of p, all scaled
+    by one positive integer."""
+    d, points = p.integer_vertices
+    return [[sum(map(mul, linear, x)) + c * d for x in points] for linear, c in branches]
+
+
 def validate_nonnegative(f: PLConcave, dual, q: Polytope):
     """Filtration admissibility: nonnegative on the whole weight cone.
 
     Checked exactly at the vertices of the sub-level body and, for the
     homogenized branches, at the rays; by concavity this is sufficient.
     """
-    homogenize(f, dual)
-    for v in q.vertices:
-        if f.value(v) < 0:
+    branches = _integer_branches(f)
+    for r in dual.rays:
+        if min(sum(map(mul, linear, r)) for linear, _ in branches) < 0:
+            raise InvalidFiltrationError(
+                f"filtration decays along weight-cone ray {list(r)}"
+            )
+    for v, *values in zip(q.vertices, *_vertex_values(branches, q)):
+        if min(values) < 0:
             raise InvalidFiltrationError(
                 f"filtration is negative at sub-level vertex {[fmt(x) for x in v]}"
             )
@@ -147,19 +172,23 @@ def linearity_subdivision(f: PLConcave, p: Polytope):
     """Cells of p on which a single branch attains the minimum.
 
     Returns (cell, branch) pairs for the full-dimensional cells only; their
-    volumes add up to the volume of p.
+    volumes add up to the volume of p.  A branch that is the minimum at
+    every vertex of p is the minimum on all of p (its affine differences
+    with the others are <= 0 at the vertices, so everywhere), and then p
+    is the only cell.
     """
     if p.affine_dim < p.rank:
         raise DegeneratePolytopeError(p.affine_dim)
+    values = _vertex_values(_integer_branches(f), p)
+    for b, mine in zip(f.branches, values):
+        if all(all(map(le, mine, other)) for other in values):
+            return ((p, b),)
     cells = []
     for i, b in enumerate(f.branches):
-        halfspaces = list(p.halfspaces)
-        for j, other in enumerate(f.branches):
-            if i == j:
-                continue
-            normal = tuple(x - y for x, y in zip(b.linear, other.linear))
-            halfspaces.append((normal, other.constant - b.constant))
-        cell = polytope_from_halfspaces(p.rank, halfspaces, assume_bounded=True)
+        cell = cut(p, [
+            (tuple(x - y for x, y in zip(b.linear, other.linear)), other.constant - b.constant)
+            for j, other in enumerate(f.branches) if j != i
+        ])
         if cell.affine_dim == p.rank:
             cells.append((cell, b))
     return tuple(cells)
@@ -187,7 +216,9 @@ def _simplex_moment(points, form: AffineForm, k):
 
 
 def integrate_moment(f: PLConcave, p: Polytope, k: int) -> Fraction:
-    """Exact integral of f^k over p, through the linearity subdivision."""
+    """Exact integral of f^k over p, through the linearity subdivision: for
+    k = 1 each cell adds <branch, its first moment> plus the branch
+    constant times its volume, for k >= 2 the closed form on each simplex."""
     if k < 0 or k > MAX_MOMENT_DEGREE:
         raise UnsupportedDegreeError(f"moment degree {k} unsupported (max {MAX_MOMENT_DEGREE})")
     if k == 0:
@@ -196,7 +227,11 @@ def integrate_moment(f: PLConcave, p: Polytope, k: int) -> Fraction:
         return Fraction(0)
     total = Fraction(0)
     for cell, branch in linearity_subdivision(f, p):
-        for s in triangulate(cell).simplices:
+        m = cell.measure
+        if k == 1:
+            total += dot(branch.linear, m.first_moment) + branch.constant * m.volume
+            continue
+        for s in m.simplices:
             total += _simplex_moment([cell.vertices[i] for i in s], branch, k)
     return total
 
@@ -225,10 +260,7 @@ class SuperlevelProfile:
         return self.values_at[0] if self.values_at else Fraction(0)
 
     def _poly_value(self, i, t):
-        acc = Fraction(0)
-        for c in reversed(self.polys[i]):
-            acc = acc * t + c
-        return acc
+        return _horner(self.polys[i], t)
 
     def value(self, t) -> Fraction:
         """vol{f >= t} exactly, any rational t."""
@@ -280,11 +312,17 @@ class SuperlevelProfile:
         return rows
 
 
+def _horner(coeffs, t) -> Fraction:
+    """Value at t of the polynomial with ascending coefficients."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
 def superlevel_body(f: PLConcave, delta: Polytope, t) -> Polytope:
-    halfspaces = list(delta.halfspaces)
-    for b in f.branches:
-        halfspaces.append((tuple(-x for x in b.linear), b.constant - t))
-    return polytope_from_halfspaces(delta.rank, halfspaces, assume_bounded=True)
+    """{u in delta : f(u) >= t}, cut from delta's vertices."""
+    return cut(delta, [(tuple(-x for x in b.linear), b.constant - t) for b in f.branches])
 
 
 def _lagrange(points):
@@ -318,7 +356,10 @@ def superlevel_profile(f: PLConcave, delta: Polytope) -> SuperlevelProfile:
 
     Between consecutive critical levels the volume is a polynomial of
     degree at most the dimension; each piece is recovered by exact
-    interpolation at interior rational nodes.
+    interpolation at interior rational nodes.  The profile is
+    left-continuous and f >= 0 on delta, so the value at the first
+    breakpoint, 0, is vol(delta), and at each later one the preceding
+    piece's value there.
     """
     if delta.affine_dim < delta.rank:
         raise DegeneratePolytopeError(delta.affine_dim)
@@ -339,7 +380,7 @@ def superlevel_profile(f: PLConcave, delta: Polytope) -> SuperlevelProfile:
             t = a + (b - a) * Fraction(j, n + 2)
             nodes.append((t, volume(superlevel_body(f, delta, t))))
         polys.append(_lagrange(nodes))
-    values_at = tuple(volume(superlevel_body(f, delta, t)) for t in breakpoints)
+    values_at = (volume(delta),) + tuple(map(_horner, polys, breakpoints[1:]))
     return SuperlevelProfile(breakpoints, tuple(polys), values_at)
 
 

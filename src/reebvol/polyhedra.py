@@ -14,27 +14,38 @@ Fukuda and Prodon 1996), in exact integer arithmetic:
 
 Each extreme ray comes with the set of constraints tight on it, as an int
 bitmask, and those incidences decide which generators are extreme and
-which inequalities are facets, with no rank test.
+which inequalities are facets, with no rank test.  One refinement step
+(``_refine``) serves both a double description from scratch and ``cut``,
+which intersects a polytope with more halfspaces: the homogenization of a
+polytope is the cone over its vertices, so the refinement starts from
+those, with their tight masks, and adds only the new halfspaces.
 
-Polytopes carry a vertex list and an irredundant inequality description
-``<normal, x> <= offset`` simultaneously.  Triangulation is the pulling
-triangulation (De Loera, Rambau and Santos 2010, section 4.3) that pulls
-every face from its lowest-index vertex; vertices are sorted, so that is
-the lexicographically smallest one, and identical inputs always produce
+Polytopes carry a vertex list and an inequality description
+``<normal, x> <= offset`` simultaneously, irredundant when full-
+dimensional.  Each one derives, on first use, its vertices over one
+common denominator as integer points, its vertex-facet incidences and its
+``measure``: the triangulation and one integer |det| per simplex, from
+which its volume and first moment are exact integer sums over a single
+denominator.  Triangulation is the pulling triangulation (De Loera,
+Rambau and Santos 2010, section 4.3) that pulls every face from its
+lowest-index vertex; vertices are sorted, so that is the
+lexicographically smallest one, and identical inputs always produce
 identical, face-to-face output.  It walks the face lattice through the
 incidence bitmasks alone, so it needs no hull or chart of any face, and
-the same routine splits a cone into simplicial subcones from its ray-facet
-incidences.
+the same routine splits a cone into simplicial subcones from its
+ray-facet incidences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial, gcd, lcm
 from operator import mul
 
 from .arith import (
+    bareiss_det,
     basis_inverse,
     det,
     dot,
@@ -79,28 +90,21 @@ def _bits(mask):
     return out
 
 
-def _double_description(normals, dim):
-    """Extreme rays of the cone {x : <a, x> >= 0 for a in normals}.
+def _refine(rays, zeros, normals, dim, skip=0):
+    """Double-description refinement: intersect the cone spanned by the
+    extreme rays ``rays`` with <a, x> >= 0 for each normal a of ``normals``
+    whose bit is not set in ``skip``, in index order.
 
-    ``normals`` are integer vectors of length ``dim``.  Refinement starts
-    from the simplicial cone of the first ``dim`` independent normals, and
-    two rays on opposite sides of a new hyperplane are combined only when
-    they are adjacent: they share at least dim-2 tight constraints and no
-    third ray is tight on all of those.  Returns (rays, zeros): the
-    primitive integer rays in sorted order and, for each, the bitmask of
-    the normals that vanish on it.  None when the normals do not span,
-    i.e. the cone is not pointed.
+    ``zeros[k]`` is the bitmask of the normals processed so far (bit i for
+    normals[i]) that vanish on rays[k].  Two rays on opposite sides of a
+    new hyperplane are combined only when they are adjacent: they share at
+    least dim-2 tight constraints and no third ray is tight on all of
+    those.  Returns the refined (rays, zeros), rays primitive and unsorted.
     """
-    start = basis_inverse(normals, dim)
-    if start is None:
-        return None
-    basis, rays = start
-    basis_mask = sum(1 << i for i in basis)
-    zeros = [basis_mask ^ (1 << i) for i in basis]
     need = dim - 2
     for idx, a in enumerate(normals):
         bit = 1 << idx
-        if basis_mask & bit:
+        if skip & bit:
             continue
         vals = [sum(map(mul, a, r)) for r in rays]
         new_rays, new_zeros, pos, neg = [], [], [], []
@@ -129,6 +133,26 @@ def _double_description(normals, dim):
                     new_rays.append(tuple(x // g for x in w))
                     new_zeros.append(shared | bit)
         rays, zeros = new_rays, new_zeros
+    return rays, zeros
+
+
+def _double_description(normals, dim):
+    """Extreme rays of the cone {x : <a, x> >= 0 for a in normals}.
+
+    ``normals`` are integer vectors of length ``dim``.  Refinement starts
+    from the simplicial cone of the first ``dim`` independent normals and
+    adds the others one by one (``_refine``).  Returns (rays, zeros): the
+    primitive integer rays in sorted order and, for each, the bitmask of
+    the normals that vanish on it.  None when the normals do not span,
+    i.e. the cone is not pointed.
+    """
+    start = basis_inverse(normals, dim)
+    if start is None:
+        return None
+    basis, rays = start
+    basis_mask = sum(1 << i for i in basis)
+    zeros = [basis_mask ^ (1 << i) for i in basis]
+    rays, zeros = _refine(rays, zeros, normals, dim, basis_mask)
     order = sorted(range(len(rays)), key=rays.__getitem__)
     return [rays[i] for i in order], [zeros[i] for i in order]
 
@@ -240,12 +264,61 @@ def _normalize_halfspace(normal, offset):
         if offset < 0:
             return "empty"
         return None
-    d = lcm(*(x.denominator for x in normal + [offset]))
-    ints = [int(x * d) for x in normal]
-    off = int(offset * d)
-    g = gcd(*(abs(x) for x in ints), abs(off)) if off else gcd(*(abs(x) for x in ints))
-    g = g or 1
-    return tuple(x // g for x in ints), Fraction(off, g)
+    d = lcm(*(x.denominator for x in normal), offset.denominator)
+    ints = [x.numerator * (d // x.denominator) for x in normal]
+    off = offset.numerator * (d // offset.denominator)
+    g = gcd(*ints, off)
+    return tuple(x // g for x in ints), Fraction(off // g)
+
+
+def _normalized_system(rank, halfspaces):
+    """The distinct canonical halfspaces of a system, sorted, without the
+    trivial ones; None when one of them is infeasible (0 <= negative)."""
+    normed = set()
+    for normal, offset in halfspaces:
+        h = _normalize_halfspace(normal, offset)
+        if h == "empty":
+            return None
+        if h is not None:
+            if len(h[0]) != rank:
+                raise DimensionMismatchError("halfspace normal length does not match rank")
+            normed.add(h)
+    return sorted(normed)
+
+
+@dataclass(frozen=True)
+class Measure:
+    """Integer data for exact integrals over a full-dimensional polytope.
+
+    ``points`` are the vertices times ``denom``, the least common
+    denominator of their coordinates; ``simplices`` is the pulling
+    triangulation and ``dets[i]`` the |det| of simplex i's edge vectors in
+    those coordinates, which is n! denom^n times its volume.
+    """
+
+    rank: int
+    denom: int
+    points: tuple
+    simplices: tuple
+    dets: tuple
+
+    @cached_property
+    def volume(self) -> Fraction:
+        n = self.rank
+        return Fraction(sum(self.dets), factorial(n) * self.denom ** n)
+
+    @cached_property
+    def first_moment(self) -> tuple:
+        """The integral of x over the body.  A simplex contributes its
+        volume times its centroid, so this is the sum over simplices of
+        |det| times the vertex sum, over (n+1)! denom^(n+1)."""
+        n = self.rank
+        acc = [0] * n
+        for s, d in zip(self.simplices, self.dets):
+            for j, column in enumerate(zip(*(self.points[i] for i in s))):
+                acc[j] += d * sum(column)
+        scale = factorial(n + 1) * self.denom ** (n + 1)
+        return tuple(Fraction(x, scale) for x in acc)
 
 
 @dataclass(frozen=True)
@@ -255,13 +328,48 @@ class Polytope:
     ``halfspaces`` entries are pairs ``(normal, offset)`` meaning
     ``<normal, x> <= offset`` with primitive integer normals.  Lower
     dimensional bodies (slices, facets) are allowed; ``affine_dim`` records
-    the dimension of the affine hull, -1 for the empty polytope.
+    the dimension of the affine hull, -1 for the empty polytope.  The
+    integer vertices, the facet incidences and the ``measure`` of a body
+    are derived on first use and kept with it.
     """
 
     rank: int
     vertices: tuple
     halfspaces: tuple
     affine_dim: int
+
+    @cached_property
+    def integer_vertices(self) -> tuple:
+        """(D, points): the vertices times the least common denominator D
+        of their coordinates, as integer tuples in vertex order."""
+        d = lcm(*(x.denominator for v in self.vertices for x in v))
+        return d, tuple(tuple(x.numerator * (d // x.denominator) for x in v)
+                        for v in self.vertices)
+
+    @cached_property
+    def incidence(self) -> tuple:
+        """For each halfspace, the bitmask of the vertices on its hyperplane."""
+        d, points = self.integer_vertices
+        masks = []
+        for a, b in self.halfspaces:
+            *normal, offset = primitive(tuple(a) + (-b,))
+            offset *= d
+            masks.append(sum(1 << i for i, x in enumerate(points)
+                             if sum(map(mul, normal, x)) + offset == 0))
+        return tuple(masks)
+
+    @cached_property
+    def measure(self) -> Measure:
+        """The triangulation and simplex determinants of a full-dimensional
+        body, in integer coordinates."""
+        simplices = triangulate(self).simplices
+        d, points = self.integer_vertices
+        dets = []
+        for s in simplices:
+            v0 = points[s[0]]
+            dets.append(abs(bareiss_det([[x - y for x, y in zip(points[i], v0)]
+                                          for i in s[1:]])))
+        return Measure(self.rank, d, points, simplices, tuple(dets))
 
     def contains(self, x) -> bool:
         x = vec(x)
@@ -306,46 +414,36 @@ def _affine_dim(vertices) -> int:
     return rank_of([tuple(x - y for x, y in zip(v, v0)) for v in vertices[1:]])
 
 
-def _vertex_rays(rank, halfspaces):
-    """Double description of the homogenization {(x, t) : t*b - <a, x> >= 0,
-    t >= 0} of the system <a, x> <= b.
-
-    Returns (vertices, zeros, recession): the sorted vertices (the rays with
-    t > 0, scaled to t = 1), for each the bitmask of the tight halfspaces,
-    and whether a ray with t = 0 (a recession direction) exists.  None when
-    the normals a do not span, so the system has no vertex.
-    """
+def _homogenized(rank, halfspaces):
+    """Inward normals of the homogenization {(x, t) : t*b - <a, x> >= 0,
+    t >= 0} of the system <a, x> <= b; the normal of t >= 0 comes last."""
     normals = [primitive(tuple(-x for x in a) + (b,)) for a, b in halfspaces]
     normals.append((0,) * rank + (1,))
-    dd = _double_description(normals, rank + 1)
-    if dd is None:
-        return None
-    found = []
-    for r, z in zip(*dd):
-        t = r[-1]
-        if t > 0:
-            found.append((tuple(Fraction(x, t) for x in r[:-1]), z))
-    found.sort()
-    recession = len(found) < len(dd[0])
-    return [v for v, _ in found], [z for _, z in found], recession
+    return normals
 
 
-def polytope_from_halfspaces(rank, halfspaces, assume_bounded=False) -> Polytope:
-    """Build a polytope from inequalities ``<normal, x> <= offset``."""
-    _check_rank(rank)
-    normed = []
-    for normal, offset in halfspaces:
-        h = _normalize_halfspace(normal, offset)
-        if h == "empty":
-            return Polytope(rank, (), (), -1)
-        if h is not None:
-            if len(h[0]) != rank:
-                raise DimensionMismatchError("halfspace normal length does not match rank")
-            normed.append(h)
-    normed = sorted(set(normed))
-    if not normed:
-        raise UnsupportedGeometryError("empty inequality system describes all of space")
-    found = _vertex_rays(rank, normed)
+def _vertices_of(rays, zeros):
+    """From the extreme rays of a homogenization and their tight masks:
+    the sorted vertices (the rays with t > 0, scaled to t = 1), for each
+    the bitmask of the tight halfspaces, and whether a ray with t = 0 (a
+    recession direction) exists."""
+    found = sorted((tuple(Fraction(x, r[-1]) for x in r[:-1]), z)
+                   for r, z in zip(rays, zeros) if r[-1] > 0)
+    return [v for v, _ in found], [z for _, z in found], len(found) < len(rays)
+
+
+def _vertex_rays(rank, halfspaces):
+    """Vertices of the system <a, x> <= b from one double description of
+    its homogenization, as ``_vertices_of`` returns them.  None when the
+    normals a do not span, so the system has no vertex.
+    """
+    dd = _double_description(_homogenized(rank, halfspaces), rank + 1)
+    return None if dd is None else _vertices_of(*dd)
+
+
+def _polytope(rank, normed, found, assume_bounded) -> Polytope:
+    """The polytope of the canonical system ``normed`` from the vertex data
+    of its homogenization (``_vertex_rays``)."""
     vertices, zeros, recession = found if found is not None else ([], [], True)
     if recession and not assume_bounded:
         raise UnsupportedGeometryError("inequality system is unbounded")
@@ -365,6 +463,51 @@ def polytope_from_halfspaces(rank, halfspaces, assume_bounded=False) -> Polytope
         if m and all(m | other != other or other == m for other in tight)
     )
     return Polytope(rank, tuple(vertices), facets, rank)
+
+
+def polytope_from_halfspaces(rank, halfspaces, assume_bounded=False) -> Polytope:
+    """Build a polytope from inequalities ``<normal, x> <= offset``."""
+    _check_rank(rank)
+    normed = _normalized_system(rank, halfspaces)
+    if normed is None:
+        return Polytope(rank, (), (), -1)
+    if not normed:
+        raise UnsupportedGeometryError("empty inequality system describes all of space")
+    return _polytope(rank, normed, _vertex_rays(rank, normed), assume_bounded)
+
+
+def cut(p: Polytope, extra) -> Polytope:
+    """The nonempty polytope p intersected with the halfspaces ``extra``
+    (pairs (normal, offset) meaning <normal, x> <= offset): the same
+    Polytope as ``polytope_from_halfspaces(p.rank, p.halfspaces + extra,
+    assume_bounded=True)``.
+
+    The homogenization of p is the cone over its vertices, so the double
+    description starts from p's vertices, as primitive integer rays with
+    the bitmasks of p's halfspaces tight on them, and refines by the new
+    halfspaces only.
+    """
+    normed = _normalized_system(p.rank, [*p.halfspaces, *extra])
+    if normed is None or not p.vertices:
+        return Polytope(p.rank, (), (), -1)
+    index = {h: i for i, h in enumerate(normed)}
+    own = [(1 << index[_normalize_halfspace(a, b)], m)
+           for (a, b), m in zip(p.halfspaces, p.incidence)]
+    skip = 1 << len(normed)  # t >= 0 holds on the cone over p
+    for bit, _ in own:
+        skip |= bit
+    d, points = p.integer_vertices
+    rays, zeros = [], []
+    for j, x in enumerate(points):
+        g = gcd(*x, d)
+        rays.append(tuple(c // g for c in x) + (d // g,))
+        z = 0
+        for bit, m in own:
+            if m >> j & 1:
+                z |= bit
+        zeros.append(z)
+    rays, zeros = _refine(rays, zeros, _homogenized(p.rank, normed), p.rank + 1, skip)
+    return _polytope(p.rank, normed, _vertices_of(rays, zeros), True)
 
 
 def polytope_from_vertices(points) -> Polytope:
@@ -417,26 +560,38 @@ def check_consistency(p: Polytope, strict: bool = False) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def require_reeb(dual: Cone, xi) -> tuple:
-    """Validate that xi pairs strictly positively with every ray of the
-    weight cone; returns xi as an exact vector."""
+def _reeb_pairings(dual: Cone, xi):
+    """xi as an exact vector, the least common denominator d of its
+    entries, and the integer pairings d*<r, xi> with the rays r of the
+    weight cone, each checked to be positive."""
     xi = vec(xi)
     if len(xi) != dual.rank:
         raise DimensionMismatchError("xi length does not match rank")
+    d = lcm(*(x.denominator for x in xi))
+    scaled = [x.numerator * (d // x.denominator) for x in xi]
+    pairings = []
     for r in dual.rays:
-        if dot(r, xi) <= 0:
+        pr = sum(map(mul, r, scaled))
+        if pr <= 0:
             raise NotReebFieldError(
                 f"xi pairs non-positively with weight-cone ray {list(r)}"
             )
-    return xi
+        pairings.append(pr)
+    return xi, d, pairings
+
+
+def require_reeb(dual: Cone, xi) -> tuple:
+    """Validate that xi pairs strictly positively with every ray of the
+    weight cone; returns xi as an exact vector."""
+    return _reeb_pairings(dual, xi)[0]
 
 
 def reeb_slice(dual: Cone, xi):
     """The sub-level body Q = {u in the weight cone : <u, xi> <= 1} and its
     level-one slice P = {<u, xi> = 1}, both with exact vertex data."""
-    xi = require_reeb(dual, xi)
+    xi, d, pairings = _reeb_pairings(dual, xi)
     n = dual.rank
-    scaled = sorted(tuple(Fraction(x) / dot(r, xi) for x in r) for r in dual.rays)
+    scaled = sorted(tuple(Fraction(x * d, pr) for x in r) for r, pr in zip(dual.rays, pairings))
     cap_normal, cap_offset = _normalize_halfspace(xi, 1)
     q_halfspaces = [(tuple(-x for x in h), Fraction(0)) for h in dual.halfspaces]
     q_halfspaces.append((cap_normal, cap_offset))
@@ -515,17 +670,8 @@ def triangulate(p: Polytope) -> Triangulation:
     volumes add up to the volume of the whole body."""
     if p.affine_dim < p.rank:
         raise DegeneratePolytopeError(p.affine_dim)
-    scaled = []
-    for v in p.vertices:
-        d = lcm(*(x.denominator for x in v))
-        scaled.append((d, [x.numerator * (d // x.denominator) for x in v]))
-    masks = []
-    for a, b in p.halfspaces:
-        *normal, offset = primitive(tuple(a) + (-b,))
-        masks.append(sum(
-            1 << i for i, (d, x) in enumerate(scaled) if sum(map(mul, normal, x)) + offset * d == 0
-        ))
-    return Triangulation(tuple(sorted(_pulling(masks, (1 << len(scaled)) - 1, p.rank))))
+    full = (1 << len(p.vertices)) - 1
+    return Triangulation(tuple(sorted(_pulling(p.incidence, full, p.rank))))
 
 
 def triangulate_cone(c: Cone) -> Triangulation:
@@ -547,10 +693,7 @@ def volume(p: Polytope) -> Fraction:
     """Exact Lebesgue volume; zero for degenerate bodies."""
     if p.affine_dim < p.rank:
         return Fraction(0)
-    total = Fraction(0)
-    for s in triangulate(p).simplices:
-        total += simplex_volume([p.vertices[i] for i in s])
-    return total
+    return p.measure.volume
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ Vertices, facets and triangulations from `polyhedra` are compared with the
 subset-enumeration oracles in `conftest.py` on seeded random polytopes of
 ranks 2-5: random hulls and inequality systems, non-simple bodies (cube and
 cross-polytope cells), lower-dimensional Reeb slices and empty systems.
+Cuts refined from a body's vertices are compared with the same system built
+from scratch, and the integer volumes and first moments with simplex sums.
 """
 
 import itertools
@@ -22,6 +24,7 @@ from reebvol.polyhedra import (
     Cone,
     Polytope,
     check_consistency,
+    cut,
     dual_cone,
     polytope_from_halfspaces,
     polytope_from_vertices,
@@ -291,3 +294,102 @@ def test_empty_systems_match_oracle(n):
     # no halfspace at all: no vertex either way
     assert check_consistency(Polytope(n, (), (), -1), strict=True)
     assert brute_vertices(n, []) == []
+
+
+# -- cuts refined from a body's vertices ------------------------------------------
+
+
+@st.composite
+def cut_cases(draw):
+    """A nonempty body of rank 1-5 and a few halfspaces to cut it with.
+
+    The body is a random hull, sometimes rescaled (its halfspaces are then
+    not in canonical form) or first cut down to a face.  Each extra
+    halfspace is random, redundant (possibly supporting a face), leaves
+    only a face, empties the body, or is a multiple of one of the body's
+    own halfspaces.
+    """
+    n = draw(st.sampled_from([1, 2, 3, 4, 5]))
+    k = draw(st.integers(n + 1, n + (2 if n == 5 else 4)))
+    pts = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=k, max_size=k,
+                        unique=True))
+    assume(rank_of([tuple(x - y for x, y in zip(p, pts[0])) for p in pts[1:]]) == n)
+    p = polytope_from_vertices(pts)
+    if draw(st.booleans()):
+        p = p.scaled(F(draw(st.integers(1, 3)), draw(st.integers(1, 3))))
+    normals = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+    if n > 1 and draw(st.booleans()) and draw(st.booleans()):
+        a = draw(normals)
+        top = max(dot(a, v) for v in p.vertices)
+        p = polytope_from_halfspaces(n, [*p.halfspaces, (tuple(-x for x in a), -top)],
+                                     assume_bounded=True)
+    extra = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(normals)
+        values = [dot(a, v) for v in p.vertices]
+        top = max(values)
+        kind = draw(st.sampled_from(["random", "random", "redundant", "face", "empty", "own"]))
+        if kind == "random":
+            # an offset from the bottom to the top of the body along a
+            extra.append((a, min(values) + (top - min(values)) * F(draw(st.integers(0, 4)), 4)))
+        elif kind == "redundant":
+            extra.append((a, top + draw(st.integers(0, 2))))
+        elif kind == "face":
+            extra.append((tuple(-x for x in a), -top))
+        elif kind == "empty":
+            extra.append((tuple(-x for x in a), -top - 1))
+        else:
+            a, b = draw(st.sampled_from(p.halfspaces))
+            c = draw(st.integers(1, 3))
+            extra.append((tuple(c * x for x in a), c * b))
+    return p, extra
+
+
+@seed(20261019)
+@settings(SETTINGS, max_examples=120)
+@given(cut_cases())
+def test_cut_equals_the_system_built_from_scratch(case):
+    p, extra = case
+    got = cut(p, extra)
+    want = polytope_from_halfspaces(p.rank, [*p.halfspaces, *extra], assume_bounded=True)
+    assert got.rank == want.rank
+    assert got.vertices == want.vertices
+    assert got.halfspaces == want.halfspaces
+    assert got.affine_dim == want.affine_dim
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cut_leaves_faces_and_empties(n):
+    body = polytope_from_halfspaces(n, cube(n))
+    e0 = tuple(int(j == 0) for j in range(n))
+    face = cut(body, [(tuple(-x for x in e0), -1)])
+    assert face.affine_dim == n - 1 and len(face.vertices) == 2 ** (n - 1)
+    assert face == polytope_from_halfspaces(n, cube(n) + [(tuple(-x for x in e0), -1)],
+                                            assume_bounded=True)
+    assert cut(body, [(tuple(-x for x in e0), -2)]) == Polytope(n, (), (), -1)
+    assert cut(body, [(e0, 1), (e0, 5)]) == body  # redundant cuts change nothing
+
+
+def assert_measure_matches_oracle(p):
+    """The integer volume and first moment equal the Fraction sums over the
+    brute-force pulling triangulation: a simplex's first moment is its
+    volume times its centroid."""
+    n = p.rank
+    simplices = brute_pulling(list(p.vertices))
+    vols = [oracle_simplex_volume(s) for s in simplices]
+    moment = tuple(
+        sum(v * sum(pt[j] for pt in s) for v, s in zip(vols, simplices)) / (n + 1)
+        for j in range(n)
+    )
+    assert volume(p) == p.measure.volume == sum(vols)
+    assert p.measure.first_moment == moment
+
+
+@seed(20261020)
+@settings(SETTINGS, max_examples=40)
+@given(cut_cases())
+def test_integer_measure_matches_oracle_simplex_sums(case):
+    p, extra = case
+    for body in (p, cut(p, extra)):
+        if body.affine_dim == body.rank and (body.rank <= 3 or len(body.vertices) <= 8):
+            assert_measure_matches_oracle(body)

@@ -7,6 +7,7 @@ import pytest
 from conftest import min_form
 from reebvol.arith import dot
 from reebvol.errors import (
+    DegeneratePolytopeError,
     DimensionMismatchError,
     InvalidFiltrationError,
     UnsupportedDegreeError,
@@ -21,6 +22,7 @@ from reebvol.plconcave import (
     linear_form,
     linearity_subdivision,
     max_over,
+    superlevel_body,
     superlevel_profile,
 )
 from reebvol.plconcave import _simplex_moment  # white-box, for the bisection oracle
@@ -257,6 +259,34 @@ def test_profile_monotone_and_mass():
     assert all(a >= b for a, b in zip(values, values[1:]))
     top = prof.breakpoints[-1]
     assert prof.cdf(top) == prof.total == volume(SQUARE)
+
+
+def test_profile_breakpoint_values_are_left_limits():
+    """values_at, read off the preceding piece (vol(delta) at 0), equals the
+    directly cut superlevel body's volume at every breakpoint: on seeded
+    random bodies in the orthant and nonnegative filtrations of ranks 1-3,
+    some with a plateau at the maximum (a constant branch)."""
+    rng = random.Random(20261019)
+    cases = [(PLConcave.make([((1, 0), 0), ((0, 0), F(1, 2))]), SQUARE)]
+    for _ in range(24):
+        n = rng.randint(1, 3)
+        pts = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(n + 3)}
+        try:
+            delta = polytope_from_vertices(pts)
+        except DegeneratePolytopeError:
+            continue
+        branches = [(tuple(rng.randint(0, 3) for _ in range(n)), F(rng.randint(0, 4), 2))
+                    for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.4:
+            branches.append(((0,) * n, F(rng.randint(1, 6), 2)))  # a plateau at the top
+        cases.append((PLConcave.make(branches), delta))
+    plateaus = 0
+    for f, delta in cases:
+        prof = superlevel_profile(f, delta)
+        direct = tuple(volume(superlevel_body(f, delta, t)) for t in prof.breakpoints)
+        assert prof.values_at == direct
+        plateaus += len(prof.breakpoints) > 1 and direct[-1] > 0
+    assert plateaus >= 3
 
 
 def test_profile_csv_rows():

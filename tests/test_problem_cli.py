@@ -145,6 +145,70 @@ def test_report_derives_each_geometry_once_per_setup(tmp_path, monkeypatch):
         assert graded_only == []
 
 
+def _count_double_descriptions(monkeypatch, counts):
+    """Count double descriptions from scratch and refinements of a cut."""
+    from reebvol import polyhedra
+
+    for name in ("_double_description", "_refine"):
+        real = getattr(polyhedra, name)
+
+        def counting(*args, real=real):
+            counts["dd"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(polyhedra, name, counting)
+
+
+def test_one_branch_moment_on_a_cached_body_builds_nothing(monkeypatch):
+    """Once Q's triangulation is kept, a moment of a linear function, or of
+    a minimum whose one branch is the least at every vertex, is a dot
+    product with Q's first moment: no double description, no
+    triangulation."""
+    from collections import Counter
+
+    from reebvol.invariants import PolarizedToricSetup
+    from reebvol.plconcave import PLConcave, integrate_moment, linear_form
+    from reebvol.polyhedra import Cone
+
+    setup = PolarizedToricSetup(Cone.from_rays(SQUARE_REPORT["sigma_rays"]), (1, 1, 2))
+    assert setup.vol_q > 0
+    counts = Counter()
+    _count_double_descriptions(monkeypatch, counts)
+    _count_calls(monkeypatch, "triangulate", counts)
+    # u1 + u2 + u3 >= 0 is a facet of the weight cone, so <u, (0,0,1)> is the least branch
+    for f in (linear_form((1, 2, 3)), PLConcave.make([((0, 0, 1), 0), ((1, 1, 2), 0)])):
+        assert integrate_moment(f, setup.q, 1) > 0
+    assert counts["dd"] == 0 and counts["triangulate"] == 0
+
+
+@pytest.mark.parametrize("spec", [ORTHANT3_REPORT, SQUARE_REPORT])
+def test_report_linear_probes_add_no_double_description(tmp_path, monkeypatch, spec):
+    """The S and slice energy of each linear probe (the two rays and xi)
+    read the first moments that Q and the chart body keep."""
+    from collections import Counter
+
+    from reebvol import invariants
+
+    counts = Counter()
+    _count_double_descriptions(monkeypatch, counts)
+
+    def probing(real):
+        def call(setup, psi=None):
+            before = counts["dd"]
+            result = real(setup, psi)
+            if psi is not None and len(psi.branches) == 1:
+                counts["linear probes"] += 1
+                assert counts["dd"] == before
+            return result
+        return call
+
+    for name in ("s_exact", "energy_pxi"):
+        monkeypatch.setattr(invariants, name, probing(getattr(invariants, name)))
+    code, out, _ = invoke(["report", spec_file(tmp_path, spec)])
+    assert code in (0, 4) and "thm6.4-Cn" in out
+    assert counts["linear probes"] == 2 * 3
+
+
 @pytest.mark.parametrize("spec", [ORTHANT3_REPORT, SQUARE_REPORT])
 def test_volume_builds_no_chart(tmp_path, monkeypatch, spec):
     from collections import Counter
