@@ -243,19 +243,28 @@ def primitive(v) -> tuple:
     return tuple(x // g for x in ints)
 
 
+def nullspace(rows, width) -> list:
+    """A basis of the integer vectors x with <row, x> = 0 for every integer
+    row of length ``width``: one primitive vector per free column of the
+    reduced rows, in column order, from one fraction-free elimination."""
+    kept = _eliminate(rows, width)
+    scale = math.lcm(*(r[c] for _, c, r in kept))
+    basis = []
+    for f in sorted(set(range(width)) - {c for _, c, _ in kept}):
+        x = [0] * width
+        x[f] = scale
+        for _, c, r in kept:
+            x[c] = -r[f] * (scale // r[c])
+        basis.append(primitive(x))
+    return basis
+
+
 def orthogonal_complement_vector(rows) -> tuple:
-    """For n-1 independent vectors in n-space, a nonzero integer vector
-    orthogonal to all of them (signed cofactor expansion); the zero vector
-    if the input is dependent."""
-    k = len(rows)
-    n = k + 1
+    """For n-1 independent vectors in n-space, a primitive integer vector
+    orthogonal to all of them (their nullspace); the zero vector if the
+    input is dependent."""
+    n = len(rows) + 1
     if any(len(r) != n for r in rows):
         raise DimensionMismatchError("need n-1 vectors of length n")
-    out = []
-    for j in range(n):
-        minor = tuple(tuple(row[i] for i in range(n) if i != j) for row in rows)
-        c = det(minor) if k else Fraction(1)
-        out.append(c if j % 2 == 0 else -c)
-    if all(x == 0 for x in out):
-        return tuple(0 for _ in range(n))
-    return primitive(out)
+    basis = nullspace([_integer_row(r)[0] for r in rows], n)
+    return basis[0] if len(basis) == 1 else (0,) * n

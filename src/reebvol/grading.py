@@ -174,7 +174,7 @@ def degree_slice(g: GradedSetup, t: int):
     _require_integral(g)
     if t < 1:
         raise ValueError("degree must be at least 1")
-    runs = list(lattice.level_runs(g.dual, g.xi, t))
+    runs = list(lattice.level_runs(g.p, g.xi, t))
     n_t = sum(k + 1 for _, _, k in runs)
     if not n_t:
         return 0, None
@@ -193,7 +193,7 @@ def graded_s_tilde(g: GradedSetup, t: int) -> Fraction:
 
 def degree_count(g: GradedSetup, t: int) -> int:
     _require_integral(g)
-    return sum(k + 1 for _, _, k in lattice.level_runs(g.dual, g.xi, t))
+    return sum(k + 1 for _, _, k in lattice.level_runs(g.p, g.xi, t))
 
 
 def _require_integral(g: GradedSetup):

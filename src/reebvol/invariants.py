@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from math import factorial, prod
+from math import factorial, lcm, prod
 
-from .arith import decimal_str, det, dot, fmt, mat, mat_vec, rat, vec
+from .arith import bareiss_det, decimal_str, det, dot, fmt, mat, mat_vec, rat, vec
 from .errors import (
     DimensionMismatchError,
     InvalidBasisError,
@@ -39,9 +39,9 @@ from .plconcave import (
 from .polyhedra import (
     Cone,
     FacetChart,
+    _reeb_pairings,
     dual_cone,
     facet_chart,
-    require_reeb,
     triangulate,  # noqa: F401 -- perfbench's tests check that tracing restores this binding
     triangulate_cone,
     volume,
@@ -120,9 +120,12 @@ class PolarizedToricSetup(GradedSetup):
 
     @cached_property
     def subcones(self) -> tuple:
-        """Ray-index simplices triangulating the weight cone, from its
-        ray-facet incidences alone: no chart, and the same for every xi."""
-        return triangulate_cone(self.dual).simplices
+        """The simplicial subcones of the weight cone, from its ray-facet
+        incidences alone, as (ray indices, integer |det| of those rays):
+        no chart, and the same for every xi."""
+        rays = self.dual.rays
+        return tuple((idx, abs(bareiss_det([list(rays[i]) for i in idx])))
+                     for idx in triangulate_cone(self.dual).simplices)
 
     @cached_property
     def s_value(self) -> Fraction:
@@ -139,31 +142,33 @@ class PolarizedToricSetup(GradedSetup):
 
 def vol_xi(setup: PolarizedToricSetup, at=None) -> Fraction:
     """Exact volume of the polarization: sum over simplicial ray subcones of
-    |det of the primitive rays| over the product of their pairings."""
-    xi = setup.xi if at is None else require_reeb(setup.dual, at)
+    |det of the primitive rays| over the product of their pairings with xi,
+    in integers: the pairings times the least common denominator d of xi."""
+    _, d, pairings = _reeb_pairings(setup.dual, setup.xi if at is None else at)
     total = Fraction(0)
-    for idx in setup.subcones:
-        rows = [setup.dual.rays[i] for i in idx]
-        pairings = [dot(r, xi) for r in rows]
-        total += abs(det(rows)) / prod(pairings)
-    return total
+    for idx, volume_det in setup.subcones:
+        total += Fraction(volume_det, prod(pairings[i] for i in idx))
+    return total * d ** setup.n
 
 
 def d_vol(setup: PolarizedToricSetup, eta=None) -> Fraction:
     """Exact directional derivative of the volume along minus the direction:
-    the term-by-term derivative of the subcone closed form."""
+    the term-by-term derivative of the subcone closed form, a subcone's term
+    times the sum of <r, eta>/<r, xi> over its rays r, in integers."""
     direction = setup.eta if eta is None else vec(eta)
     if direction is None:
         raise InvalidDirectionError("no direction given")
     if len(direction) != setup.n:
         raise DimensionMismatchError("direction length does not match rank")
+    _, d, pairings = _reeb_pairings(setup.dual, setup.xi)
+    e = lcm(*(x.denominator for x in direction))
+    eta_pairings = [sum(r * int(x * e) for r, x in zip(ray, direction)) for ray in setup.dual.rays]
     total = Fraction(0)
-    for idx in setup.subcones:
-        rows = [setup.dual.rays[i] for i in idx]
-        pairings = [dot(r, setup.xi) for r in rows]
-        ratio = sum(dot(r, direction) / pr for r, pr in zip(rows, pairings))
-        total += abs(det(rows)) * ratio / prod(pairings)
-    return total
+    for idx, volume_det in setup.subcones:
+        den = prod(pairings[i] for i in idx)
+        total += Fraction(volume_det * sum(eta_pairings[i] * den // pairings[i] for i in idx),
+                          den * den)
+    return total * d ** (setup.n + 1) / e
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,19 @@
 """Exact lattice-point engines.
 
-Enumeration works on integer inequality systems A x <= b obtained by
-clearing denominators of a polytope's halfspace description.  Per-variable
-bounds come from Fourier-Motzkin projection, computed once per system, and
-the rows of each projection level are split once by the sign of their last
-coefficient into upper and lower bounds.  One walker, ``PrefixBounds``,
-fixes the coordinates one by one.  A node forms the residual
-r = b - head.prefix of each row of its children's level once, and each
-child x then gets its bounds as min((r - c*x) // a) over the upper rows and
-the matching integer ceiling over the lower ones: a subtraction and a floor
-division per row.  The nodes whose children are leaves come out in
-ascending lexicographic order, their children as integer columns: the
-penultimate coordinate x and the range lo..hi of the last one.  No
-bounding box is ever materialized.
+One walker, ``PrefixBounds``, fixes the coordinates of a bounded body one
+by one.  Level k of the walk bounds x_k by the facets of the body's
+projection onto its first k coordinates, as integer rows split once by
+the sign of their x_k coefficient.  Those projections are the hulls of the
+projected vertices (``Polytope.walk_levels``), built by the one
+double-description core, once per body and walk order, and a dilation m
+only scales their offsets, so every level m of a body shares them.  A node
+forms the residual r = b - head.prefix of each row of its children's level
+once, and each child x then gets its bounds as min((r - c*x) // a) over
+the upper rows and the matching integer ceiling over the lower ones: a
+subtraction and a floor division per row.  The nodes whose children are
+leaves come out in ascending lexicographic order, their children as
+integer columns: the penultimate coordinate x and the range lo..hi of the
+last one.  No bounding box is ever materialized.
 
 Streaming enumeration expands each leaf's range in the natural coordinate
 order, as its output is lexicographic.  The reductions (point counts, sums
@@ -26,8 +27,9 @@ the pieces.  A histogram marks two endpoint events per varying piece, keyed
 by its step, and one sorted sweep per step writes each covered value once,
 with its count.
 
-A degree slice <u, xi> = t is walked the same way after solving for one
-coordinate: each innermost range gives one arithmetic progression of its
+A degree slice <u, xi> = t is t times the slice P at degree 1, walked the
+same way after solving for one coordinate, with the projections that P
+keeps: each innermost range gives one arithmetic progression of its
 points, and the progressions of a slice form one batch of the same reducer.
 """
 
@@ -35,78 +37,34 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import chain, combinations, compress, product, repeat
+from itertools import chain, combinations, compress, repeat
 from math import gcd, lcm
 from operator import add, ge, le, mul, sub
 
 from .errors import UnsupportedGeometryError
+from .polyhedra import reeb_slice
 
 # ---------------------------------------------------------------------------
 # integer inequality systems
 # ---------------------------------------------------------------------------
 
 
-def _normalize_row(coeffs, rhs):
-    g = gcd(*(abs(c) for c in coeffs), abs(rhs)) if coeffs else abs(rhs)
-    if g > 1:
-        return tuple(c // g for c in coeffs), rhs // g
-    return tuple(coeffs), rhs
-
-
-def int_rows_from_polytope(p, scale=1):
-    """Integer rows (a, b) meaning a.x <= b for the dilation scale*p."""
-    rows = []
-    for normal, offset in p.halfspaces:
-        off = Fraction(offset) * scale
-        d = off.denominator
-        rows.append(_normalize_row(tuple(d * c for c in normal), off.numerator))
-    return rows
-
-
 class PrefixBounds:
-    """Fourier-Motzkin projections of an integer system A x <= b in ``nvars``
-    unknowns, walked for the exact integer range of each coordinate.
+    """A walker over the integer points of a bounded body, from its integer
+    rows per level: level k (k = 1..nvars) holds rows a.x <= b in x_1..x_k
+    that describe the body's projection onto its first k coordinates.
 
-    Level k holds the projected rows whose last nonzero coefficient is that
-    of x_k, split once by its sign into upper and lower bounds of x_k.  A
-    row with a zero x_k coefficient is left out of level k: projection
-    carries it down to the level of its last nonzero coefficient, where the
+    Each level's rows are split once by the sign of their x_k coefficient
+    into upper and lower bounds of x_k.  A row with a zero x_k coefficient
+    is left out: it bounds the projection onto x_1..x_{k-1} too, where the
     walk has already enforced it."""
 
-    def __init__(self, rows, nvars):
-        self.nvars = nvars
-        self.infeasible = False
-        current = []
-        for a, b in rows:
-            if all(c == 0 for c in a):
-                if b < 0:
-                    self.infeasible = True
-            else:
-                current.append(_normalize_row(a, b))
-        current = sorted(set(current))
-        self._split = [None] * (nvars + 1)
-        for k in range(nvars, 0, -1):
-            nxt, pos, neg = [], [], []
-            for a, b in current:
-                ak = a[k - 1]
-                if ak == 0:
-                    nxt.append((a, b))
-                elif ak > 0:
-                    pos.append((a, b))
-                else:
-                    neg.append((a, b))
-            self._split[k] = ([_bound_row(a, b, k, -1) for a, b in pos],
-                              [_bound_row(a, b, k, 1) for a, b in neg])
-            for (ap, bp), (an, bn) in product(pos, neg):
-                cp, cn = ap[k - 1], -an[k - 1]
-                comb = tuple(cn * x + cp * y for x, y in zip(ap, an))
-                rhs = cn * bp + cp * bn
-                if all(c == 0 for c in comb):
-                    if rhs < 0:
-                        self.infeasible = True
-                    continue
-                nxt.append(_normalize_row(comb, rhs))
-            current = sorted(set(nxt))
+    def __init__(self, levels):
+        self.nvars = len(levels)
+        self._split = [None] + [
+            ([_bound_row(a, b, k, -1) for a, b in rows if a[-1] > 0],
+             [_bound_row(a, b, k, 1) for a, b in rows if a[-1] < 0])
+            for k, rows in enumerate(levels, 1)]
 
     def _children(self, k, prefix, lo, hi):
         """Columns (xs, los, his): the x in lo..hi over whose prefix
@@ -129,8 +87,6 @@ class PrefixBounds:
         and for each x_{n-1} = xs[i] whose slice holds an integer point,
         los[i]..his[i] is the range of x_n.  At nvars = 1 the one node is
         the root, with an empty head and a placeholder x = 0."""
-        if self.infeasible:
-            return
         stack = [((), 1, 0, 0)]  # (prefix, k, lo, hi): x_{k-1} ranges over lo..hi
         while stack:
             prefix, k, lo, hi = stack.pop()
@@ -197,7 +153,7 @@ def iter_points(p, m):
     if m == 0:
         yield tuple(0 for _ in range(n))
         return
-    for prefix, lo, hi in PrefixBounds(int_rows_from_polytope(p, m), n).leaves():
+    for prefix, lo, hi in _walker(p, m, range(n)).leaves():
         for x in range(lo, hi + 1):
             yield prefix + (x,)
 
@@ -233,9 +189,10 @@ def _walk_order(p, branches=None):
 
 
 def _walker(p, m, order):
-    """The walker of m*p with its coordinates taken in ``order``."""
-    rows = [(tuple(a[i] for i in order), b) for a, b in int_rows_from_polytope(p, m)]
-    return PrefixBounds(rows, p.rank)
+    """The walker of m*p with its coordinates taken in ``order``: the
+    levels that p keeps for the order, dilated by m."""
+    d = p.integer_vertices[0]
+    return PrefixBounds([[(a, m * c // d) for a, c in level] for level in p.walk_levels(order)])
 
 
 # ---------------------------------------------------------------------------
@@ -509,27 +466,24 @@ def _coverage(events, b):
 # ---------------------------------------------------------------------------
 
 
-def level_runs(dual, xi_int, t):
+def level_runs(p, xi_int, t):
     """Integer points u of the weight cone with <u, xi> exactly t, for an
-    integer vector xi, as arithmetic progressions (u0, du, k): the points
-    u0 + i*du for 0 <= i <= k.  The coordinate j with the least nonzero
-    |xi_j| is solved for and the others walked with ``PrefixBounds.leaves``;
-    each innermost range holds one progression."""
-    n = dual.rank
+    integer vector xi and the cone's slice p at <u, xi> = 1, as arithmetic
+    progressions (u0, du, k): the points u0 + i*du for 0 <= i <= k.  The
+    coordinate j with the least nonzero |xi_j| is solved for, and the others
+    are walked over t*p with the levels that p keeps for their order; each
+    innermost range holds one progression.  No point has a negative degree."""
+    n = p.rank
     xi = [int(x) for x in xi_int]
     j = min((i for i in range(n) if xi[i] != 0), key=lambda i: (abs(xi[i]), i))
     cj = xi[j]
+    if t < 0:
+        return
     if n == 1:
-        if t % cj == 0 and all(h[0] * (t // cj) >= 0 for h in dual.halfspaces):
+        if t % cj == 0:
             yield (t // cj,), (0,), 0
         return
     rest = [i for i in range(n) if i != j]
-    sign = 1 if cj > 0 else -1
-    rows = []
-    for h in dual.halfspaces:
-        coeffs = tuple(-(cj * h[i] - h[j] * xi[i]) * sign for i in rest)
-        rhs = sign * h[j] * t
-        rows.append(_normalize_row(coeffs, rhs))
     # xi_j divides s - a*x exactly for the x in one class modulo `period`
     a = xi[rest[-1]]
     g = gcd(a, cj)
@@ -537,7 +491,7 @@ def level_runs(dual, xi_int, t):
     inverse = pow(a // g, -1, period)
     free_du = (0,) * (n - 2) + (period,)
     du = free_du[:j] + (-(a * period) // cj,) + free_du[j:]
-    for prefix, lo, hi in PrefixBounds(rows, n - 1).leaves():
+    for prefix, lo, hi in _walker(p, t, rest).leaves():
         s = t - sum(xi[i] * y for i, y in zip(rest, prefix))
         x = lo + (s // g * inverse - lo) % period
         if s % g == 0 and x <= hi:
@@ -562,8 +516,10 @@ def level_sum(runs, branches, floor_mode=False, clamp=False):
 
 
 def points_on_level(dual, xi_int, t):
-    """The points of ``level_runs``, in ascending lexicographic order."""
+    """The points u of the weight cone ``dual`` with <u, xi> = t, from
+    ``level_runs`` over its slice at degree 1, in ascending lexicographic
+    order."""
     yield from sorted(
         tuple(x + i * y for x, y in zip(u0, du))
-        for u0, du, k in level_runs(dual, xi_int, t) for i in range(k + 1)
+        for u0, du, k in level_runs(reeb_slice(dual, xi_int)[1], xi_int, t) for i in range(k + 1)
     )

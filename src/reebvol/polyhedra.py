@@ -10,7 +10,9 @@ Fukuda and Prodon 1996), in exact integer arithmetic:
 - a polytope's vertices are the extreme rays with t > 0 of its
   homogenization {(x, t) : t*b - <a, x> >= 0, t >= 0};
 - a point set's hull facets are the extreme rays of the dual of the cone
-  over {(p, 1)}.
+  over {(p, 1)}; for a point set of lower affine dimension, the integer
+  nullspace of those generators, added both ways, makes that dual pointed
+  and gives the hull's equations.
 
 Each extreme ray comes with the set of constraints tight on it, as an int
 bitmask, and those incidences decide which generators are extreme and
@@ -26,14 +28,16 @@ dimensional.  Each one derives, on first use, its vertices over one
 common denominator as integer points, its vertex-facet incidences and its
 ``measure``: the triangulation and one integer |det| per simplex, from
 which its volume and first moment are exact integer sums over a single
-denominator.  Triangulation is the pulling triangulation (De Loera,
-Rambau and Santos 2010, section 4.3) that pulls every face from its
-lowest-index vertex; vertices are sorted, so that is the
-lexicographically smallest one, and identical inputs always produce
-identical, face-to-face output.  It walks the face lattice through the
-incidence bitmasks alone, so it needs no hull or chart of any face, and
-the same routine splits a cone into simplicial subcones from its
-ray-facet incidences.
+denominator.  It also keeps, per walk order of the lattice walker, the
+integer facets of its projections onto the leading coordinates of that
+order: the hulls of its projected vertices.  Triangulation is the
+pulling triangulation (De Loera, Rambau and Santos 2010, section 4.3)
+that pulls every face from its lowest-index vertex; vertices are sorted,
+so that is the lexicographically smallest one, and identical inputs
+always produce identical, face-to-face output.  It walks the face
+lattice through the incidence bitmasks alone, so it needs no hull or
+chart of any face, and the same routine splits a cone into simplicial
+subcones from its ray-facet incidences.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd, lcm
+from math import factorial, floor, gcd, lcm
 from operator import mul
 
 from .arith import (
@@ -52,6 +56,7 @@ from .arith import (
     fmt,
     inverse,
     mat_vec,
+    nullspace,
     orthogonal_complement_vector,
     primitive,
     rank_of,
@@ -329,8 +334,8 @@ class Polytope:
     ``<normal, x> <= offset`` with primitive integer normals.  Lower
     dimensional bodies (slices, facets) are allowed; ``affine_dim`` records
     the dimension of the affine hull, -1 for the empty polytope.  The
-    integer vertices, the facet incidences and the ``measure`` of a body
-    are derived on first use and kept with it.
+    integer vertices, the facet incidences, the ``measure`` and the walk
+    levels of a body are derived on first use and kept with it.
     """
 
     rank: int
@@ -370,6 +375,34 @@ class Polytope:
             dets.append(abs(bareiss_det([[x - y for x, y in zip(points[i], v0)]
                                           for i in s[1:]])))
         return Measure(self.rank, d, points, simplices, tuple(dets))
+
+    @cached_property
+    def _walk_levels(self) -> dict:
+        return {}
+
+    def walk_levels(self, order) -> tuple:
+        """Integer rows bounding each coordinate of a walk over D times the
+        body (D and the vertices from ``integer_vertices``), coordinates
+        taken in ``order`` (distinct, at most the rank): for k = 1..len(order),
+        rows (a, c) meaning <a, x> <= c of its projection onto order[:k], a's
+        entries in that order.  Level 1 is the first coordinate's range, the
+        level of all n coordinates the body's halfspaces with offsets rounded
+        down, each level between the hull of the projected integer vertices.
+        Kept per order: the dilation m*body has the rows (a, m*c // D)."""
+        order = tuple(order)
+        if order not in self._walk_levels:
+            d, points = self.integer_vertices
+            first = [x[order[0]] for x in points]
+            levels = [(((1,), max(first)), ((-1,), -min(first)))]
+            for k in range(2, len(order) + 1):
+                if k == self.rank:
+                    levels.append(tuple((tuple(a[i] for i in order), floor(d * b))
+                                        for a, b in self.halfspaces))
+                    continue
+                hull = polytope_from_vertices([tuple(x[i] for i in order[:k]) for x in points])
+                levels.append(tuple((a, int(b)) for a, b in hull.halfspaces))
+            self._walk_levels[order] = tuple(levels)
+        return self._walk_levels[order]
 
     def contains(self, x) -> bool:
         x = vec(x)
@@ -511,25 +544,26 @@ def cut(p: Polytope, extra) -> Polytope:
 
 
 def polytope_from_vertices(points) -> Polytope:
-    """Convex hull of a full-dimensional point set: its facets are the
-    extreme rays of the dual of the cone over {(p, 1)}."""
-    pts = sorted({vec(p) for p in points})
+    """Convex hull of a point set of any affine dimension: its facets are
+    the extreme rays, tight on some point, of the dual of the cone over
+    {(p, 1)}.  The integer nullspace of the generators, added both ways,
+    makes that dual pointed and gives the hull's equations, each as two
+    opposite halfspaces."""
+    pts = sorted({vec(p) for p in set(map(tuple, points))})
     if not pts:
         return Polytope(0, (), (), -1)
     n = len(pts[0])
     _check_rank(n)
-    if n == 1:
-        if len(pts) < 2:
-            raise DegeneratePolytopeError(0)
-        lo, hi = pts[0][0], pts[-1][0]
-        hs = (((-1,), -lo), ((1,), hi))
-        return Polytope(1, ((lo,), (hi,)), tuple(sorted(hs)), 1)
-    dd = _double_description([primitive(p + (1,)) for p in pts], n + 1)
-    if dd is None:
-        raise DegeneratePolytopeError(_affine_dim(pts))
-    facets = sorted(_normalize_halfspace(tuple(-x for x in r[:-1]), r[-1]) for r in dd[0])
-    vertices = tuple(pts[i] for i in _extreme(dd[1], len(pts)))
-    return Polytope(n, vertices, tuple(facets), n)
+    generators = [primitive(p + (1,)) for p in pts]
+    equations = nullspace(generators, n + 1)
+    both = [e for eq in equations for e in (eq, tuple(-x for x in eq))]
+    rays, zeros = _double_description(generators + both, n + 1)
+    full = (1 << len(pts)) - 1
+    zeros = [z & full for z in zeros]
+    normals = [r for r, z in zip(rays, zeros) if z] + both
+    facets = sorted((tuple(-x for x in r[:-1]), Fraction(r[-1])) for r in normals)
+    vertices = tuple(pts[i] for i in _extreme(zeros, len(pts)))
+    return Polytope(n, vertices, tuple(facets), n - len(equations))
 
 
 def check_consistency(p: Polytope, strict: bool = False) -> bool:
@@ -578,12 +612,6 @@ def _reeb_pairings(dual: Cone, xi):
             )
         pairings.append(pr)
     return xi, d, pairings
-
-
-def require_reeb(dual: Cone, xi) -> tuple:
-    """Validate that xi pairs strictly positively with every ray of the
-    weight cone; returns xi as an exact vector."""
-    return _reeb_pairings(dual, xi)[0]
 
 
 def reeb_slice(dual: Cone, xi):

@@ -173,5 +173,42 @@ def brute_lattice_points(p, m):
     return out
 
 
+def _primitive_row(a, b):
+    g = math.gcd(*a, b)
+    return tuple(x // g for x in a), b // g
+
+
+def fm_levels(rows, n):
+    """Fourier-Motzkin levels of an integer system A x <= b in n unknowns:
+    the independent oracle for the walker's levels.  x_n, ..., x_2 are
+    eliminated in turn, keeping every combination of an upper and a lower
+    row that is not a duplicate, and level k holds the rows of x_1..x_k
+    whose x_k coefficient is nonzero.  A combination 0 <= negative shows
+    the system infeasible over the rationals; level 1 is then the empty
+    range 1 <= x_1 <= -1."""
+    infeasible = False
+    current = set()
+    for a, b in rows:
+        if any(a):
+            current.add(_primitive_row(a, b))
+        infeasible |= not any(a) and b < 0
+    levels = [None] * n
+    for k in range(n, 0, -1):
+        pos = [(a, b) for a, b in sorted(current) if a[k - 1] > 0]
+        neg = [(a, b) for a, b in sorted(current) if a[k - 1] < 0]
+        levels[k - 1] = [(a[:k], b) for a, b in pos + neg]
+        current = {(a, b) for a, b in current if a[k - 1] == 0}
+        for (ap, bp), (an, bn) in itertools.product(pos, neg):
+            cp, cn = ap[k - 1], -an[k - 1]
+            comb = tuple(cn * x + cp * y for x, y in zip(ap, an))
+            rhs = cn * bp + cp * bn
+            if any(comb):
+                current.add(_primitive_row(comb, rhs))
+            infeasible |= not any(comb) and rhs < 0
+    if infeasible:
+        levels[0] = [((1,), -1), ((-1,), -1)]
+    return levels
+
+
 def setup_for(cone, xi, psi=None, eta=None, **kw):
     return PolarizedToricSetup(cone, xi, eta=eta, psi=psi, **kw)

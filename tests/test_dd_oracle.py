@@ -140,6 +140,40 @@ def test_triangulations_are_face_to_face(pts):
     assert_face_to_face(polytope_from_vertices(pts))
 
 
+@st.composite
+def flat_point_sets(draw):
+    """k+1 to k+3 points of rank 1-5 in an affine subspace of dimension
+    k = 0..n: a base point plus small integer combinations of k random
+    directions, so the affine dimension is at most k."""
+    n = draw(st.integers(1, 5))
+    k = n - draw(st.integers(0, n))
+    small = st.integers(-2, 2)
+    base = draw(st.tuples(*[small] * n))
+    directions = draw(st.lists(st.tuples(*[small] * n), min_size=k, max_size=k))
+    combos = draw(st.lists(st.tuples(*[small] * k), min_size=k + 1, max_size=k + 3))
+    return n, [tuple(b + sum(c * v[i] for c, v in zip(cs, directions)) for i, b in enumerate(base))
+               for cs in combos]
+
+
+@seed(20261019)
+@settings(SETTINGS, max_examples=80)
+@given(flat_point_sets())
+@example((3, [(1, 2, 0)]))  # a single point: equations only
+@example((1, [(0,), (2,)]))  # a segment of the line
+def test_hulls_of_any_dimension(case):
+    """The hull has the affine dimension of the points, its halfspaces hold
+    them and give back its vertices, and a full-dimensional one matches the
+    subset-hull oracle."""
+    n, pts = case
+    hull = polytope_from_vertices(pts)
+    assert hull.affine_dim == rank_of([tuple(x - y for x, y in zip(p, pts[0])) for p in pts[1:]])
+    assert all(dot(a, p) <= b for p in pts for a, b in hull.halfspaces)
+    again = polytope_from_halfspaces(n, hull.halfspaces, assume_bounded=True)
+    assert again.vertices == hull.vertices
+    if hull.affine_dim == n > 1:
+        assert (list(hull.vertices), list(hull.halfspaces)) == brute_hull(pts)
+
+
 # -- random inequality systems -------------------------------------------------
 
 

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import brute_lattice_points, min_form
+from conftest import brute_lattice_points, fm_levels, min_form
 from reebvol import lattice
-from reebvol.arith import dot
-from reebvol.errors import DegeneratePolytopeError, UnsupportedGeometryError
+from reebvol.arith import dot, rank_of
+from reebvol.errors import UnsupportedGeometryError
 from reebvol.grading import GradedSetup, s_m
 from reebvol.polyhedra import Cone, dual_cone, polytope_from_vertices, reeb_slice
 
@@ -88,7 +88,7 @@ def brute_leaves(n, rows, box):
 @example((1, [((3,), 5), ((-2,), 1)], [(-1, 1)]))
 def test_prefix_bounds_leaves_match_brute_force(case):
     n, rows, box = case
-    assert list(lattice.PrefixBounds(rows, n).leaves()) == brute_leaves(n, rows, box)
+    assert list(lattice.PrefixBounds(fm_levels(rows, n)).leaves()) == brute_leaves(n, rows, box)
 
 
 @pytest.mark.parametrize("rows, nvars", [
@@ -98,7 +98,70 @@ def test_prefix_bounds_leaves_match_brute_force(case):
 ])
 def test_unbounded_direction_raises(rows, nvars):
     with pytest.raises(UnsupportedGeometryError):
-        list(lattice.PrefixBounds(rows, nvars).leaves())
+        list(lattice.PrefixBounds(fm_levels(rows, nvars)).leaves())
+
+
+@st.composite
+def walked_bodies(draw):
+    """A random polytope of rank 1-5 and a level 1-4: the hull of n+1 or
+    n+2 small rational points, mostly full-dimensional; the hull of 1 to
+    n+1 points with one coordinate made flat; or the slice P of a random
+    cone with n or n+1 rays at their sum.  At rank 5 the bodies are
+    simplices: the Fourier-Motzkin levels grow fast with the facets."""
+    n = draw(st.integers(1, 5))
+    more = 0 if n == 5 else 1
+    kind = draw(st.sampled_from(["hull", "flat", "slice"]))
+    if kind == "slice":
+        rays = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * (n - 1)).map(lambda r: r + (1,)),
+                             min_size=n, max_size=n + more))
+        assume(rank_of(rays) == n)
+        sigma = Cone.from_rays(rays)
+        xi = tuple(sum(r[i] for r in sigma.rays) for i in range(n))
+        p = reeb_slice(dual_cone(sigma), xi)[1]
+    else:
+        d = draw(st.integers(1, 3))
+        coord = st.integers(-d, d).map(lambda k: F(k, d))
+        flat = kind == "flat"
+        pts = draw(st.lists(st.tuples(*[coord] * n), min_size=1 if flat else n + 1,
+                            max_size=n + more + (not flat)))
+        if flat:
+            i, c = draw(st.integers(0, n - 1)), draw(coord)
+            pts = [v[:i] + (c,) + v[i + 1:] for v in pts]
+        p = polytope_from_vertices(pts)
+    return p, draw(st.integers(1, 4))
+
+
+def leaves_of(points):
+    """The leaves of lattice points in ascending lexicographic order."""
+    out = []
+    for prefix, group in itertools.groupby(points, key=lambda u: u[:-1]):
+        last = [u[-1] for u in group]
+        assert last == list(range(last[0], last[-1] + 1))  # a slice is convex
+        out.append((prefix, last[0], last[-1]))
+    return out
+
+
+@seed(20261019)
+@settings(max_examples=80, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(walked_bodies(), st.data())
+def test_projected_levels_walk_the_fourier_motzkin_leaves(case, data):
+    """In every walk order, the walker on the body's projection hulls yields
+    the leaves of the bounding-box oracle and those of the walker on the
+    Fourier-Motzkin levels of its rows.  At rank 5 the Fourier-Motzkin
+    levels take about 0.15 s per order, so they are compared in one drawn
+    order there."""
+    p, m = case
+    n = p.rank
+    points = brute_lattice_points(p, m)
+    fm_order = data.draw(st.permutations(range(n))) if n == 5 else None
+    for order in itertools.permutations(range(n)):
+        leaves = list(lattice._walker(p, m, order).leaves())
+        assert leaves == leaves_of(sorted(tuple(u[i] for i in order) for u in points))
+        if n < 5 or list(order) == fm_order:
+            rows = [(tuple(b.denominator * a[i] for i in order), b.numerator)
+                    for a, b in ((a, F(b) * m) for a, b in p.halfspaces)]
+            assert leaves == list(lattice.PrefixBounds(fm_levels(rows, n)).leaves())
 
 
 @st.composite
@@ -200,13 +263,9 @@ def bodies_and_branches(draw, n):
     d = draw(st.integers(1, 3))
     low = -d if n <= 3 else 0
     coord = st.integers(low, d).map(lambda k: F(k, d))
-    # simplices at rank 4: more facets grow the Fourier-Motzkin levels in
-    # some orders, and every reduction builds them anew
     pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=min(n + 3, 5)))
-    try:
-        p = polytope_from_vertices(pts)
-    except DegeneratePolytopeError:
-        assume(False)
+    p = polytope_from_vertices(pts)
+    assume(p.affine_dim == n)
     m = draw(st.integers(0, 40 if n <= 2 else 12))
     k = draw(st.integers(1, 3))
     linears = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=k, max_size=k))
@@ -284,9 +343,7 @@ def leaves_walked(monkeypatch, walk):
 
 
 def widest_walk(p, m, widest):
-    rows = [(tuple(a[i] for i in innermost(p.rank, widest)), b)
-            for a, b in lattice.int_rows_from_polytope(p, m)]
-    return lambda: list(lattice.PrefixBounds(rows, p.rank).leaves())
+    return lambda: list(lattice._walker(p, m, innermost(p.rank, widest)).leaves())
 
 
 def test_walks_take_the_widest_axis_innermost(orthant3, monkeypatch):
@@ -299,3 +356,25 @@ def test_walks_take_the_widest_axis_innermost(orthant3, monkeypatch):
     assert lattice._walk_order(q) == [0, 1, 3, 2]  # three widest axes tie: the highest wins
     walked = leaves_walked(monkeypatch, lambda: lattice.count_points(q, 16))
     assert walked <= leaves_walked(monkeypatch, widest_walk(q, 16, 2))
+
+
+CUBE7 = [list(s) + [1] for s in itertools.product((-1, 1), repeat=6)]
+CROSS7 = [[s * int(i == j) for j in range(6)] + [1] for i in range(6) for s in (-1, 1)]
+
+
+@pytest.mark.parametrize("rays, counts, rows", [
+    (CUBE7, (14, 99), [2, 4, 8, 16, 32, 33, 64]),
+    (CROSS7, (730, 16355), [2, 2, 2, 2, 2, 11, 2]),
+])
+def test_rank_seven_cones_walk_their_projections(rays, counts, rows):
+    """The rank-7 cube and cross-polytope cones at xi = e_7: counts and
+    points against the oracle, and the rows per level of the walker, which
+    holds each projection's facets (the cap u_7 <= 1 has no coefficient
+    along the innermost axis)."""
+    q = _cone_q_p(rays, (0,) * 6 + (1,))[0]
+    for m, count in zip((1, 2), counts):
+        points = brute_lattice_points(q, m)
+        assert lattice.count_points(q, m) == len(points) == count
+        assert list(lattice.iter_points(q, m)) == points
+    walker = lattice._walker(q, 1, lattice._walk_order(q))
+    assert [len(upper) + len(lower) for upper, lower in walker._split[1:]] == rows
