@@ -234,9 +234,12 @@ def rank_of(vectors) -> int:
 def primitive(v) -> tuple:
     """Scale a nonzero rational vector to its primitive integer representative,
     preserving direction."""
-    fr = [rat(x) for x in v]
-    d = math.lcm(*(x.denominator for x in fr))
-    ints = [x.numerator * (d // x.denominator) for x in fr]
+    if all(type(x) is int for x in v):
+        ints = v
+    else:
+        fr = [rat(x) for x in v]
+        d = math.lcm(*(x.denominator for x in fr))
+        ints = [x.numerator * (d // x.denominator) for x in fr]
     g = math.gcd(*ints)
     if not g:
         raise ValueError("zero vector has no primitive representative")

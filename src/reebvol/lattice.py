@@ -6,23 +6,33 @@ projection onto its first k coordinates, as integer rows split once by
 the sign of their x_k coefficient.  Those projections are the hulls of the
 projected vertices (``Polytope.walk_levels``), built by the one
 double-description core, once per body and walk order, and a dilation m
-only scales their offsets, so every level m of a body shares them.  A node
-forms the residual r = b - head.prefix of each row of its children's level
-once, and each child x then gets its bounds as min((r - c*x) // a) over
-the upper rows and the matching integer ceiling over the lower ones: a
-subtraction and a floor division per row.  The nodes whose children are
-leaves come out in ascending lexicographic order, their children as
-integer columns: the penultimate coordinate x and the range lo..hi of the
-last one.  No bounding box is ever materialized.
+only scales their offsets, so every level m of a body shares them.
+
+The walk is level-synchronous: it fixes one coordinate for a whole chunk
+of prefixes at once, as integer columns.  Every row of a deeper level, and
+every affine form the caller asks for, carries its residual at each
+prefix, so a child x of a prefix gets its bound on the next coordinate as
+(r + c*x) // d, min over the upper rows and max over the lower ones: an
+addition and a floor division per row class.  Rows (or forms) that agree
+on every coefficient not yet fixed and on the divisor share one residual,
+their min or max, as the floor division is monotone; a row with a zero
+coefficient on the coordinate being fixed gives one scalar per parent.
+Each level takes at most ``BATCH`` children per step, splitting a parent's
+range where a step ends, so the frontier stays bounded whatever the level
+m.  The leaves come out in batches, in ascending lexicographic order
+across node boundaries: the forms' values at each leaf's prefix and the
+range lo..hi of the last coordinate.  No bounding box is ever
+materialized.
 
 Streaming enumeration expands each leaf's range in the natural coordinate
 order, as its output is lexicographic.  The reductions (point counts, sums
 and maxima of a minimum of integer affine forms, value histograms) take the
-innermost coordinate from ``_walk_order`` and reduce each node as one batch
-of columns, in integers only, without visiting points.  The branches of one
-slope along the last coordinate form a group, and one floor division per
-pair of groups and leaf bounds the piece of the leaf where a group is the
-minimum; the clamp cuts each piece at its zero.  Sums are closed forms over
+innermost coordinate from ``_walk_order`` and reduce each leaf batch as
+columns, in integers only, without visiting points.  The branches of one
+slope along the last coordinate form a group, whose least offset at each
+leaf is one of the walk's form values, and one floor division per pair of
+groups and leaf bounds the piece of the leaf where a group is the minimum;
+the clamp cuts each piece at its zero.  Sums are closed forms over
 the pieces.  A histogram marks two endpoint events per varying piece, keyed
 by its step, and one sorted sweep per step writes each covered value once,
 with its count.
@@ -35,11 +45,12 @@ points, and the progressions of a slice form one batch of the same reducer.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import chain, combinations, compress, repeat
+from itertools import accumulate, chain, combinations, compress, repeat
 from math import gcd, lcm
-from operator import add, ge, le, mul, sub
+from operator import add, ge, itemgetter, le, mul, sub
 
 from .errors import UnsupportedGeometryError
 from .polyhedra import reeb_slice
@@ -47,6 +58,9 @@ from .polyhedra import reeb_slice
 # ---------------------------------------------------------------------------
 # integer inequality systems
 # ---------------------------------------------------------------------------
+
+
+BATCH = 1024  # the most leaves, or children of one level, that one batch holds
 
 
 class PrefixBounds:
@@ -57,80 +71,182 @@ class PrefixBounds:
     Each level's rows are split once by the sign of their x_k coefficient
     into upper and lower bounds of x_k.  A row with a zero x_k coefficient
     is left out: it bounds the projection onto x_1..x_{k-1} too, where the
-    walk has already enforced it."""
+    walk has already enforced it.
+
+    ``batches`` fixes one coordinate per level for a whole chunk of
+    prefixes at once, as integer columns.  Every bound row of a deeper
+    level, and every affine form that the caller asks for, carries its
+    residual at each prefix; rows or forms that agree on every coefficient
+    not yet fixed and on the divisor carry one residual, their min or max.
+    So the rows of the next level that share the coefficient being fixed
+    and the divisor are one column, those with a zero coefficient there one
+    scalar per parent, and the forms of one group that share their last
+    prefix coefficient one column before the last expansion.  Each level
+    expands at most ``BATCH`` children per step, splitting a parent's range
+    where a step ends, so the frontier stays bounded: about ``BATCH``
+    entries per level and column, whatever the size of the body."""
 
     def __init__(self, levels):
         self.nvars = len(levels)
         self._split = [None] + [
-            ([_bound_row(a, b, k, -1) for a, b in rows if a[-1] > 0],
-             [_bound_row(a, b, k, 1) for a, b in rows if a[-1] < 0])
-            for k, rows in enumerate(levels, 1)]
+            ([_bound_row(a, b, -1) for a, b in rows if a[-1] > 0],
+             [_bound_row(a, b, 1) for a, b in rows if a[-1] < 0])
+            for rows in levels]
 
-    def _children(self, k, prefix, lo, hi):
-        """Columns (xs, los, his): the x in lo..hi over whose prefix
-        ``prefix + (x,)`` x_k has a nonempty integer range los[i]..his[i];
-        at k = 1 the prefix is empty and x a placeholder."""
-        upper, lower = self._split[k]
+    def batches(self, groups=()):
+        """Batches (values, los, his) of the leaves in ascending
+        lexicographic order of their prefix x_1..x_{n-1}: for leaf i,
+        los[i]..his[i] is the nonempty integer range of x_n, and values[g][i]
+        is the least of the affine forms (linear, const) of ``groups[g]`` at
+        the prefix, ``linear`` having n - 1 integer entries.  A batch holds
+        at most ``BATCH`` leaves."""
+        families = [(min, [(tuple(l), 1, c) for l, c in group]) for group in groups]
+        for upper, lower in self._split[2:]:
+            families += [(max, lower), (min, upper)]
+        upper, lower = self._split[1]
         if not upper or not lower:
             raise UnsupportedGeometryError("unbounded direction in lattice enumeration")
-        xs = range(lo, hi + 1)
-        los = _envelope(lower, prefix, xs, max)
-        his = _envelope(upper, prefix, xs, min)
-        if all(map(le, los, his)):
-            return xs, los, his
-        keep = list(map(le, los, his))
-        return list(compress(xs, keep)), list(compress(los, keep)), list(compress(his, keep))
-
-    def nodes(self):
-        """Every node whose children are leaves, as (head, xs, los, his) in
-        ascending lexicographic order of head: ``head`` fixes x_1..x_{n-2},
-        and for each x_{n-1} = xs[i] whose slice holds an integer point,
-        los[i]..his[i] is the range of x_n.  At nvars = 1 the one node is
-        the root, with an empty head and a placeholder x = 0."""
-        stack = [((), 1, 0, 0)]  # (prefix, k, lo, hi): x_{k-1} ranges over lo..hi
-        while stack:
-            prefix, k, lo, hi = stack.pop()
-            xs, los, his = self._children(k, prefix, lo, hi)
-            if k < self.nvars:  # the root's x is a placeholder, not a coordinate
-                stack.extend(((prefix + (x,))[:k - 1], k + 1, l, h)
-                             for x, l, h in zip(reversed(xs), reversed(los), reversed(his)))
-            elif xs:
-                yield prefix, xs, los, his
+        lo, hi = max(r // d for _, d, r in lower), min(r // d for _, d, r in upper)
+        if lo > hi:
+            return
+        layout, chunk = [], []  # the root's classes, one column of one entry each
+        for f, (pick, members) in enumerate(families):
+            least = {}
+            for coefs, d, r in members:
+                least[coefs, d] = pick(least[coefs, d], r) if (coefs, d) in least else r
+            layout += [(f, coefs, d) for coefs, d in least]
+            chunk += [[r] for r in least.values()]
+        chunks = [(chunk, [lo], [hi])]
+        for upper, lower in self._split[2:]:
+            layout, specs = _step(families, layout)
+            chunks = _expand_all(specs, chunks, not upper or not lower)
+        yield from chunks
 
     def leaves(self):
         """Every innermost slice of the system: (prefix, lo, hi) with
         len(prefix) == nvars - 1 and lo..hi the integer range of the last
         coordinate, in ascending lexicographic order of prefix."""
-        for head, xs, los, his in self.nodes():
-            prefixes = repeat(()) if self.nvars == 1 else (head + (x,) for x in xs)
-            yield from zip(prefixes, los, his)
+        n = self.nvars - 1
+        coords = [[(tuple(int(i == j) for j in range(n)), 0)] for i in range(n)]
+        for values, los, his in self.batches(coords):
+            yield from zip(zip(*values) if n else repeat(()), los, his)
 
 
-def _bound_row(a, b, k, sign):
-    """Row a.x <= b of level k as (h, c, d, r) with d > 0: at a prefix
-    head + (x,) of length k - 1, it bounds x_k by (r + h.head + c*x) // d,
-    from above for sign -1 (a_k > 0) and, as an integer ceiling, from below
-    for sign 1 (a_k < 0)."""
-    d = -sign * a[k - 1]
-    h = tuple(sign * v for v in a[:k - 2]) if k > 1 else ()
-    c = sign * a[k - 2] if k > 1 else 0
-    return h, c, d, (b if sign < 0 else d - 1 - b)
+def _bound_row(a, b, sign):
+    """Row a.x <= b of level k as (coefs, d, r) with d > 0: at a prefix x of
+    length k - 1, it bounds x_k by (r + coefs.x) // d, from above for sign -1
+    (a_k > 0) and, as an integer ceiling, from below for sign 1 (a_k < 0)."""
+    d = -sign * a[-1]
+    return tuple(sign * v for v in a[:-1]), d, (b if sign < 0 else d - 1 - b)
 
 
-def _envelope(rows, prefix, xs, pick):
-    """The list of ``pick`` over bound rows (h, c, d, r) of
-    (r + h.prefix + c*x) // d, for each x in the range ``xs``: the residual
-    r + h.prefix is formed once."""
-    fixed, cols = None, []
-    for h, c, d, r in rows:
-        r += sum(map(mul, h, prefix))
-        if c:
-            cols.append([(r + c * x) // d for x in xs])
+def _step(families, layout):
+    """The column specs that fix the next coordinate, and the layout of the
+    carried columns after it.  ``layout`` names each carried column by
+    (family, coefs, d), coefs starting at the coordinate to fix.  A spec
+    (pick, fixed, moving) builds one column of the children: ``pick`` over
+    the parent's r // d for the fixed terms (i, d), whose coefficient is 0,
+    and over (the ``pick`` of r + a*x over the moving terms (i, a) of one
+    divisor d) // d for each (d, terms) of ``moving``, r being column i.  A
+    family whose coefficients end at this coordinate gives one column, the
+    others one per class of equal remaining coefficients and divisor.  The
+    specs of the carried columns come first, then those of the ending
+    families in family order."""
+    carried, ends = {}, {}
+    for i, (f, coefs, d) in enumerate(layout):
+        if len(coefs) > 1:
+            fixed, moving = carried.setdefault((f, coefs[1:], d), ([], {}))
+            d = 1
         else:
-            fixed = r // d if fixed is None else pick(fixed, r // d)
-    if fixed is not None:
-        cols.append([fixed] * len(xs))
-    return cols[0] if len(cols) == 1 else list(map(pick, *cols))
+            fixed, moving = ends.setdefault((f,), ([], {}))
+        if coefs[0]:
+            moving.setdefault(d, []).append((i, coefs[0]))
+        else:
+            fixed.append((i, d))
+    specs = [(families[key[0]][0], fixed, list(moving.items()))
+             for key, (fixed, moving) in chain(carried.items(), sorted(ends.items()))]
+    return list(carried), specs
+
+
+def _expand_all(specs, chunks, unbounded):
+    """The chunks of the children of ``chunks``, fixing their next
+    coordinate; each holds at most ``BATCH`` children, none with an empty
+    range."""
+    for chunk in chunks:
+        if unbounded:
+            raise UnsupportedGeometryError("unbounded direction in lattice enumeration")
+        for part in _parts(*chunk):
+            children = _expand(specs, *part)
+            if children[1]:
+                yield children
+
+
+def _parts(cols, los, his):
+    """A chunk of nodes cut into runs of at most ``BATCH`` children, in
+    order; a parent whose range the cut meets is split between two runs."""
+    ends = list(accumulate(map(sub, his, los)))
+    total = ends[-1] + len(ends)
+    if total <= BATCH:
+        yield cols, los, his
+        return
+    ends = list(map(add, ends, range(1, len(ends) + 1)))  # children up to each parent
+    for start in range(0, total, BATCH):
+        stop = min(start + BATCH, total)
+        i, j = bisect_right(ends, start), bisect_left(ends, stop)
+        part_los, part_his = los[i:j + 1], his[i:j + 1]
+        part_los[0] = his[i] + 1 - (ends[i] - start)
+        part_his[-1] = his[j] - (ends[j] - stop)
+        yield [col[i:j + 1] for col in cols], part_los, part_his
+
+
+def _expand(specs, cols, los, his):
+    """The children (cols, los, his) of the nodes (cols, los, his): one per x
+    in each node's range, with the columns of ``specs``, the last two being
+    the new range.  Children with an empty range are dropped."""
+    ends = list(map(add, his, repeat(1)))
+    xs = list(chain.from_iterable(map(range, los, ends)))
+    # a parent's column entry, once per child
+    spread = (itemgetter(*chain.from_iterable(map(repeat, range(len(los)), map(sub, ends, los))))
+              if len(los) > 1 else lambda col: col * len(xs))
+    steps = {}
+
+    def moved(i, a):
+        """r + a*x at each child, r being column i at its parent."""
+        if a == 1:
+            return map(add, spread(cols[i]), xs)
+        if a == -1:
+            return map(sub, spread(cols[i]), xs)
+        if a not in steps:
+            steps[a] = list(map(mul, xs, repeat(a)))
+        return map(add, spread(cols[i]), steps[a])
+
+    out = []
+    for pick, fixed, moving in specs:
+        parts = []
+        if fixed:
+            parts.append(list(spread(_pick(pick, [cols[i] if d == 1 else [r // d for r in cols[i]]
+                                                  for i, d in fixed]))))
+        for d, terms in moving:
+            col = _pick(pick, [moved(i, a) for i, a in terms])
+            parts.append(list(col) if d == 1 else [r // d for r in col])
+        out.append(_pick(pick, parts))
+    if all(map(le, out[-2], out[-1])):
+        return out[:-2], out[-2], out[-1]
+    keep = list(map(le, out[-2], out[-1]))
+    *cols, los, his = [list(compress(col, keep)) for col in out]
+    return cols, los, his
+
+
+def _pick(pick, cols):
+    """The elementwise ``pick`` (min or max) of nonempty ``cols``, which may
+    be iterators when there are several."""
+    col = cols[0]
+    for other in cols[1:]:
+        if pick is min:
+            col = [u if u < v else v for u, v in zip(col, other)]
+        else:
+            col = [u if u > v else v for u, v in zip(col, other)]
+    return col
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +283,7 @@ def count_points(p, m, jobs=1):
         return 0
     if m == 0:
         return 1
-    return sum(_size(los, his) for _, _, los, his in _walker(p, m, _walk_order(p)).nodes())
+    return sum(_size(los, his) for _, los, his in _walker(p, m, _walk_order(p)).batches())
 
 
 def _walk_order(p, branches=None):
@@ -253,49 +369,17 @@ def floor_sum(n, m, a, b):
     return ans
 
 
-def _slope_groups(slopes, pens):
-    """The distinct ``slopes``, descending, each with its branches as (c, ix)
-    per penultimate coefficient c in ``pens``: the branches ix share the
-    slope and c, so the least of their offsets is their minimum."""
-    keys = sorted(set(slopes), reverse=True)
-    return keys, [[(c, [b for b in range(len(pens)) if slopes[b] == k and pens[b] == c])
-                   for c in sorted({c for c, B in zip(pens, slopes) if B == k})]
-                  for k in keys]
-
-
-def _group_columns(groups, offsets, xs):
-    """The offset column of each group over ``xs``: the elementwise min of
-    its lines a + c*x, a being the least offset among its branches of
-    penultimate coefficient c."""
-    cols = []
-    for lines in groups:
-        least = [min(map(offsets.__getitem__, ix)) for _, ix in lines]
-        cols.append(_least([[a + c * x for x in xs] if c else [a] * len(xs)
-                            for a, (c, _) in zip(least, lines)]))
-    return cols
-
-
-def _least(cols):
-    """The elementwise min of nonempty ``cols``."""
-    col = cols[0]
-    for other in cols[1:]:
-        col = [u if u < v else v for u, v in zip(col, other)]
-    return col
-
-
-def _node_pieces(p, m, branches, clamp):
-    """One batch (los, his, pieces) per walker node of m*p, coordinates in
-    the order of ``_walk_order``: its leaves' ranges of the last coordinate
-    and their ``_pieces``, the node's offsets formed once."""
+def _piece_batches(p, m, branches, clamp):
+    """One batch (los, his, pieces) per leaf batch of the walk of m*p,
+    coordinates in the order of ``_walk_order``: the leaves' ranges of the
+    last coordinate and their ``_pieces``.  The branches of one slope along
+    the last coordinate form one group of the walk's forms."""
     order = _walk_order(p, branches)
     bd = branches.permuted(order)
-    pb = _walker(p, m, order)
-    pens = [l[-2] if pb.nvars > 1 else 0 for l in bd.linears]
-    slopes, groups = _slope_groups([l[-1] for l in bd.linears], pens)
-    lines = list(zip(bd.linears, bd.consts))
-    for head, xs, los, his in pb.nodes():
-        offsets = [c + sum(map(mul, l, head)) for l, c in lines]
-        yield los, his, _pieces(slopes, _group_columns(groups, offsets, xs), los, his, clamp)
+    slopes = sorted({l[-1] for l in bd.linears}, reverse=True)
+    groups = [[(l[:-1], c) for l, c in zip(bd.linears, bd.consts) if l[-1] == B] for B in slopes]
+    for cols, los, his in _walker(p, m, order).batches(groups):
+        yield los, his, _pieces(slopes, cols, los, his, clamp)
 
 
 def _pieces(slopes, cols, los, his, clamp):
@@ -372,7 +456,7 @@ def count_and_sum(p, m, branches, floor_mode=False, clamp=False):
     if m == 0:
         return 1, _scaled(_origin(branches, clamp), branches.denom, floor_mode)
     count = total = 0
-    for los, his, pieces in _node_pieces(p, m, branches, clamp):
+    for los, his, pieces in _piece_batches(p, m, branches, clamp):
         count += _size(los, his)
         total += _total(pieces, branches.denom, floor_mode)
     return count, (Fraction(total) if floor_mode else Fraction(total, branches.denom))
@@ -393,7 +477,7 @@ def max_value(p, m, branches, floor_mode=False, clamp=False):
         return _scaled(_origin(branches, clamp), branches.denom, floor_mode)
     best = max(chain.from_iterable(
         compress(map(add, A, map(mul, es if B >= 0 else ss, repeat(B))), map(ge, es, ss))
-        for _, _, pieces in _node_pieces(p, m, branches, False) for B, A, ss, es in pieces),
+        for _, _, pieces in _piece_batches(p, m, branches, False) for B, A, ss, es in pieces),
         default=None)
     if best is None:
         return None
@@ -421,7 +505,7 @@ def value_histogram(p, m, branches, floor_mode=False, clamp=False, jobs=1):
         return {v // D if floor_mode else v: 1}
     hist = Counter()
     firsts, lasts = defaultdict(list), defaultdict(list)  # per step |B|
-    for los, his, pieces in _node_pieces(p, m, branches, clamp):
+    for los, his, pieces in _piece_batches(p, m, branches, clamp):
         zeros = clamp and _size(los, his) - sum(_size(ss, es) for _, _, ss, es in pieces)
         if zeros:
             hist[0] += zeros
@@ -509,7 +593,7 @@ def level_sum(runs, branches, floor_mode=False, clamp=False):
     offsets = [[c + sum(map(mul, l, u0)) for u0, _, _ in runs]
                for l, c in zip(branches.linears, branches.consts)]
     keys = sorted(set(slopes), reverse=True)
-    cols = [_least([col for col, B in zip(offsets, slopes) if B == k]) for k in keys]
+    cols = [_pick(min, [col for col, B in zip(offsets, slopes) if B == k]) for k in keys]
     pieces = _pieces(keys, cols, [0] * len(runs), [k for _, _, k in runs], clamp)
     total = _total(pieces, branches.denom, floor_mode)
     return Fraction(total) if floor_mode else Fraction(total, branches.denom)

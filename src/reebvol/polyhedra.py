@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, floor, gcd, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 
 from .arith import (
@@ -356,11 +356,10 @@ class Polytope:
         """For each halfspace, the bitmask of the vertices on its hyperplane."""
         d, points = self.integer_vertices
         masks = []
-        for a, b in self.halfspaces:
-            *normal, offset = primitive(tuple(a) + (-b,))
-            offset *= d
+        for a, b in self.halfspaces:  # <a, x/d> = b: compare <a, x>*den with num*d
+            den, num = b.denominator, b.numerator * d
             masks.append(sum(1 << i for i, x in enumerate(points)
-                             if sum(map(mul, normal, x)) + offset == 0))
+                             if sum(map(mul, a, x)) * den == num))
         return tuple(masks)
 
     @cached_property
@@ -396,7 +395,8 @@ class Polytope:
             levels = [(((1,), max(first)), ((-1,), -min(first)))]
             for k in range(2, len(order) + 1):
                 if k == self.rank:
-                    levels.append(tuple((tuple(a[i] for i in order), floor(d * b))
+                    levels.append(tuple((tuple(a[i] for i in order),
+                                         d * b.numerator // b.denominator)
                                         for a, b in self.halfspaces))
                     continue
                 hull = polytope_from_vertices([tuple(x[i] for i in order[:k]) for x in points])
@@ -549,7 +549,7 @@ def polytope_from_vertices(points) -> Polytope:
     {(p, 1)}.  The integer nullspace of the generators, added both ways,
     makes that dual pointed and gives the hull's equations, each as two
     opposite halfspaces."""
-    pts = sorted({vec(p) for p in set(map(tuple, points))})
+    pts = sorted({p if all(type(x) is int for x in p) else vec(p) for p in map(tuple, points)})
     if not pts:
         return Polytope(0, (), (), -1)
     n = len(pts[0])
@@ -562,7 +562,7 @@ def polytope_from_vertices(points) -> Polytope:
     zeros = [z & full for z in zeros]
     normals = [r for r, z in zip(rays, zeros) if z] + both
     facets = sorted((tuple(-x for x in r[:-1]), Fraction(r[-1])) for r in normals)
-    vertices = tuple(pts[i] for i in _extreme(zeros, len(pts)))
+    vertices = tuple(vec(pts[i]) for i in _extreme(zeros, len(pts)))
     return Polytope(n, vertices, tuple(facets), n - len(equations))
 
 

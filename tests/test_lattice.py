@@ -2,6 +2,7 @@
 against brute force."""
 
 import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 from unittest import mock
@@ -205,8 +206,9 @@ def test_leaf_pieces_match_direct_evaluation(case, clamp):
     Pieces are maximal: consecutive ones differ in (A, B); so are the
     unclamped ones."""
     bvals, leaves = case
-    slopes, groups = lattice._slope_groups(bvals, [0] * len(bvals))
-    cols = [[min(avals[b] for b in ix) for avals, _, _ in leaves] for (_, ix), in groups]
+    slopes = sorted(set(bvals), reverse=True)
+    cols = [[min(a for a, b in zip(avals, bvals) if b == B) for avals, _, _ in leaves]
+            for B in slopes]
     los, his = [lo for _, lo, _ in leaves], [hi for _, _, hi in leaves]
     for mode in {clamp, False}:
         batch = lattice._pieces(slopes, cols, los, his, mode)
@@ -326,19 +328,68 @@ def test_reductions_on_degenerate_and_rank_one_bodies(body, bd, m):
     assert_reductions_match(body, m, bd, brute_lattice_points(body, m))
 
 
-def leaves_walked(monkeypatch, walk):
-    """The leaves that ``walk()`` visits, counted at ``PrefixBounds.nodes``."""
-    walked = []
-    real = lattice.PrefixBounds.nodes
+LEVELS = {1: 30, 2: 16, 3: 6, 4: 3, 5: 2}  # the bounding-box oracle stays small
 
-    def nodes(self):
-        for head, xs, los, his in real(self):
+
+@st.composite
+def batched_walks(draw):
+    """A batch size 1-7, so that batches end inside nodes and inside the
+    chunks of every level, with a random full-dimensional polytope of rank
+    1-5 at a level, 1-3 integer branches, and a cone whose rays end in 1
+    with its Reeb vector (the sum of the rays) and a degree."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 2))
+    coord = st.integers(-d if n <= 3 else 0, d).map(lambda k: F(k, d))
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 2))
+    p = polytope_from_vertices(pts)
+    assume(p.affine_dim == n)
+    m = draw(st.integers(1, LEVELS[n]))
+    k = draw(st.integers(1, 3))
+    linears = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=k, max_size=k))
+    consts = draw(st.lists(st.integers(-6 * m - 6, 6), min_size=k, max_size=k))
+    bd = lattice.BranchData(linears, consts, draw(st.integers(1, 3)))
+    rays = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * (n - 1)).map(lambda r: r + (1,)),
+                         min_size=n, max_size=n + 1))
+    assume(rank_of(rays) == n)
+    xi = tuple(sum(r[i] for r in rays) for i in range(n))
+    return draw(st.integers(1, 7)), p, m, bd, rays, xi, draw(st.integers(0, LEVELS[n]))
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(batched_walks())
+def test_batches_may_end_anywhere(case):
+    """With batches of 1-7 leaves, and chunks of 1-7 children at every
+    level, the reductions in all four modes, the lexicographic point stream
+    and the degree slices all match the bounding-box oracle."""
+    size, p, m, bd, rays, xi, t = case
+    with mock.patch.object(lattice, "BATCH", size):
+        points = brute_lattice_points(p, m)
+        assert list(lattice.iter_points(p, m)) == points
+        assert_reductions_match(p, m, bd, points)
+        slice_p = reeb_slice(dual_cone(Cone.from_rays(rays)), xi)[1]
+        runs = lattice.level_runs(slice_p, xi, t)
+        expanded = [tuple(x + i * y for x, y in zip(u0, du)) for u0, du, k in runs
+                    for i in range(k + 1)]
+        assert sorted(expanded) == brute_lattice_points(slice_p, t)
+
+
+def leaves_walked(monkeypatch, walk):
+    """The leaves that ``walk()`` visits, counted at ``PrefixBounds.batches``;
+    a walk that visits none fails, so no bound holds vacuously."""
+    walked = []
+    real = lattice.PrefixBounds.batches
+
+    def batches(self, groups=()):
+        for values, los, his in real(self, groups):
             walked.append(len(los))
-            yield head, xs, los, his
+            yield values, los, his
 
     with monkeypatch.context() as mp:
-        mp.setattr(lattice.PrefixBounds, "nodes", nodes)
+        mp.setattr(lattice.PrefixBounds, "batches", batches)
         walk()
+    assert sum(walked) > 0
     return sum(walked)
 
 
@@ -348,14 +399,32 @@ def widest_walk(p, m, widest):
 
 def test_walks_take_the_widest_axis_innermost(orthant3, monkeypatch):
     """Two branches crossing along every axis, and no branches at all: either
-    way the cheapest innermost axis is the widest one."""
+    way the cheapest innermost axis is the widest one.  The leaf counts are
+    pinned: batching the leaves does not change the walk."""
     g = GradedSetup(dual_cone(orthant3), (1, 2, 3), min_form((1, 0, 0), (0, 1, 1)))
     walked = leaves_walked(monkeypatch, lambda: s_m(g, 60))
-    assert walked <= leaves_walked(monkeypatch, widest_walk(g.q, 60, 0))
+    assert walked == leaves_walked(monkeypatch, widest_walk(g.q, 60, 0)) == 331
     q = _cone_q_p(CROSS4, (0, 0, 0, 1))[0]
     assert lattice._walk_order(q) == [0, 1, 3, 2]  # three widest axes tie: the highest wins
     walked = leaves_walked(monkeypatch, lambda: lattice.count_points(q, 16))
-    assert walked <= leaves_walked(monkeypatch, widest_walk(q, 16, 2))
+    assert walked == leaves_walked(monkeypatch, widest_walk(q, 16, 2)) == 6545
+
+
+def test_walk_memory_stays_flat_in_the_level():
+    """The frontier holds about ``BATCH`` entries per level and column, not
+    a whole level: from m = 20 to m = 40 the leaves of the rank-4
+    cross-polytope cone's Q grow about 7-fold, its traced peak barely."""
+    q = _cone_q_p(CROSS4, (0, 0, 0, 1))[0]
+    lattice.count_points(q, 1)  # the walk levels are kept with q, outside the trace
+    peaks = []
+    for m in (20, 40):
+        tracemalloc.start()
+        try:
+            lattice.count_points(q, m)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0] and peaks[1] < 2 * 2**20
 
 
 CUBE7 = [list(s) + [1] for s in itertools.product((-1, 1), repeat=6)]
