@@ -246,6 +246,28 @@ def primitive(v) -> tuple:
     return tuple(x // g for x in ints)
 
 
+def unimodular_completion(w) -> tuple:
+    """(V, W), as rows, for a primitive integer vector w of length n: integer
+    matrices with V W = I and w V = e_n, so the last row of W is w (Cohen
+    1993, section 2.4).  The column operations of the extended Euclidean
+    algorithm reduce w to e_n in V; their inverse row operations build W."""
+    a, n = list(w), len(w)
+    cols = [[int(i == j) for j in range(n)] for i in range(n)]  # of V
+    rows = [c[:] for c in cols]  # of W
+    while sum(map(bool, a)) > 1:  # the least nonzero entry reduces the others
+        p = min((i for i in range(n) if a[i]), key=lambda i: abs(a[i]))
+        for j in range(n):
+            k = a[j] // a[p]
+            if j != p and k:  # column j -= k * column p
+                a[j] -= k * a[p]
+                cols[j] = [x - k * y for x, y in zip(cols[j], cols[p])]
+                rows[p] = [x + k * y for x, y in zip(rows[p], rows[j])]
+    p = next(i for i in range(n) if a[i])
+    cols[p], cols[-1] = cols[-1], [a[p] * x for x in cols[p]]  # a[p] = +-1
+    rows[p], rows[-1] = rows[-1], [a[p] * x for x in rows[p]]
+    return transpose(cols), tuple(map(tuple, rows))
+
+
 def nullspace(rows, width) -> list:
     """A basis of the integer vectors x with <row, x> = 0 for every integer
     row of length ``width``: one primitive vector per free column of the

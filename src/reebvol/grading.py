@@ -30,7 +30,7 @@ from .polyhedra import Cone, reeb_slice
 
 class GradedSetup:
     """Weight cone + Reeb polarization + filtration; the slice bodies and the
-    admissibility check are derived once, here, the branch data on first use."""
+    admissibility check are derived once, here, the branch data and degree frame on first use."""
 
     def __init__(self, dual: Cone, xi, psi: PLConcave | None, ceiling=False, clamp=False):
         self.dual = dual
@@ -55,6 +55,10 @@ class GradedSetup:
     @cached_property
     def _branches(self) -> lattice.BranchData:
         return lattice.BranchData.from_plconcave(self.psi)
+
+    @cached_property
+    def _frame(self) -> lattice.DegreeFrame:
+        return lattice.degree_frame(self.p, self.xi)
 
     def value(self, u) -> Fraction:
         v = self.psi.value(vec(u))
@@ -168,17 +172,16 @@ def cdf_csv_rows(cdf, decimal_digits=None):
 
 
 def degree_slice(g: GradedSetup, t: int):
-    """(N_t, S~_t) on the weight level <u, xi> = t from one walk of it: the
-    number of weights of degree t and their per-degree average, None when
-    there are none (integral polarization only)."""
+    """(N_t, S~_t) on the weight level <u, xi> = t from one walk of t times
+    the frame body: the number of weights of degree t and their per-degree
+    average, None when there are none (integral polarization only)."""
     _require_integral(g)
     if t < 1:
         raise ValueError("degree must be at least 1")
-    runs = list(lattice.level_runs(g.p, g.xi, t))
-    n_t = sum(k + 1 for _, _, k in runs)
+    branches = g._branches.transported(list(zip(*g._frame.v)))
+    n_t, total = lattice.count_and_sum(g._frame.body, t, branches, g.ceiling, g.clamp)
     if not n_t:
         return 0, None
-    total = lattice.level_sum(runs, g._branches, floor_mode=g.ceiling, clamp=g.clamp)
     return n_t, total / (t * n_t)
 
 
@@ -193,7 +196,7 @@ def graded_s_tilde(g: GradedSetup, t: int) -> Fraction:
 
 def degree_count(g: GradedSetup, t: int) -> int:
     _require_integral(g)
-    return sum(k + 1 for _, _, k in lattice.level_runs(g.p, g.xi, t))
+    return lattice.count_points(g._frame.body, t) if t >= 0 else 0
 
 
 def _require_integral(g: GradedSetup):

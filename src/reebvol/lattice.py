@@ -37,23 +37,26 @@ the pieces.  A histogram marks two endpoint events per varying piece, keyed
 by its step, and one sorted sweep per step writes each covered value once,
 with its count.
 
-A degree slice <u, xi> = t is t times the slice P at degree 1, walked the
-same way after solving for one coordinate, with the projections that P
-keeps: each innermost range gives one arithmetic progression of its
-points, and the progressions of a slice form one batch of the same reducer.
+The weights of degree <u, xi> = t of an integral xi are t times the slice
+P at degree 1 in a unimodular frame (``degree_frame``) that puts <u, xi>/g
+on the last coordinate, g = gcd(xi): its body is a polytope in the
+hyperplane v_n = 1/g, walked and reduced like any other, whose dilation t
+holds no point when g does not divide t.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, namedtuple
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, compress, repeat
-from math import gcd, lcm
+from math import gcd
 from operator import add, ge, itemgetter, le, mul, sub
 
+from .arith import unimodular_completion
 from .errors import UnsupportedGeometryError
-from .polyhedra import reeb_slice
+from .plconcave import integer_branches
+from .polyhedra import reeb_slice, unimodular_image
 
 # ---------------------------------------------------------------------------
 # integer inequality systems
@@ -298,9 +301,10 @@ def _walk_order(p, branches=None):
     never innermost.  The order depends on p and the branches only."""
     n = p.rank
     pairs = list(combinations(branches.linears, 2)) if branches is not None else []
-    widths = [max(v[i] for v in p.vertices) - min(v[i] for v in p.vertices) for i in range(n)]
+    points = p.integer_vertices[1]  # D times p: the same ranking
+    widths = [max(x[i] for x in points) - min(x[i] for x in points) for i in range(n)]
     inner = min((i for i in range(n) if widths[i]), default=n - 1,
-                key=lambda i: ((1 + sum(a[i] != b[i] for a, b in pairs)) / widths[i], -i))
+                key=lambda i: (Fraction(1 + sum(a[i] != b[i] for a, b in pairs), widths[i]), -i))
     return [i for i in range(n) if i != inner] + [inner]
 
 
@@ -327,19 +331,15 @@ class BranchData:
 
     @staticmethod
     def from_plconcave(f):
-        denoms = [1]
-        for br in f.branches:
-            denoms.extend(x.denominator for x in br.linear)
-            denoms.append(br.constant.denominator)
-        d = lcm(*denoms)
-        linears = [tuple(int(x * d) for x in br.linear) for br in f.branches]
-        consts = [int(br.constant * d) for br in f.branches]
-        return BranchData(linears, consts, d)
+        d, branches = integer_branches(f)
+        return BranchData([l for l, _ in branches], [c for _, c in branches], d)
 
-    def permuted(self, order):
-        return BranchData(
-            [tuple(l[i] for i in order) for l in self.linears], self.consts, self.denom
-        )
+    def transported(self, columns):
+        """The branches in the coordinates v of u = V v, for the integer
+        matrix V with these columns: <u, l> = <v, V^T l>.  The columns of a
+        permutation reorder the coordinates."""
+        return BranchData([tuple(sum(map(mul, l, c)) for c in columns) for l in self.linears],
+                          self.consts, self.denom)
 
 
 def floor_sum(n, m, a, b):
@@ -375,7 +375,7 @@ def _piece_batches(p, m, branches, clamp):
     last coordinate and their ``_pieces``.  The branches of one slope along
     the last coordinate form one group of the walk's forms."""
     order = _walk_order(p, branches)
-    bd = branches.permuted(order)
+    bd = branches.transported([[int(i == j) for i in range(p.rank)] for j in order])
     slopes = sorted({l[-1] for l in bd.linears}, reverse=True)
     groups = [[(l[:-1], c) for l, c in zip(bd.linears, bd.consts) if l[-1] == B] for B in slopes]
     for cols, los, his in _walker(p, m, order).batches(groups):
@@ -550,60 +550,23 @@ def _coverage(events, b):
 # ---------------------------------------------------------------------------
 
 
-def level_runs(p, xi_int, t):
-    """Integer points u of the weight cone with <u, xi> exactly t, for an
-    integer vector xi and the cone's slice p at <u, xi> = 1, as arithmetic
-    progressions (u0, du, k): the points u0 + i*du for 0 <= i <= k.  The
-    coordinate j with the least nonzero |xi_j| is solved for, and the others
-    are walked over t*p with the levels that p keeps for their order; each
-    innermost range holds one progression.  No point has a negative degree."""
-    n = p.rank
-    xi = [int(x) for x in xi_int]
-    j = min((i for i in range(n) if xi[i] != 0), key=lambda i: (abs(xi[i]), i))
-    cj = xi[j]
-    if t < 0:
-        return
-    if n == 1:
-        if t % cj == 0:
-            yield (t // cj,), (0,), 0
-        return
-    rest = [i for i in range(n) if i != j]
-    # xi_j divides s - a*x exactly for the x in one class modulo `period`
-    a = xi[rest[-1]]
-    g = gcd(a, cj)
-    period = abs(cj) // g
-    inverse = pow(a // g, -1, period)
-    free_du = (0,) * (n - 2) + (period,)
-    du = free_du[:j] + (-(a * period) // cj,) + free_du[j:]
-    for prefix, lo, hi in _walker(p, t, rest).leaves():
-        s = t - sum(xi[i] * y for i, y in zip(rest, prefix))
-        x = lo + (s // g * inverse - lo) % period
-        if s % g == 0 and x <= hi:
-            free = prefix + (x,)
-            yield free[:j] + ((s - a * x) // cj,) + free[j:], du, (hi - x) // period
+DegreeFrame = namedtuple("DegreeFrame", "g v body")
 
 
-def level_sum(runs, branches, floor_mode=False, clamp=False):
-    """Exact sum of the branch minimum over the points of progressions
-    (u0, du, k) that share one step du, such as those of ``level_runs``: one
-    batch of ``_pieces`` whose leaf i is the progression i along 0..k."""
-    if not runs:
-        return Fraction(0)
-    slopes = [sum(map(mul, l, runs[0][1])) for l in branches.linears]
-    offsets = [[c + sum(map(mul, l, u0)) for u0, _, _ in runs]
-               for l, c in zip(branches.linears, branches.consts)]
-    keys = sorted(set(slopes), reverse=True)
-    cols = [_pick(min, [col for col, B in zip(offsets, slopes) if B == k]) for k in keys]
-    pieces = _pieces(keys, cols, [0] * len(runs), [k for _, _, k in runs], clamp)
-    total = _total(pieces, branches.denom, floor_mode)
-    return Fraction(total) if floor_mode else Fraction(total, branches.denom)
+def degree_frame(p, xi):
+    """(g, V, body) for an integral xi and its slice p at <u, xi> = 1: g =
+    gcd(xi), V unimodular (as rows) with <xi, V v> = g*v_n, and body = V^-1 p
+    in the hyperplane v_n = 1/g.  The weights of degree t are the V v for v
+    in t*body."""
+    xi = [int(x) for x in xi]
+    g = gcd(*xi)
+    v, w = unimodular_completion([x // g for x in xi])
+    return DegreeFrame(g, v, unimodular_image(p, v, w))
 
 
 def points_on_level(dual, xi_int, t):
-    """The points u of the weight cone ``dual`` with <u, xi> = t, from
-    ``level_runs`` over its slice at degree 1, in ascending lexicographic
-    order."""
-    yield from sorted(
-        tuple(x + i * y for x, y in zip(u0, du))
-        for u0, du, k in level_runs(reeb_slice(dual, xi_int)[1], xi_int, t) for i in range(k + 1)
-    )
+    """The points u of the weight cone ``dual`` with <u, xi> = t in ascending
+    lexicographic order: the V v for v in t times the ``degree_frame`` body."""
+    if t >= 0:
+        _, v, body = degree_frame(reeb_slice(dual, xi_int)[1], xi_int)
+        yield from sorted(tuple(sum(map(mul, row, x)) for row in v) for x in iter_points(body, t))

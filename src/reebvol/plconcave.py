@@ -134,12 +134,12 @@ def homogenize(f: PLConcave, dual=None) -> PLConcave:
     return PLConcave.make([(b.linear, 0) for b in f.branches])
 
 
-def _integer_branches(f: PLConcave):
-    """The branches times the least common denominator of all their
-    entries, as (integer linear part, integer constant) pairs."""
+def integer_branches(f: PLConcave):
+    """The least common denominator d of all the branches' entries, and the
+    branches times d as (integer linear part, integer constant) pairs."""
     d = math.lcm(*(x.denominator for b in f.branches for x in b.linear + (b.constant,)))
-    return [(tuple(x.numerator * (d // x.denominator) for x in b.linear),
-             b.constant.numerator * (d // b.constant.denominator)) for b in f.branches]
+    return d, [(tuple(x.numerator * (d // x.denominator) for x in b.linear),
+                b.constant.numerator * (d // b.constant.denominator)) for b in f.branches]
 
 
 def _vertex_values(branches, p: Polytope):
@@ -155,7 +155,7 @@ def validate_nonnegative(f: PLConcave, dual, q: Polytope):
     Checked exactly at the vertices of the sub-level body and, for the
     homogenized branches, at the rays; by concavity this is sufficient.
     """
-    branches = _integer_branches(f)
+    _, branches = integer_branches(f)
     for r in dual.rays:
         if min(sum(map(mul, linear, r)) for linear, _ in branches) < 0:
             raise InvalidFiltrationError(
@@ -179,7 +179,7 @@ def linearity_subdivision(f: PLConcave, p: Polytope):
     """
     if p.affine_dim < p.rank:
         raise DegeneratePolytopeError(p.affine_dim)
-    values = _vertex_values(_integer_branches(f), p)
+    values = _vertex_values(integer_branches(f)[1], p)
     for b, mine in zip(f.branches, values):
         if all(all(map(le, mine, other)) for other in values):
             return ((p, b),)

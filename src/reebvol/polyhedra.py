@@ -635,6 +635,17 @@ def reeb_slice(dual: Cone, xi):
     return q, p
 
 
+def unimodular_image(p: Polytope, v, w) -> Polytope:
+    """W p for an integer matrix W with integer inverse V, both as rows: the
+    vertices W x / D over p's integer vertices x / D, and the halfspaces
+    <V^T a, y> <= b, whose normals stay primitive."""
+    d, points = p.integer_vertices
+    images = sorted(tuple(sum(map(mul, row, x)) for row in w) for x in points)
+    normals = [tuple(sum(map(mul, a, c)) for c in zip(*v)) for a, _ in p.halfspaces]
+    return Polytope(p.rank, tuple(tuple(Fraction(x, d) for x in y) for y in images),
+                    tuple(zip(normals, (b for _, b in p.halfspaces))), p.affine_dim)
+
+
 def okounkov_body(dual: Cone, xi, basis) -> Polytope:
     """Image of the sub-level body under u -> (<u, e_1>, ..., <u, e_n>) for a
     determinant-one basis {e_i} contained in the cone dual to the weights."""

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from conftest import permutation_det
 from reebvol.arith import (
@@ -17,6 +20,7 @@ from reebvol.arith import (
     rank_of,
     rat,
     solve,
+    unimodular_completion,
     vec,
 )
 from reebvol.errors import DimensionMismatchError, SingularSystemError
@@ -162,3 +166,29 @@ def test_orthogonal_complement():
 def test_vec_demands_exact_input():
     with pytest.raises(ValueError):
         vec([0.25, 1])
+
+
+@st.composite
+def primitive_vectors(draw):
+    """A primitive integer vector of length 1-8 with zeros and negative
+    entries."""
+    n = draw(st.integers(1, 8))
+    w = draw(st.lists(st.sampled_from([0, 0, 1, -1, 2, -3, 6, 10, -15, 35]), min_size=n, max_size=n))
+    g = math.gcd(*w)
+    if not g:
+        w[draw(st.integers(0, n - 1))], g = draw(st.sampled_from([1, -1])), 1
+    return [x // g for x in w]
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None, database=None)
+@given(primitive_vectors())
+def test_unimodular_completion(w):
+    """V W = I, and w is e_n in the columns of V: <w, V e_i> = 0 for i < n
+    and <w, V e_n> = 1."""
+    v, w_inv = unimodular_completion(w)
+    n = len(w)
+    assert [[dot(row, col) for col in zip(*w_inv)] for row in v] == [
+        [int(i == j) for j in range(n)] for i in range(n)]
+    assert [dot(w, col) for col in zip(*v)] == [0] * (n - 1) + [1]
+    assert list(w_inv[-1]) == w

@@ -21,6 +21,7 @@ from reebvol.grading import (
     GradedSetup,
     big_t_estimate,
     degree_count,
+    degree_slice,
     graded_s_tilde,
     jumping_spectrum,
     lattice_count,
@@ -340,6 +341,30 @@ def test_s_tilde_empty_degree(orthant2):
         graded_s_tilde(g, 1)
     assert degree_count(g, 1) == 0
     assert graded_s_tilde(g, 2) == F(1, 4)  # weights (1,0),(0,1): values 1 and 0
+
+
+CUBE5 = [list(s) + [1] for s in itertools.product((-1, 1), repeat=4)]
+CROSS5 = [[s * int(i == j) for j in range(4)] + [1] for i in range(4) for s in (-1, 1)]
+
+
+@pytest.mark.parametrize("rays, xi, t, expected", [
+    (CUBE5, (1, 0, 0, 0, 2), 16, (2497, F(4613, 9988))),
+    (CROSS5, (1, 1, 0, 0, 3), 16, (29049, F(69103, 232392))),
+    (CUBE5, (2, 0, 0, 0, 4), 15, (0, None)),
+    (CUBE5, (2, 0, 0, 0, 4), 16, (232, F(201, 928))),
+])
+def test_rank_five_slices_in_nontrivial_frames(rays, xi, t, expected):
+    """Rank-5 cube and cross-polytope cones, whose frames for these xi are
+    not permutations, past the reach of the bounding-box oracle: the values
+    are pinned.  With gcd(xi) = 2 the odd degrees are empty."""
+    sigma = Cone.from_rays(rays)
+    r = sigma.rays
+    psi = min_form((0, 0, 0, 0, 1), tuple(map(sum, zip(r[0], r[1]))),
+                   tuple(map(sum, zip(r[-2], r[-1]))))
+    g = graded(sigma, xi, psi)
+    assert g._frame.g == math.gcd(*xi)
+    assert degree_slice(g, t) == expected
+    assert degree_count(g, t) == expected[0]
 
 
 # -- integer-level and clamp modes --------------------------------------------

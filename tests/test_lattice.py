@@ -368,11 +368,9 @@ def test_batches_may_end_anywhere(case):
         points = brute_lattice_points(p, m)
         assert list(lattice.iter_points(p, m)) == points
         assert_reductions_match(p, m, bd, points)
-        slice_p = reeb_slice(dual_cone(Cone.from_rays(rays)), xi)[1]
-        runs = lattice.level_runs(slice_p, xi, t)
-        expanded = [tuple(x + i * y for x, y in zip(u0, du)) for u0, du, k in runs
-                    for i in range(k + 1)]
-        assert sorted(expanded) == brute_lattice_points(slice_p, t)
+        dual = dual_cone(Cone.from_rays(rays))
+        slice_p = reeb_slice(dual, xi)[1]
+        assert list(lattice.points_on_level(dual, xi, t)) == brute_lattice_points(slice_p, t)
 
 
 def leaves_walked(monkeypatch, walk):

@@ -224,11 +224,14 @@ def test_stilde_walks_each_sampled_degree_once(tmp_path, monkeypatch):
     from collections import Counter
 
     counts = Counter()
-    _count_calls(monkeypatch, "level_runs", counts)
+    _count_calls(monkeypatch, "count_and_sum", counts)
+    _count_calls(monkeypatch, "degree_frame", counts)
     code, out, _ = invoke(["stilde", spec_file(tmp_path, SQUARE_REPORT), "--t-max", "64"])
     assert code in (0, 4) and "lem3.17b" in out
-    # the sampled degrees 16, 32 and 64, each counted and summed from one walk
-    assert counts["level_runs"] == 3
+    # the sampled degrees 16, 32 and 64, each counted and summed from one
+    # walk of the one frame body
+    assert counts["count_and_sum"] == 3
+    assert counts["degree_frame"] == 1
 
 
 def test_parse_rejects_non_reeb_xi():
