@@ -8,13 +8,20 @@ that is the minimum at every vertex is the minimum on the whole body, and
 then the body is its only cell.  Each cell's integer measure data gives
 the integral of an affine branch as one dot product with the cell's first
 moment plus the constant times its volume; higher powers use the closed
-form over each simplex of its triangulation.  Superlevel set volumes are
-recovered as exact polynomial splines in the level.
+form over each simplex of its triangulation.  So do superlevel volumes,
+with no superlevel body cut: on a simplex S on which the branch takes the
+values y_0..y_n at the vertices, vol{f >= t} / vol(S) is a B-spline in t,
+the sum of the residues of (y - t)^n / prod_i (y - y_i) at the values
+z > t among the y_i (Curry and Schoenberg 1966; Baldoni, Berline, De
+Loera, Koeppe and Vergne, "How to integrate a polynomial over a simplex",
+2011), and a tied value's residue is read off short power series.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import le, mul
@@ -259,31 +266,22 @@ class SuperlevelProfile:
     def total(self) -> Fraction:
         return self.values_at[0] if self.values_at else Fraction(0)
 
-    def _poly_value(self, i, t):
-        return _horner(self.polys[i], t)
-
     def value(self, t) -> Fraction:
         """vol{f >= t} exactly, any rational t."""
         t = rat(t)
-        if not self.breakpoints or t > self.breakpoints[-1]:
-            return Fraction(0)
-        if t <= self.breakpoints[0]:
-            return self.total if t < self.breakpoints[0] else self.values_at[0]
-        for i in range(len(self.breakpoints) - 1):
-            if self.breakpoints[i] < t < self.breakpoints[i + 1]:
-                return self._poly_value(i, t)
-        return self.values_at[self.breakpoints.index(t)]
+        i = bisect_left(self.breakpoints, t)
+        if i < len(self.breakpoints) and self.breakpoints[i] == t:
+            return self.values_at[i]
+        return self.right_limit(t)
 
     def right_limit(self, t) -> Fraction:
+        """vol{f > t}: the piece on the interval that t starts, the total
+        below the first breakpoint and 0 from the last one on."""
         t = rat(t)
-        if not self.breakpoints or t >= self.breakpoints[-1]:
-            return Fraction(0)
-        if t < self.breakpoints[0]:
-            return self.total
-        for i in range(len(self.breakpoints) - 1):
-            if self.breakpoints[i] <= t < self.breakpoints[i + 1]:
-                return self._poly_value(i, t)
-        raise AssertionError("unreachable")
+        i = bisect_right(self.breakpoints, t)
+        if 0 < i < len(self.breakpoints):
+            return _horner(self.polys[i - 1], t)
+        return self.total if i == 0 else Fraction(0)
 
     def cdf(self, t) -> Fraction:
         """Right-continuous distribution function of the pushforward measure:
@@ -314,7 +312,7 @@ class SuperlevelProfile:
 
 def _horner(coeffs, t) -> Fraction:
     """Value at t of the polynomial with ascending coefficients."""
-    acc = Fraction(0)
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * t + c
     return acc
@@ -325,63 +323,71 @@ def superlevel_body(f: PLConcave, delta: Polytope, t) -> Polytope:
     return cut(delta, [(tuple(-x for x in b.linear), b.constant - t) for b in f.branches])
 
 
-def _lagrange(points):
-    """Exact interpolating polynomial (ascending coefficients) through
-    rational (x, y) points."""
-    k = len(points)
-    coeffs = [Fraction(0)] * k
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            # multiply basis by (x - xj)
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                nxt[d] += c * (-xj)
-                nxt[d + 1] += c
-            basis = nxt
-            denom *= xi - xj
-        scale = yi / denom
-        for d, c in enumerate(basis):
-            coeffs[d] += scale * c
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+def _residues(values, n, weight):
+    """Yield (z, e, poly) for each distinct z among the n + 1 integers y_i,
+    poly(T) / e (ascending integer coefficients) being the weight times
+    Res_{y=z} (y - T)^n / prod_i (y - y_i).  At a z of multiplicity k that
+    is the s^(k-1) coefficient of (s + z - T)^n prod_{w != z} (s + z - w)^(-k_w),
+    a product of short power series."""
+    counts = Counter(values)
+    for z, k in counts.items():
+        others = [(z - w, kw) for w, kw in counts.items() if w != z]
+        q = math.prod(a for a, _ in others)
+        series = [weight] + [0] * (k - 1)  # s^m coefficients, over prod a^kw q^m
+        for a, kw in others if k > 1 else ():  # times (1 + s/a)^(-kw), 1 + O(s)
+            factor = [math.comb(kw + m - 1, m) * (-q // a) ** m for m in range(k)]
+            series = [sum(map(mul, series[:m + 1], factor[m::-1])) for m in range(k)]
+        poly = [series[k - 1]]
+        for j in range(1, n + 1):  # sum_j binomial(n, j) series[k-1-j] q^j (z - T)^(n-j)
+            poly = [z * x - y for x, y in zip(poly + [0], [0] + poly)]
+            poly[0] += math.comb(n, j) * series[k - 1 - j] * q ** j if j < k else 0
+        yield z, math.prod(a ** kw for a, kw in others) * q ** (k - 1), poly
 
 
 def superlevel_profile(f: PLConcave, delta: Polytope) -> SuperlevelProfile:
     """Exact piecewise-polynomial superlevel-volume profile of f on delta.
 
-    Between consecutive critical levels the volume is a polynomial of
-    degree at most the dimension; each piece is recovered by exact
-    interpolation at interior rational nodes.  The profile is
-    left-continuous and f >= 0 on delta, so the value at the first
-    breakpoint, 0, is vol(delta), and at each later one the preceding
-    piece's value there.
+    The breakpoints are 0 and the values of f at the linearity cells'
+    vertices.  The residues of every simplex of the cells' triangulations
+    are grouped by their value z; the piece after a breakpoint is the sum
+    of those at larger z.  The profile is left-continuous and f >= 0 on
+    delta, so the value at the first breakpoint, 0, is vol(delta), and at
+    each later one the preceding piece's value there.
     """
     if delta.affine_dim < delta.rank:
         raise DegeneratePolytopeError(delta.affine_dim)
-    low = min(f.value(v) for v in delta.vertices)
-    if low < 0:
-        raise InvalidFiltrationError("function is negative on the body")
     n = delta.rank
-    critical = {Fraction(0)}
-    for cell, _ in linearity_subdivision(f, delta):
-        for v in cell.vertices:
-            critical.add(f.value(v))
-    breakpoints = tuple(sorted(critical))
-    polys = []
-    for i in range(len(breakpoints) - 1):
-        a, b = breakpoints[i], breakpoints[i + 1]
-        nodes = []
-        for j in range(1, n + 2):
-            t = a + (b - a) * Fraction(j, n + 2)
-            nodes.append((t, volume(superlevel_body(f, delta, t))))
-        polys.append(_lagrange(nodes))
-    values_at = (volume(delta),) + tuple(map(_horner, polys, breakpoints[1:]))
-    return SuperlevelProfile(breakpoints, tuple(polys), values_at)
+    d, branches = integer_branches(f)
+    integer = dict(zip(f.branches, branches))
+    cells = [(cell.measure, _vertex_values([integer[b]], cell)[0])
+             for cell, b in linearity_subdivision(f, delta)]
+    big = math.lcm(*(m.denom for m, _ in cells))
+    # the values times d * big and the volumes times n! * big^n are integers
+    critical, total, residues = {0}, 0, defaultdict(list)
+    for m, values in cells:
+        up = big // m.denom
+        values = [y * up for y in values]
+        critical.update(values)
+        for s, det in zip(m.simplices, m.dets):
+            total += det * up ** n
+            for z, e, poly in _residues([values[i] for i in s], n, det * up ** n):
+                residues[z].append((e, poly))
+    levels = sorted(critical)
+    if levels[0] < 0:
+        raise InvalidFiltrationError("function is negative on the body")
+    scale, unit = d * big, math.factorial(n) * big ** n
+    polys, values_at, den, running = [], [Fraction(total, unit)], 1, [0] * (n + 1)
+    for z in reversed(levels[1:]):
+        for e, poly in residues[z]:  # running / den plus poly / e
+            lcm = math.lcm(den, e)
+            a, b = lcm // den, lcm // e
+            den, running = lcm, [x * a + y * b for x, y in zip(running, poly)]
+        values_at.insert(1, Fraction(_horner(running, z), den * unit))
+        coeffs = [Fraction(x * scale ** i, den * unit) for i, x in enumerate(running)]
+        while len(coeffs) > 1 and coeffs[-1] == 0:
+            coeffs.pop()
+        polys.insert(0, tuple(coeffs))
+    return SuperlevelProfile(tuple(Fraction(y, scale) for y in levels), tuple(polys), tuple(values_at))
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +416,7 @@ def max_over(f: PLConcave, p: Polytope) -> Fraction:
     """Exact maximum of a concave PL function over a polytope (attained at a
     vertex of the linearity subdivision)."""
     if p.affine_dim == p.rank:
-        best = None
-        for cell, branch in linearity_subdivision(f, p):
-            for v in cell.vertices:
-                val = branch.value(v)
-                if best is None or val > best:
-                    best = val
-        return best
+        return max(branch.value(v) for cell, branch in linearity_subdivision(f, p) for v in cell.vertices)
     if p.affine_dim == p.rank - 1 and p.rank >= 2:
         chart = facet_chart(p)
         return max_over(restrict_to_chart(f, chart), chart.body)

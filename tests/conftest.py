@@ -10,6 +10,8 @@ import pytest
 
 from reebvol import Cone, PLConcave, PolarizedToricSetup
 from reebvol.arith import det, dot, orthogonal_complement_vector
+from reebvol.plconcave import SuperlevelProfile, linearity_subdivision, superlevel_body
+from reebvol.polyhedra import volume
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -208,6 +210,54 @@ def fm_levels(rows, n):
     if infeasible:
         levels[0] = [((1,), -1), ((-1,), -1)]
     return levels
+
+
+def _lagrange(points):
+    """Exact interpolating polynomial (ascending coefficients) through
+    rational (x, y) points, trailing zeros trimmed."""
+    k = len(points)
+    coeffs = [F(0)] * k
+    for i, (xi, yi) in enumerate(points):
+        basis = [F(1)]
+        denom = F(1)
+        for j, (xj, _) in enumerate(points):
+            if i == j:
+                continue
+            # multiply basis by (x - xj)
+            nxt = [F(0)] * (len(basis) + 1)
+            for d, c in enumerate(basis):
+                nxt[d] += c * (-xj)
+                nxt[d + 1] += c
+            basis = nxt
+            denom *= xi - xj
+        scale = yi / denom
+        for d, c in enumerate(basis):
+            coeffs[d] += scale * c
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def cut_profile(f, delta):
+    """The superlevel profile of f >= 0 on delta by cutting superlevel
+    bodies: on each interval between breakpoints (0 and the values of f at
+    the linearity cells' vertices) the volume is a polynomial of degree at
+    most the rank, interpolated through the volumes of n + 1 bodies cut at
+    interior rational levels.  The independent oracle for
+    ``superlevel_profile``."""
+    n = delta.rank
+    critical = {F(0)}
+    for cell, _ in linearity_subdivision(f, delta):
+        critical.update(f.value(v) for v in cell.vertices)
+    breakpoints = tuple(sorted(critical))
+    polys = []
+    for a, b in zip(breakpoints, breakpoints[1:]):
+        nodes = [a + (b - a) * F(j, n + 2) for j in range(1, n + 2)]
+        polys.append(_lagrange([(t, volume(superlevel_body(f, delta, t))) for t in nodes]))
+    values_at = [volume(delta)]
+    for poly, b in zip(polys, breakpoints[1:]):
+        values_at.append(sum(c * b ** d for d, c in enumerate(poly)))
+    return SuperlevelProfile(breakpoints, tuple(polys), tuple(values_at))
 
 
 def setup_for(cone, xi, psi=None, eta=None, **kw):

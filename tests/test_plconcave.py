@@ -1,10 +1,12 @@
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import min_form
+from conftest import cut_profile, min_form
+from reebvol import plconcave
 from reebvol.arith import dot
 from reebvol.errors import (
     DimensionMismatchError,
@@ -12,6 +14,7 @@ from reebvol.errors import (
     UnsupportedDegreeError,
 )
 from reebvol.plconcave import (
+    MAX_MOMENT_DEGREE,
     AffineForm,
     PLConcave,
     evaluate,
@@ -285,6 +288,154 @@ def test_profile_breakpoint_values_are_left_limits():
         assert prof.values_at == direct
         plateaus += len(prof.breakpoints) > 1 and direct[-1] > 0
     assert plateaus >= 3
+
+
+def _profile_cases():
+    """Seeded random bodies in the orthant (integer and rational vertices)
+    and nonnegative filtrations of ranks 1-4, with rational constants and
+    slopes, some with a constant plateau branch, some the zero function;
+    small integer data make equal vertex values along edges common."""
+    rng = random.Random(20261020)
+    cases = [
+        (PLConcave.make([((1, 0), 0), ((0, 0), F(1, 2))]), SQUARE),
+        (linear_form((1, 0)), SQUARE),  # equal values along the vertical edges
+        (PLConcave.make([((0, 0), 0)]), SIMPLEX2),
+    ]
+    for rank, count in ((1, 6), (2, 16), (3, 16), (4, 8)):
+        while count:
+            den = rng.choice((1, 1, 2, 3))
+            pts = {tuple(F(rng.randint(0, 3 * den), den) for _ in range(rank))
+                   for _ in range(rank + rng.randint(1, 3))}
+            delta = polytope_from_vertices(pts)
+            if delta.affine_dim < rank:
+                continue
+            count -= 1
+            kind = rng.random()
+            if kind < 0.1:
+                cases.append((PLConcave.make([((0,) * rank, 0)]), delta))
+                continue
+            branches = [(tuple(F(rng.randint(0, 4), rng.choice((1, 2))) for _ in range(rank)),
+                         F(rng.randint(0, 3), rng.choice((1, 2, 3))))
+                        for _ in range(rng.randint(1, 3))]
+            if kind > 0.6:
+                branches.append(((0,) * rank, F(rng.randint(2, 12), 2)))  # a plateau
+            cases.append((PLConcave.make(branches), delta))
+    return cases
+
+
+def _ties(f, delta):
+    """(simplices with some but not all vertex values equal, simplices on
+    which f is constant) over the linearity cells' triangulations."""
+    partial = full = 0
+    for cell, branch in linearity_subdivision(f, delta):
+        values = [branch.value(v) for v in cell.vertices]
+        for s in cell.measure.simplices:
+            distinct = len({values[i] for i in s})
+            partial += 1 < distinct < len(s)
+            full += distinct == 1
+    return partial, full
+
+
+def test_profile_matches_cut_oracle():
+    """The per-simplex residue profile equals, Fraction for Fraction, the
+    profile interpolated through the volumes of cut superlevel bodies."""
+    partial = full = 0
+    ranks = set()
+    for f, delta in _profile_cases():
+        prof, oracle = superlevel_profile(f, delta), cut_profile(f, delta)
+        assert prof.breakpoints == oracle.breakpoints
+        assert prof.polys == oracle.polys
+        assert prof.values_at == oracle.values_at
+        ties = _ties(f, delta)
+        partial += ties[0] > 0
+        full += ties[1] > 0
+        ranks.add(delta.rank)
+    assert ranks == {1, 2, 3, 4}
+    assert partial >= 5 and full >= 5
+
+
+def test_profile_moments_match_closed_form():
+    """The layer-cake integral of k t^(k-1) against the profile is the
+    integral of f^k, which integrate_moment takes from the h_k closed form
+    on each simplex; k = 1..4 weigh every coefficient of every piece."""
+    for f, delta in _profile_cases():
+        prof = superlevel_profile(f, delta)
+        for k in range(1, MAX_MOMENT_DEGREE + 1):
+            layered = sum(
+                c * k * (b ** (d + k) - a ** (d + k)) / (d + k)
+                for a, b, poly in zip(prof.breakpoints, prof.breakpoints[1:], prof.polys)
+                for d, c in enumerate(poly)
+            )
+            assert layered == integrate_moment(f, delta, k), (f, k)
+
+
+def test_profile_cuts_only_linearity_cells(monkeypatch):
+    """superlevel_profile cuts no superlevel body: the only cuts are the
+    linearity cells, at most one per branch, and none when one branch is
+    least at every vertex of the body."""
+    callers = []
+
+    def counted(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return cut(*args)
+
+    cut = plconcave.cut
+    monkeypatch.setattr(plconcave, "cut", counted)
+    superlevel_profile(linear_form((1, 2)), SQUARE)
+    superlevel_profile(PLConcave.make([((1, 0), 0), ((0, 0), 0)]), SIMPLEX2)
+    assert callers == []
+    cases = [(min_form((1, 0), (0, 1)), SQUARE)] + _profile_cases()
+    split = 0
+    for f, delta in cases:
+        callers.clear()
+        superlevel_profile(f, delta)
+        assert set(callers) <= {"linearity_subdivision"}
+        assert len(callers) <= len(f.branches)
+        values = [[b.value(v) for v in delta.vertices] for b in f.branches]
+        if [min(column) for column in zip(*values)] in values:
+            assert callers == []
+        split += len(callers) > 0
+    assert split >= 5
+
+
+def _scan_value(prof, t):
+    """vol{f >= t} by a linear scan over the intervals."""
+    bps = prof.breakpoints
+    if not bps or t > bps[-1]:
+        return F(0)
+    if t < bps[0]:
+        return prof.total
+    for i, b in enumerate(bps):
+        if b == t:
+            return prof.values_at[i]
+    for i in range(len(bps) - 1):
+        if bps[i] < t < bps[i + 1]:
+            return sum(c * t ** d for d, c in enumerate(prof.polys[i]))
+
+
+def _scan_right_limit(prof, t):
+    """vol{f > t} by a linear scan over the intervals."""
+    bps = prof.breakpoints
+    if not bps or t >= bps[-1]:
+        return F(0)
+    if t < bps[0]:
+        return prof.total
+    for i in range(len(bps) - 1):
+        if bps[i] <= t < bps[i + 1]:
+            return sum(c * t ** d for d, c in enumerate(prof.polys[i]))
+
+
+def test_profile_lookups_match_linear_scan():
+    """value and right_limit, which bisect the breakpoints, agree with a
+    linear scan at every breakpoint, every midpoint and outside the range."""
+    for f, delta in _profile_cases()[:20]:
+        prof = superlevel_profile(f, delta)
+        bps = prof.breakpoints
+        ts = list(bps) + [(a + b) / 2 for a, b in zip(bps, bps[1:])]
+        ts += [bps[0] - 1, bps[0] - F(1, 7), bps[-1] + F(1, 7), bps[-1] + 3]
+        for t in ts:
+            assert prof.value(t) == _scan_value(prof, t), (t, prof)
+            assert prof.right_limit(t) == _scan_right_limit(prof, t), (t, prof)
 
 
 def test_profile_csv_rows():
