@@ -1,7 +1,7 @@
 """Exact rational linear algebra on immutable tuples.
 
-Scalars are `fractions.Fraction` (always reduced, denominator positive),
-vectors are tuples of Fractions, matrices are tuples of row tuples.  All
+Scalars are ints or `fractions.Fraction`s (reduced, denominator positive),
+vectors are tuples of scalars, matrices are tuples of row tuples.  All
 operations are pure and exact, so equality of results is structural.
 """
 
@@ -18,19 +18,22 @@ Vector = tuple
 Matrix = tuple
 
 
-def rat(value) -> Fraction:
-    """Parse a rational from "p/q" or "p" strings, ints, or Fractions.
-
-    Floats are rejected: every quantity in this package is exact.
+def rat(value):
+    """An exact rational from an int, a Fraction or a string "p/q", "p" or
+    "0.5", "1e3" (optional sign and surrounding whitespace): an int for ints
+    and integer strings, else a Fraction.  Strings with underscores are
+    refused, as ``Fraction`` refuses them before Python 3.11.  Floats are
+    rejected: every quantity in this package is exact.
     """
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, bool):
         raise ValueError("booleans are not rationals")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value.strip())
+    if isinstance(value, (int, Fraction)):
+        return value
+    if isinstance(value, str) and "_" not in value:
+        try:
+            return int(value)
+        except ValueError:
+            return Fraction(value.strip())
     raise ValueError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -57,7 +60,7 @@ def decimal_str(q: Fraction, digits: int = 6) -> str:
 
 
 def vec(entries: Iterable) -> tuple:
-    return tuple(rat(e) for e in entries)
+    return tuple(map(rat, entries))
 
 
 def dot(a: Sequence, b: Sequence):
@@ -90,8 +93,10 @@ def _require_square(m):
 
 def _integer_row(row):
     """Clear a row's denominators; returns (integer entries, the scale)."""
+    if all(type(x) is int for x in row):
+        return list(row), 1
     fr = [rat(x) for x in row]
-    d = math.lcm(*(x.denominator for x in fr)) if fr else 1
+    d = math.lcm(*(x.denominator for x in fr))
     return [x.numerator * (d // x.denominator) for x in fr], d
 
 
@@ -234,12 +239,7 @@ def rank_of(vectors) -> int:
 def primitive(v) -> tuple:
     """Scale a nonzero rational vector to its primitive integer representative,
     preserving direction."""
-    if all(type(x) is int for x in v):
-        ints = v
-    else:
-        fr = [rat(x) for x in v]
-        d = math.lcm(*(x.denominator for x in fr))
-        ints = [x.numerator * (d // x.denominator) for x in fr]
+    ints = _integer_row(v)[0]
     g = math.gcd(*ints)
     if not g:
         raise ValueError("zero vector has no primitive representative")

@@ -106,12 +106,11 @@ class PolarizedToricSetup(GradedSetup):
 
     @cached_property
     def slice_density(self) -> Fraction:
-        """Cone measure on P over chart Lebesgue measure, taken on the first
-        simplex of the chart body's triangulation."""
-        m = self.chart.body.measure
-        first = [self.chart.lift(self.chart.body.vertices[i]) for i in m.simplices[0]]
-        # the simplex's chart volume is dets[0] / ((n-1)! denom^(n-1))
-        return abs(det(first)) * m.denom ** m.rank / m.dets[0]
+        """Cone measure on P over chart Lebesgue measure: |offset / a_j| for P
+        in <a, u> = offset and the dropped coordinate j.  The cone from 0
+        over a piece of P of chart volume V has height |offset| / |a| and
+        base V |a| / |a_j|, so n times its volume is V |offset / a_j|."""
+        return abs(self.chart.offset / self.chart.normal[self.chart.drop])
 
     @cached_property
     def slice_measure(self) -> Fraction:

@@ -266,7 +266,7 @@ def iter_points(p, m):
     """Every point of m*p intersected with the integer lattice, exactly once,
     in ascending lexicographic order."""
     _check_level(m)
-    if p.affine_dim < 0 or not p.vertices:
+    if p.affine_dim < 0 or not p.integer_vertices[1]:
         return
     n = p.rank
     if m == 0:
@@ -282,7 +282,7 @@ def count_points(p, m, jobs=1):
 
     ``jobs`` is accepted for compatibility; it has no effect."""
     _check_level(m)
-    if p.affine_dim < 0 or not p.vertices:
+    if p.affine_dim < 0 or not p.integer_vertices[1]:
         return 0
     if m == 0:
         return 1
@@ -451,7 +451,7 @@ def count_and_sum(p, m, branches, floor_mode=False, clamp=False):
     """The number of points of m*p and the exact sum of the branch minimum
     over them, from one walk."""
     _check_level(m)
-    if p.affine_dim < 0 or not p.vertices:
+    if p.affine_dim < 0 or not p.integer_vertices[1]:
         return 0, Fraction(0)
     if m == 0:
         return 1, _scaled(_origin(branches, clamp), branches.denom, floor_mode)
@@ -471,7 +471,7 @@ def max_value(p, m, branches, floor_mode=False, clamp=False):
     """Exact maximum of the branch minimum over the points of m*p, from the
     unclamped pieces' ends (starts for B < 0), then clamped."""
     _check_level(m)
-    if p.affine_dim < 0 or not p.vertices:
+    if p.affine_dim < 0 or not p.integer_vertices[1]:
         return None
     if m == 0:
         return _scaled(_origin(branches, clamp), branches.denom, floor_mode)
@@ -497,7 +497,7 @@ def value_histogram(p, m, branches, floor_mode=False, clamp=False, jobs=1):
     accepted for compatibility; it has no effect.
     """
     _check_level(m)
-    if p.affine_dim < 0 or not p.vertices:
+    if p.affine_dim < 0 or not p.integer_vertices[1]:
         return {}
     D = branches.denom
     if m == 0:

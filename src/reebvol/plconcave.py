@@ -26,21 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import le, mul
 
-from .arith import dot, fmt, rat, vec
+from .arith import det, dot, fmt, rat, vec
 from .errors import (
     DegeneratePolytopeError,
     DimensionMismatchError,
     InvalidFiltrationError,
     UnsupportedDegreeError,
 )
-from .polyhedra import (
-    FacetChart,
-    Polytope,
-    cut,
-    facet_chart,
-    simplex_volume,
-    volume,
-)
+from .polyhedra import FacetChart, Polytope, cut, facet_chart, volume
 
 MAX_MOMENT_DEGREE = 4
 
@@ -73,18 +66,14 @@ class PLConcave:
     def make(branches) -> "PLConcave":
         out = []
         for b in branches:
-            if isinstance(b, AffineForm):
-                out.append(AffineForm(vec(b.linear), rat(b.constant)))
-            else:
-                linear, constant = b
-                out.append(AffineForm.make(linear, constant))
+            linear, constant = (b.linear, b.constant) if isinstance(b, AffineForm) else b
+            out.append(AffineForm.make(linear, constant))
         if not out:
             raise InvalidFiltrationError("a filtration needs at least one branch")
         rank = len(out[0].linear)
         if any(len(b.linear) != rank for b in out):
             raise DimensionMismatchError("branches have mixed ranks")
-        dedup = sorted(set((b.linear, b.constant) for b in out))
-        return PLConcave(tuple(AffineForm(l, c) for l, c in dedup))
+        return PLConcave(tuple(sorted(set(out), key=lambda b: (b.linear, b.constant))))
 
     @property
     def rank(self) -> int:
@@ -133,11 +122,7 @@ def homogenize(f: PLConcave, dual=None) -> PLConcave:
     the input is not a filtration).
     """
     if dual is not None:
-        for r in dual.rays:
-            if min(dot(b.linear, r) for b in f.branches) < 0:
-                raise InvalidFiltrationError(
-                    f"filtration decays along weight-cone ray {list(r)}"
-                )
+        _check_rays(integer_branches(f)[1], dual)
     return PLConcave.make([(b.linear, 0) for b in f.branches])
 
 
@@ -156,6 +141,14 @@ def _vertex_values(branches, p: Polytope):
     return [[sum(map(mul, linear, x)) + c * d for x in points] for linear, c in branches]
 
 
+def _check_rays(branches, dual):
+    """The homogenized integer branches are nonnegative on the weight cone's
+    rays: their minimum does not decay along any of them."""
+    for r in dual.rays:
+        if min(sum(map(mul, linear, r)) for linear, _ in branches) < 0:
+            raise InvalidFiltrationError(f"filtration decays along weight-cone ray {list(r)}")
+
+
 def validate_nonnegative(f: PLConcave, dual, q: Polytope):
     """Filtration admissibility: nonnegative on the whole weight cone.
 
@@ -163,16 +156,11 @@ def validate_nonnegative(f: PLConcave, dual, q: Polytope):
     homogenized branches, at the rays; by concavity this is sufficient.
     """
     _, branches = integer_branches(f)
-    for r in dual.rays:
-        if min(sum(map(mul, linear, r)) for linear, _ in branches) < 0:
-            raise InvalidFiltrationError(
-                f"filtration decays along weight-cone ray {list(r)}"
-            )
-    for v, *values in zip(q.vertices, *_vertex_values(branches, q)):
+    _check_rays(branches, dual)
+    for j, values in enumerate(zip(*_vertex_values(branches, q))):
         if min(values) < 0:
-            raise InvalidFiltrationError(
-                f"filtration is negative at sub-level vertex {[fmt(x) for x in v]}"
-            )
+            v = [fmt(x) for x in q.vertices[j]]
+            raise InvalidFiltrationError(f"filtration is negative at sub-level vertex {v}")
 
 
 def linearity_subdivision(f: PLConcave, p: Polytope):
@@ -203,7 +191,7 @@ def linearity_subdivision(f: PLConcave, p: Polytope):
 
 def _complete_homogeneous(values, k):
     """Complete homogeneous symmetric polynomial h_k of the given values."""
-    h = [Fraction(1)] + [Fraction(0)] * k
+    h = [1] + [0] * k
     for v in values:
         for d in range(1, k + 1):
             h[d] += v * h[d - 1]
@@ -214,7 +202,8 @@ def _simplex_moment(points, form: AffineForm, k):
     """Exact integral of (affine form)^k over a simplex: the volume times
     k! n!/(n+k)! times h_k of the vertex values."""
     n = len(points) - 1
-    vol = simplex_volume(points)
+    vol = abs(det([tuple(x - y for x, y in zip(v, points[0])) for v in points[1:]]))
+    vol /= math.factorial(n)
     if vol == 0:
         return Fraction(0)
     values = [form.value(v) for v in points]
@@ -223,23 +212,25 @@ def _simplex_moment(points, form: AffineForm, k):
 
 
 def integrate_moment(f: PLConcave, p: Polytope, k: int) -> Fraction:
-    """Exact integral of f^k over p, through the linearity subdivision: for
-    k = 1 each cell adds <branch, its first moment> plus the branch
-    constant times its volume, for k >= 2 the closed form on each simplex."""
+    """Exact integral of f^k over p, through the linearity subdivision: the
+    closed form of ``_simplex_moment`` on each simplex of a cell, in its
+    integer data (``measure``, the branch values times d*D), one Fraction a cell."""
     if k < 0 or k > MAX_MOMENT_DEGREE:
         raise UnsupportedDegreeError(f"moment degree {k} unsupported (max {MAX_MOMENT_DEGREE})")
     if k == 0:
         return volume(p)
     if p.affine_dim < p.rank:
         return Fraction(0)
+    d, branches = integer_branches(f)
+    integer = dict(zip(f.branches, branches))
     total = Fraction(0)
     for cell, branch in linearity_subdivision(f, p):
         m = cell.measure
-        if k == 1:
-            total += dot(branch.linear, m.first_moment) + branch.constant * m.volume
-            continue
-        for s in m.simplices:
-            total += _simplex_moment([cell.vertices[i] for i in s], branch, k)
+        values = _vertex_values([integer[branch]], cell)[0]
+        acc = sum(w * _complete_homogeneous([values[i] for i in s], k)
+                  for s, w in zip(m.simplices, m.dets))
+        total += Fraction(acc * math.factorial(k),
+                          math.factorial(p.rank + k) * m.denom ** p.rank * (d * m.denom) ** k)
     return total
 
 
@@ -397,19 +388,17 @@ def superlevel_profile(f: PLConcave, delta: Polytope) -> SuperlevelProfile:
 
 def restrict_to_chart(f: PLConcave, chart: FacetChart) -> PLConcave:
     """The function composed with the chart's lift, as a PL function of the
-    chart coordinates."""
-    branches = []
-    aj = chart.normal[chart.drop]
-    for b in f.branches:
-        lj = b.linear[chart.drop]
-        coeffs = []
-        for i, c in enumerate(b.linear):
-            if i == chart.drop:
-                continue
-            coeffs.append(c - lj * chart.normal[i] / aj)
-        const = b.constant + lj * chart.offset / aj
-        branches.append((tuple(coeffs), const))
-    return PLConcave.make(branches)
+    chart coordinates: the lift solves <a, u> = o/e for u_j, so an integer
+    branch (<l, u> + c)/d takes (l_i a_j - l_j a_i)/(d a_j) at i != j and the
+    constant (c a_j e + l_j o)/(d a_j e)."""
+    j, a = chart.drop, chart.normal
+    o, e = chart.offset.numerator, chart.offset.denominator
+    d, branches = integer_branches(f)
+    den = d * a[j]
+    return PLConcave.make([
+        (tuple(Fraction(l[i] * a[j] - l[j] * a[i], den) for i in range(len(a)) if i != j),
+         Fraction(c * a[j] * e + l[j] * o, den * e))
+        for l, c in branches])
 
 
 def max_over(f: PLConcave, p: Polytope) -> Fraction:

@@ -22,12 +22,13 @@ which intersects a polytope with more halfspaces: the homogenization of a
 polytope is the cone over its vertices, so the refinement starts from
 those, with their tight masks, and adds only the new halfspaces.
 
-Polytopes carry a vertex list and an inequality description
-``<normal, x> <= offset`` simultaneously, irredundant when full-
-dimensional.  Each one derives, on first use, its vertices over one
-common denominator as integer points, its vertex-facet incidences and its
+Polytopes carry their vertices in integer form, the points times their
+least common denominator D, built from the integer data at hand (rays,
+hull points), and an inequality description ``<normal, x> <= offset``,
+irredundant when full-dimensional; Fraction vertices are built only when
+read.  Each one derives, on first use, its vertex-facet incidences and its
 ``measure``: the triangulation and one integer |det| per simplex, from
-which its volume and first moment are exact integer sums over a single
+which its volume and moments are exact integer sums over a single
 denominator.  It also keeps, per walk order of the lattice walker, the
 integer facets of its projections onto the leading coordinates of that
 order: the hulls of its projected vertices.  Triangulation is the
@@ -44,11 +45,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import and_, mul
 
 from .arith import (
+    _integer_row,
     bareiss_det,
     basis_inverse,
     det,
@@ -57,7 +59,6 @@ from .arith import (
     inverse,
     mat_vec,
     nullspace,
-    orthogonal_complement_vector,
     primitive,
     rank_of,
     rat,
@@ -176,12 +177,13 @@ def _extreme(zeros, count):
 def _facets_and_extreme(generators, n, flat_error, wide_error):
     """For distinct primitive generators of a cone in n-space: its primitive
     inward facet normals and the generators that span extreme rays, from
-    one double description of the dual cone."""
+    one double description of the dual cone.  The cone holds a line exactly
+    when some generator g is tight on every dual ray (-g is then in the cone)."""
     dd = _double_description(generators, n)
     if dd is None:
         raise UnsupportedGeometryError(flat_error)
     facets, zeros = dd
-    if rank_of(facets) < n:
+    if reduce(and_, zeros, (1 << len(generators)) - 1):
         raise UnsupportedGeometryError(wide_error)
     return tuple(facets), tuple(generators[i] for i in _extreme(zeros, len(generators)))
 
@@ -202,7 +204,7 @@ class Cone:
 
     @staticmethod
     def from_rays(rays, rank=None, lattice="N") -> "Cone":
-        rays = [primitive(vec(r)) for r in rays]
+        rays = [primitive(r) for r in rays]
         if not rays:
             raise UnsupportedGeometryError("a cone needs at least one ray")
         n = rank if rank is not None else len(rays[0])
@@ -216,7 +218,7 @@ class Cone:
 
     @staticmethod
     def from_halfspaces(halfspaces, rank=None, lattice="N") -> "Cone":
-        normals = [primitive(vec(h)) for h in halfspaces]
+        normals = [primitive(h) for h in halfspaces]
         if not normals:
             raise UnsupportedGeometryError("a cone needs at least one halfspace")
         n = rank if rank is not None else len(normals[0])
@@ -261,25 +263,21 @@ def dual_cone(c: Cone) -> Cone:
 
 
 def _normalize_halfspace(normal, offset):
-    """Canonical (integer primitive normal, rational offset) with the same
-    solution set; returns None for the trivial constraint 0 <= offset."""
-    normal = [rat(x) for x in normal]
-    offset = rat(offset)
-    if all(x == 0 for x in normal):
-        if offset < 0:
-            return "empty"
-        return None
-    d = lcm(*(x.denominator for x in normal), offset.denominator)
-    ints = [x.numerator * (d // x.denominator) for x in normal]
-    off = offset.numerator * (d // offset.denominator)
+    """The canonical form of <normal, x> <= offset: an integer normal and an
+    integer offset, jointly primitive, with the same solution set.  With a
+    zero normal: None when the offset is >= 0 (no constraint), else "empty"."""
+    *ints, off = _integer_row((*normal, offset))[0]
+    if not any(ints):
+        return "empty" if off < 0 else None
     g = gcd(*ints, off)
-    return tuple(x // g for x in ints), Fraction(off // g)
+    return tuple(x // g for x in ints), off // g
 
 
-def _normalized_system(rank, halfspaces):
-    """The distinct canonical halfspaces of a system, sorted, without the
-    trivial ones; None when one of them is infeasible (0 <= negative)."""
-    normed = set()
+def _normalized_system(rank, halfspaces, canonical=()):
+    """The distinct canonical halfspaces of a system and of ``canonical``
+    (already canonical), sorted, without the trivial ones; None when one of
+    them is infeasible (0 <= negative)."""
+    normed = set(canonical)
     for normal, offset in halfspaces:
         h = _normalize_halfspace(normal, offset)
         if h == "empty":
@@ -326,30 +324,56 @@ class Measure:
         return tuple(Fraction(x, scale) for x in acc)
 
 
-@dataclass(frozen=True)
+def _vertex_form(vertices):
+    """(D, points): rational vertices times their least common denominator D."""
+    rows = [_integer_row(v) for v in vertices]
+    d = lcm(*(s for _, s in rows))
+    return d, tuple(tuple(v) if s == d else tuple(x * (d // s) for x in v) for v, s in rows)
+
+
+def _lowest(d, points):
+    """The vertex form (D, points) of the integer points / d, in lowest terms."""
+    g = gcd(d, *(x for v in points for x in v))
+    return d // g, tuple(tuple(x // g for x in v) for v in points)
+
+
+@dataclass(frozen=True, init=False)
 class Polytope:
     """A bounded rational polytope with matching vertex and inequality data.
 
-    ``halfspaces`` entries are pairs ``(normal, offset)`` meaning
-    ``<normal, x> <= offset`` with primitive integer normals.  Lower
-    dimensional bodies (slices, facets) are allowed; ``affine_dim`` records
-    the dimension of the affine hull, -1 for the empty polytope.  The
-    integer vertices, the facet incidences, the ``measure`` and the walk
-    levels of a body are derived on first use and kept with it.
+    ``integer_vertices`` is the vertex form (D, points) of the vertices
+    (``_vertex_form``), sorted by every constructor here; the Fraction
+    ``vertices`` are derived when read.  ``halfspaces`` are pairs (normal,
+    offset) meaning <normal, x> <= offset, from the constructors here with
+    integer normal and offset jointly primitive (``_normalize_halfspace``):
+    the hull of 0 and 1/2 has ((2,), 1).  ``scaled`` keeps primitive
+    normals with rational offsets, which ``cut`` renormalizes.  Lower
+    dimensional bodies are allowed; ``affine_dim`` is the dimension of the
+    affine hull, -1 for the empty polytope.  The facet incidences, the
+    ``measure`` and the walk levels are derived on first use and kept.
     """
 
     rank: int
-    vertices: tuple
+    integer_vertices: tuple
     halfspaces: tuple
     affine_dim: int
 
+    def __init__(self, rank, vertices, halfspaces, affine_dim):
+        self.__dict__.update(rank=rank, integer_vertices=_vertex_form(vertices),
+                             halfspaces=tuple(halfspaces), affine_dim=affine_dim)
+
+    @staticmethod
+    def from_integer(rank, integer_vertices, halfspaces, affine_dim) -> "Polytope":
+        """The polytope of a vertex form (D, points) in lowest terms."""
+        p = object.__new__(Polytope)
+        p.__dict__.update(rank=rank, integer_vertices=integer_vertices,
+                          halfspaces=halfspaces, affine_dim=affine_dim)
+        return p
+
     @cached_property
-    def integer_vertices(self) -> tuple:
-        """(D, points): the vertices times the least common denominator D
-        of their coordinates, as integer tuples in vertex order."""
-        d = lcm(*(x.denominator for v in self.vertices for x in v))
-        return d, tuple(tuple(x.numerator * (d // x.denominator) for x in v)
-                        for v in self.vertices)
+    def vertices(self) -> tuple:
+        d, points = self.integer_vertices
+        return tuple(tuple(Fraction(x, d) for x in v) for v in points)
 
     @cached_property
     def incidence(self) -> tuple:
@@ -400,7 +424,7 @@ class Polytope:
                                         for a, b in self.halfspaces))
                     continue
                 hull = polytope_from_vertices([tuple(x[i] for i in order[:k]) for x in points])
-                levels.append(tuple((a, int(b)) for a, b in hull.halfspaces))
+                levels.append(hull.halfspaces)
             self._walk_levels[order] = tuple(levels)
         return self._walk_levels[order]
 
@@ -412,9 +436,10 @@ class Polytope:
         c = rat(c)
         if c <= 0:
             raise ValueError("scale factor must be positive")
-        return Polytope(
+        d, points = self.integer_vertices
+        return Polytope.from_integer(
             self.rank,
-            tuple(tuple(c * x for x in v) for v in self.vertices),
+            _lowest(d * c.denominator, [tuple(c.numerator * x for x in v) for v in points]),
             tuple((a, c * b) for a, b in self.halfspaces),
             self.affine_dim,
         )
@@ -440,11 +465,11 @@ class Polytope:
         return p
 
 
-def _affine_dim(vertices) -> int:
-    if not vertices:
+def _affine_dim(points) -> int:
+    if not points:
         return -1
-    v0 = vertices[0]
-    return rank_of([tuple(x - y for x, y in zip(v, v0)) for v in vertices[1:]])
+    v0 = points[0]
+    return rank_of([tuple(x - y for x, y in zip(v, v0)) for v in points[1:]])
 
 
 def _homogenized(rank, halfspaces):
@@ -456,13 +481,14 @@ def _homogenized(rank, halfspaces):
 
 
 def _vertices_of(rays, zeros):
-    """From the extreme rays of a homogenization and their tight masks:
-    the sorted vertices (the rays with t > 0, scaled to t = 1), for each
-    the bitmask of the tight halfspaces, and whether a ray with t = 0 (a
-    recession direction) exists."""
-    found = sorted((tuple(Fraction(x, r[-1]) for x in r[:-1]), z)
-                   for r, z in zip(rays, zeros) if r[-1] > 0)
-    return [v for v, _ in found], [z for _, z in found], len(found) < len(rays)
+    """From the extreme rays of a homogenization and their tight masks: the
+    vertex form of the sorted vertices x/t of the primitive rays (x, t) with
+    t > 0 (so D is the lcm of the t's), for each vertex the bitmask of the
+    tight halfspaces, and whether a recession direction (t = 0) exists."""
+    tops = [(r, z) for r, z in zip(rays, zeros) if r[-1] > 0]
+    d = lcm(*(r[-1] for r, _ in tops))
+    found = sorted((tuple(x * (d // r[-1]) for x in r[:-1]), z) for r, z in tops)
+    return (d, tuple(v for v, _ in found)), [z for _, z in found], len(found) < len(rays)
 
 
 def _vertex_rays(rank, halfspaces):
@@ -477,25 +503,25 @@ def _vertex_rays(rank, halfspaces):
 def _polytope(rank, normed, found, assume_bounded) -> Polytope:
     """The polytope of the canonical system ``normed`` from the vertex data
     of its homogenization (``_vertex_rays``)."""
-    vertices, zeros, recession = found if found is not None else ([], [], True)
+    form, zeros, recession = found if found is not None else ((1, ()), [], True)
     if recession and not assume_bounded:
         raise UnsupportedGeometryError("inequality system is unbounded")
-    if not vertices:
+    if not form[1]:
         return Polytope(rank, (), (), -1)
     tight = [0] * len(normed)
     for j, z in enumerate(zeros):
         for i in _bits(z):
             if i < len(normed):
                 tight[i] |= 1 << j
-    if (1 << len(vertices)) - 1 in tight:
+    if (1 << len(form[1])) - 1 in tight:
         # an implicit equality: the body lies in a hyperplane
-        return Polytope(rank, tuple(vertices), tuple(normed), _affine_dim(vertices))
+        return Polytope.from_integer(rank, form, tuple(normed), _affine_dim(form[1]))
     # the facets are the halfspaces whose tight vertex sets are maximal
     facets = tuple(
         h for h, m in zip(normed, tight)
         if m and all(m | other != other or other == m for other in tight)
     )
-    return Polytope(rank, tuple(vertices), facets, rank)
+    return Polytope.from_integer(rank, form, facets, rank)
 
 
 def polytope_from_halfspaces(rank, halfspaces, assume_bounded=False) -> Polytope:
@@ -520,16 +546,16 @@ def cut(p: Polytope, extra) -> Polytope:
     the bitmasks of p's halfspaces tight on them, and refines by the new
     halfspaces only.
     """
-    normed = _normalized_system(p.rank, [*p.halfspaces, *extra])
-    if normed is None or not p.vertices:
+    own = [_normalize_halfspace(a, b) for a, b in p.halfspaces]
+    normed = _normalized_system(p.rank, extra, own)
+    d, points = p.integer_vertices
+    if normed is None or not points:
         return Polytope(p.rank, (), (), -1)
     index = {h: i for i, h in enumerate(normed)}
-    own = [(1 << index[_normalize_halfspace(a, b)], m)
-           for (a, b), m in zip(p.halfspaces, p.incidence)]
+    own = [(1 << index[h], m) for h, m in zip(own, p.incidence)]
     skip = 1 << len(normed)  # t >= 0 holds on the cone over p
     for bit, _ in own:
         skip |= bit
-    d, points = p.integer_vertices
     rays, zeros = [], []
     for j, x in enumerate(points):
         g = gcd(*x, d)
@@ -543,27 +569,28 @@ def cut(p: Polytope, extra) -> Polytope:
     return _polytope(p.rank, normed, _vertices_of(rays, zeros), True)
 
 
-def polytope_from_vertices(points) -> Polytope:
-    """Convex hull of a point set of any affine dimension: its facets are
-    the extreme rays, tight on some point, of the dual of the cone over
-    {(p, 1)}.  The integer nullspace of the generators, added both ways,
-    makes that dual pointed and gives the hull's equations, each as two
-    opposite halfspaces."""
-    pts = sorted({p if all(type(x) is int for x in p) else vec(p) for p in map(tuple, points)})
+def polytope_from_vertices(points, denom=1) -> Polytope:
+    """Convex hull of the points / denom, a point set of any affine
+    dimension: its facets are the extreme rays, tight on some point, of the
+    dual of the cone over {(p, denom)}.  The integer nullspace of the
+    generators, added both ways, makes that dual pointed and gives the
+    hull's equations, each as two opposite halfspaces."""
+    scale, pts = _vertex_form(points)
+    pts, denom = sorted(set(pts)), denom * scale
     if not pts:
         return Polytope(0, (), (), -1)
     n = len(pts[0])
     _check_rank(n)
-    generators = [primitive(p + (1,)) for p in pts]
+    generators = [primitive(p + (denom,)) if denom > 1 else p + (1,) for p in pts]
     equations = nullspace(generators, n + 1)
     both = [e for eq in equations for e in (eq, tuple(-x for x in eq))]
     rays, zeros = _double_description(generators + both, n + 1)
     full = (1 << len(pts)) - 1
     zeros = [z & full for z in zeros]
     normals = [r for r, z in zip(rays, zeros) if z] + both
-    facets = sorted((tuple(-x for x in r[:-1]), Fraction(r[-1])) for r in normals)
-    vertices = tuple(vec(pts[i]) for i in _extreme(zeros, len(pts)))
-    return Polytope(n, vertices, tuple(facets), n - len(equations))
+    facets = sorted((tuple(-x for x in r[:-1]), r[-1]) for r in normals)
+    extreme = _lowest(denom, [pts[i] for i in _extreme(zeros, len(pts))])
+    return Polytope.from_integer(n, extreme, tuple(facets), n - len(equations))
 
 
 def check_consistency(p: Polytope, strict: bool = False) -> bool:
@@ -583,8 +610,8 @@ def check_consistency(p: Polytope, strict: bool = False) -> bool:
                 return False
     if strict:
         found = _vertex_rays(p.rank, p.halfspaces)
-        redone = found[0] if found is not None else []
-        if tuple(redone) != tuple(sorted(p.vertices)):
+        d, points = found[0] if found is not None else (1, ())
+        if (d, list(points)) != (p.integer_vertices[0], sorted(p.integer_vertices[1])):
             return False
     return True
 
@@ -616,22 +643,20 @@ def _reeb_pairings(dual: Cone, xi):
 
 def reeb_slice(dual: Cone, xi):
     """The sub-level body Q = {u in the weight cone : <u, xi> <= 1} and its
-    level-one slice P = {<u, xi> = 1}, both with exact vertex data."""
+    level-one slice P = {<u, xi> = 1}: the primitive rays r times d/pr, pr =
+    <r, d*xi>, each over the least denominator pr/gcd(d, pr), and 0 for Q."""
     xi, d, pairings = _reeb_pairings(dual, xi)
     n = dual.rank
-    scaled = sorted(tuple(Fraction(x * d, pr) for x in r) for r, pr in zip(dual.rays, pairings))
+    big = lcm(*(pr // gcd(d, pr) for pr in pairings))
+    scaled = sorted(tuple(x * (d * big // pr) for x in r) for r, pr in zip(dual.rays, pairings))
     cap_normal, cap_offset = _normalize_halfspace(xi, 1)
-    q_halfspaces = [(tuple(-x for x in h), Fraction(0)) for h in dual.halfspaces]
+    q_halfspaces = [(tuple(-x for x in h), 0) for h in dual.halfspaces]
     q_halfspaces.append((cap_normal, cap_offset))
-    origin = tuple(Fraction(0) for _ in range(n))
-    q = Polytope(
-        n,
-        tuple(sorted([origin] + scaled)),
-        tuple(sorted(q_halfspaces)),
-        n,
-    )
+    q = Polytope.from_integer(n, (big, tuple(sorted([(0,) * n] + scaled))),
+                              tuple(sorted(q_halfspaces)), n)
     p_halfspaces = q_halfspaces + [(tuple(-x for x in cap_normal), -cap_offset)]
-    p = Polytope(n, tuple(scaled), tuple(sorted(p_halfspaces)), n - 1 if n > 1 else 0)
+    p = Polytope.from_integer(n, (big, tuple(scaled)), tuple(sorted(p_halfspaces)),
+                              n - 1 if n > 1 else 0)
     return q, p
 
 
@@ -642,8 +667,8 @@ def unimodular_image(p: Polytope, v, w) -> Polytope:
     d, points = p.integer_vertices
     images = sorted(tuple(sum(map(mul, row, x)) for row in w) for x in points)
     normals = [tuple(sum(map(mul, a, c)) for c in zip(*v)) for a, _ in p.halfspaces]
-    return Polytope(p.rank, tuple(tuple(Fraction(x, d) for x in y) for y in images),
-                    tuple(zip(normals, (b for _, b in p.halfspaces))), p.affine_dim)
+    return Polytope.from_integer(p.rank, (d, tuple(images)),
+                                 tuple(zip(normals, (b for _, b in p.halfspaces))), p.affine_dim)
 
 
 def okounkov_body(dual: Cone, xi, basis) -> Polytope:
@@ -661,10 +686,8 @@ def okounkov_body(dual: Cone, xi, basis) -> Polytope:
     q, _ = reeb_slice(dual, xi)
     vertices = tuple(sorted(mat_vec(rows, v) for v in q.vertices))
     inv_t = transpose(inverse(rows))
-    halfspaces = []
-    for a, b in q.halfspaces:
-        halfspaces.append(_normalize_halfspace(mat_vec(inv_t, vec(a)), b))
-    return Polytope(n, vertices, tuple(sorted(halfspaces)), n)
+    halfspaces = sorted(_normalize_halfspace(mat_vec(inv_t, a), b) for a, b in q.halfspaces)
+    return Polytope(n, vertices, halfspaces, n)
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +732,7 @@ def triangulate(p: Polytope) -> Triangulation:
     volumes add up to the volume of the whole body."""
     if p.affine_dim < p.rank:
         raise DegeneratePolytopeError(p.affine_dim)
-    full = (1 << len(p.vertices)) - 1
+    full = (1 << len(p.integer_vertices[1])) - 1
     return Triangulation(tuple(sorted(_pulling(p.incidence, full, p.rank))))
 
 
@@ -720,12 +743,6 @@ def triangulate_cone(c: Cone) -> Triangulation:
     masks = [sum(1 << i for i, r in enumerate(c.rays) if sum(map(mul, h, r)) == 0)
              for h in c.halfspaces]
     return Triangulation(tuple(sorted(_pulling(masks, (1 << len(c.rays)) - 1, c.rank - 1))))
-
-
-def simplex_volume(points) -> Fraction:
-    v0 = points[0]
-    rows = [tuple(x - y for x, y in zip(v, v0)) for v in points[1:]]
-    return abs(det(rows)) / factorial(len(rows))
 
 
 def volume(p: Polytope) -> Fraction:
@@ -767,17 +784,9 @@ def facet_chart(p: Polytope) -> FacetChart:
     """Chart for a polytope whose affine hull is a hyperplane."""
     if p.rank < 2 or p.affine_dim != p.rank - 1:
         raise DegeneratePolytopeError(p.affine_dim, "chart requires a codimension-one body")
-    v0 = p.vertices[0]
-    diffs = []
-    for v in p.vertices[1:]:
-        d = tuple(x - y for x, y in zip(v, v0))
-        if rank_of(diffs + [d]) > len(diffs):
-            diffs.append(d)
-        if len(diffs) == p.rank - 1:
-            break
-    normal = orthogonal_complement_vector(diffs)
-    offset = dot(normal, v0)
+    d, points = p.integer_vertices
+    v0 = points[0]
+    normal = nullspace([[x - y for x, y in zip(v, v0)] for v in points[1:]], p.rank)[0]
     j = min(i for i, x in enumerate(normal) if x != 0)
-    proj = [v[:j] + v[j + 1 :] for v in p.vertices]
-    body = polytope_from_vertices(proj)
-    return FacetChart(tuple(Fraction(x) for x in normal), offset, j, body)
+    body = polytope_from_vertices([v[:j] + v[j + 1 :] for v in points], d)
+    return FacetChart(normal, Fraction(sum(map(mul, normal, v0)), d), j, body)

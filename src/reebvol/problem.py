@@ -61,7 +61,7 @@ class ProblemSpec:
         return self._setup[1]
 
 
-def _rational(value, path) -> Fraction:
+def _rational(value, path):
     try:
         return rat(value)
     except (ValueError, ZeroDivisionError) as exc:
@@ -71,7 +71,10 @@ def _rational(value, path) -> Fraction:
 def _vector(value, rank, path):
     if not isinstance(value, list) or len(value) != rank:
         raise SpecError(path, f"expected a list of {rank} rationals")
-    return tuple(_rational(x, f"{path}[{i}]") for i, x in enumerate(value))
+    try:
+        return tuple(map(rat, value))
+    except (ValueError, ZeroDivisionError):  # again, naming the first bad entry
+        return tuple(_rational(x, f"{path}[{i}]") for i, x in enumerate(value))
 
 
 def positive_int(value, path, least=1) -> int:

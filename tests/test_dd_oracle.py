@@ -6,6 +6,8 @@ ranks 2-5: random hulls and inequality systems, non-simple bodies (cube and
 cross-polytope cells), lower-dimensional Reeb slices and empty systems.
 Cuts refined from a body's vertices are compared with the same system built
 from scratch, and the integer volumes and first moments with simplex sums.
+Every constructor's integer vertex form is compared with the one derived
+from independently computed Fraction vertices.
 """
 
 import itertools
@@ -18,7 +20,7 @@ from hypothesis import HealthCheck, assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import brute_hull, brute_pulling, brute_vertices, min_form, permutation_det
-from reebvol.arith import dot, rank_of
+from reebvol.arith import dot, mat_vec, primitive, rank_of, unimodular_completion
 from reebvol.plconcave import linearity_subdivision
 from reebvol.polyhedra import (
     Cone,
@@ -31,6 +33,7 @@ from reebvol.polyhedra import (
     reeb_slice,
     triangulate,
     triangulate_cone,
+    unimodular_image,
     volume,
 )
 
@@ -427,3 +430,64 @@ def test_integer_measure_matches_oracle_simplex_sums(case):
     for body in (p, cut(p, extra)):
         if body.affine_dim == body.rank and (body.rank <= 3 or len(body.vertices) <= 8):
             assert_measure_matches_oracle(body)
+
+
+# -- the integer vertex form -------------------------------------------------------
+
+
+def assert_vertex_form(p, want):
+    """p's integer vertices are the least-common-denominator form of the
+    independently derived Fraction vertices ``want``, in sorted order."""
+    want = sorted(tuple(map(F, v)) for v in want)
+    d = math.lcm(*(x.denominator for v in want for x in v))
+    assert p.integer_vertices == (d, tuple(tuple(int(x * d) for x in v) for v in want))
+    assert list(p.vertices) == want
+
+
+@st.composite
+def vertex_form_cases(draw):
+    """A cone of rank 1-5 with a rational xi in its interior, a positive
+    rational combination of its rays, so that xi's pairings with the weight
+    cone's rays rarely divide one another; a rational hull of the same
+    rank, a halfspace to cut it with, a scale, and a primitive vector to
+    complete to a unimodular frame."""
+    sigma = Cone.from_rays([[1]]) if draw(st.integers(1, 5)) == 1 else draw(cones_with_xi())[0]
+    n = sigma.rank
+    k = draw(st.integers(n + 1, n + (1 if n == 5 else 3)))  # a rank-5 simplex: few facets
+    den = draw(st.integers(1, 6))
+    pts = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=k, max_size=k,
+                        unique=True))
+    assume(rank_of([tuple(x - y for x, y in zip(p, pts[0])) for p in pts[1:]]) == n)
+    pts = [tuple(F(x, den) for x in p) for p in pts]
+    nonzero = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+    halfspace = (draw(nonzero), F(draw(st.integers(-3, 3)), draw(st.integers(1, 4))))
+    scale = F(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    w = primitive(draw(nonzero))
+    weights = [F(draw(st.integers(1, 5)), draw(st.integers(1, 5))) for _ in sigma.rays]
+    xi = tuple(sum(c * r[i] for c, r in zip(weights, sigma.rays)) for i in range(n))
+    return sigma, xi, pts, halfspace, scale, w
+
+
+@seed(20261021)
+@settings(SETTINGS, max_examples=40)
+@given(vertex_form_cases())
+@example((Cone.from_rays([[1, 0], [0, 1]]), (F(2, 3), F(3, 4)),  # pairings 8 and 9
+          [(F(0), F(0)), (F(1, 2), F(0)), (F(0), F(1, 3))], ((1, 1), F(1, 4)), F(2, 3), (1, 2)))
+def test_every_constructor_builds_the_integer_vertex_form(case):
+    sigma, xi, pts, halfspace, scale, w = case
+    n = sigma.rank
+    hull = polytope_from_vertices(pts)
+    corners = brute_vertices(n, hull.halfspaces)
+    assert_vertex_form(hull, corners)
+    assert_vertex_form(polytope_from_halfspaces(n, hull.halfspaces), corners)
+    assert_vertex_form(cut(hull, [halfspace]), brute_vertices(n, [*hull.halfspaces, halfspace]))
+    assert_vertex_form(hull.scaled(scale), [tuple(scale * x for x in v) for v in hull.vertices])
+    dual = dual_cone(sigma)
+    q, p = reeb_slice(dual, xi)
+    slice_points = [tuple(F(x) / dot(r, xi) for x in r) for r in dual.rays]
+    assert_vertex_form(p, slice_points)
+    assert_vertex_form(q, slice_points + [(F(0),) * n])
+    v, w_inverse = unimodular_completion(w)
+    for body in (hull, p):
+        image = unimodular_image(body, v, w_inverse)
+        assert_vertex_form(image, [mat_vec(w_inverse, x) for x in body.vertices])

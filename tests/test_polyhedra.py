@@ -103,6 +103,20 @@ def test_non_pointed_rejected():
         Cone.from_rays([[1, 0], [-1, 0], [0, 1]])
 
 
+@pytest.mark.parametrize("make, generators, message", [
+    (Cone.from_rays, [(1, 0), (-1, 0), (0, 1)], "cone is not pointed"),
+    (Cone.from_rays, [(1, 0, 0), (0, 1, 0)], "cone is not full-dimensional"),
+    (Cone.from_rays, [(1, 0), (-1, 0)], "cone is not full-dimensional"),
+    (Cone.from_halfspaces, [(1, 0), (-1, 0), (0, 1)], "cone is not full-dimensional"),
+    (Cone.from_halfspaces, [(1, 0, 0), (0, 1, 0)],
+     "cone is not pointed (facet normals do not span)"),
+])
+def test_cone_errors_name_the_failed_condition(make, generators, message):
+    with pytest.raises(UnsupportedGeometryError) as err:
+        make(generators)
+    assert str(err.value) == message
+
+
 def test_rank_range_guard():
     with pytest.raises(UnsupportedGeometryError):
         Cone.from_rays([[1] + [0] * 8] * 9, rank=9)

@@ -268,6 +268,24 @@ def test_parse_rejects_float_rational():
     assert err.value.path == "xi[0]"
 
 
+@pytest.mark.parametrize("text, value", [
+    ("0.5", F(1, 2)), ("1e3", 1000), (" 7 ", 7), ("+3", 3), ("4/6", F(2, 3)),
+    ("1_0", None), ("1_000/3", None), ("0.5_0", None),
+])
+def test_rationals_parse_the_same_on_every_python(tmp_path, text, value):
+    # Fraction(str) reads underscores from Python 3.11 on; a spec reads as on 3.10
+    payload = dict(MINIMAL, xi=[text, "1"])
+    if value is not None:
+        assert parse_spec(json.dumps(payload)).xi == (value, 1)
+        return
+    with pytest.raises(SpecError) as err:
+        parse_spec(json.dumps(payload))
+    assert (err.value.path, err.value.message) == ("xi[0]", f"not an exact rational: {text!r}")
+    code, out, err = invoke(["volume", spec_file(tmp_path, payload)])
+    assert code == 2 and out == ""
+    assert f"xi[0]: not an exact rational: {text!r}" in err
+
+
 def test_parse_rejects_negative_filtration():
     bad = dict(MINIMAL, filtration={"branches": [{"linear": ["1", "-1"]}]})
     with pytest.raises(SpecError) as err:
