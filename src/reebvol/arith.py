@@ -21,15 +21,15 @@ Matrix = tuple
 def rat(value):
     """An exact rational from an int, a Fraction or a string "p/q", "p" or
     "0.5", "1e3" (optional sign and surrounding whitespace): an int for ints
-    and integer strings, else a Fraction.  Strings with underscores are
-    refused, as ``Fraction`` refuses them before Python 3.11.  Floats are
-    rejected: every quantity in this package is exact.
+    and integer strings, else a Fraction.  Underscores and inner whitespace
+    ("2 / 3") are refused, as ``Fraction`` refuses them before Python 3.11
+    and 3.12.  Floats are rejected: every quantity here is exact.
     """
     if isinstance(value, bool):
         raise ValueError("booleans are not rationals")
     if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, str) and "_" not in value:
+    if isinstance(value, str) and "_" not in value and len(value.split()) == 1:
         try:
             return int(value)
         except ValueError:
