@@ -30,7 +30,8 @@ from .polyhedra import Cone, reeb_slice
 
 class GradedSetup:
     """Weight cone + Reeb polarization + filtration; the slice bodies and the
-    admissibility check are derived once, here, the branch data and degree frame on first use."""
+    admissibility check are derived once, here, the branch data and degree
+    frame (with the branches in its coordinates) on first use."""
 
     def __init__(self, dual: Cone, xi, psi: PLConcave | None, ceiling=False, clamp=False):
         self.dual = dual
@@ -59,6 +60,10 @@ class GradedSetup:
     @cached_property
     def _frame(self) -> lattice.DegreeFrame:
         return lattice.degree_frame(self.p, self.xi)
+
+    @cached_property
+    def _frame_branches(self) -> lattice.BranchData:
+        return self._branches.transported(list(zip(*self._frame.v)))
 
     def value(self, u) -> Fraction:
         v = self.psi.value(vec(u))
@@ -178,8 +183,7 @@ def degree_slice(g: GradedSetup, t: int):
     _require_integral(g)
     if t < 1:
         raise ValueError("degree must be at least 1")
-    branches = g._branches.transported(list(zip(*g._frame.v)))
-    n_t, total = lattice.count_and_sum(g._frame.body, t, branches, g.ceiling, g.clamp)
+    n_t, total = lattice.count_and_sum(g._frame.body, t, g._frame_branches, g.ceiling, g.clamp)
     if not n_t:
         return 0, None
     return n_t, total / (t * n_t)

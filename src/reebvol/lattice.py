@@ -5,24 +5,34 @@ by one.  Level k of the walk bounds x_k by the facets of the body's
 projection onto its first k coordinates, as integer rows split once by
 the sign of their x_k coefficient.  Those projections are the hulls of the
 projected vertices (``Polytope.walk_levels``), built by the one
-double-description core, once per body and walk order, and a dilation m
-only scales their offsets, so every level m of a body shares them.
+double-description core.  The walker and the plan of each walk it makes
+(``_plan``: the root's classes of rows and forms, and per level the
+column specs as envelope lines) are kept with the body per walk order and
+per linear parts of the forms asked for (``Polytope.walk_plans``), so a
+dilation m only scales offsets: every level m of a body, its degree slices
+and repeated calls on one setup share them.
 
 The walk is level-synchronous: it fixes one coordinate for a whole chunk
 of prefixes at once, as integer columns.  Every row of a deeper level, and
 every affine form the caller asks for, carries its residual at each
 prefix, so a child x of a prefix gets its bound on the next coordinate as
-(r + c*x) // d, min over the upper rows and max over the lower ones: an
-addition and a floor division per row class.  Rows (or forms) that agree
-on every coefficient not yet fixed and on the divisor share one residual,
-their min or max, as the floor division is monotone; a row with a zero
-coefficient on the coordinate being fixed gives one scalar per parent.
-Each level takes at most ``BATCH`` children per step, splitting a parent's
-range where a step ends, so the frontier stays bounded whatever the level
-m.  The leaves come out in batches, in ascending lexicographic order
-across node boundaries: the forms' values at each leaf's prefix and the
-range lo..hi of the last coordinate.  No bounding box is ever
-materialized.
+(r + c*x) // d, min over the upper rows and max over the lower ones.  Rows
+(or forms) that agree on every coefficient not yet fixed and on the
+divisor share one residual, their min or max, as the floor division is
+monotone.  A column of the children is so the min or max of lines
+R + A*x over a common divisor D, terms of one slope being one line, and
+floor division by D commutes with min and max.  A node with many children
+takes it as envelope runs: the lines sorted by slope, one floor division
+per pair of lines at the node gives where each line is the pick, and each
+line's run is a ``range`` (a ``repeat`` at slope 0) chained in C, so a
+child costs no Python-level step.  A chunk whose nodes have fewer than
+``RUNS`` children on average evaluates every line at every child instead,
+which costs less there.  Each level takes at most ``BATCH`` children per
+step, splitting a parent's range where a step ends, so the frontier stays
+bounded whatever the level m.  The leaves come out in batches, in
+ascending lexicographic order across node boundaries: the forms' values at
+each leaf's prefix and the range lo..hi of the last coordinate.  No
+bounding box is ever materialized.
 
 Streaming enumeration expands each leaf's range in the natural coordinate
 order, as its output is lexicographic.  The reductions (point counts, sums
@@ -30,12 +40,12 @@ and maxima of a minimum of integer affine forms, value histograms) take the
 innermost coordinate from ``_walk_order`` and reduce each leaf batch as
 columns, in integers only, without visiting points.  The branches of one
 slope along the last coordinate form a group, whose least offset at each
-leaf is one of the walk's form values, and one floor division per pair of
-groups and leaf bounds the piece of the leaf where a group is the minimum;
-the clamp cuts each piece at its zero.  Sums are closed forms over
-the pieces.  A histogram marks two endpoint events per varying piece, keyed
-by its step, and one sorted sweep per step writes each covered value once,
-with its count.
+leaf is one of the walk's form values; the groups are the lines of the
+same envelope over the leaves, which gives the piece of each leaf where a
+group is the minimum, and the clamp cuts each piece at its zero.  Sums are
+closed forms over the pieces.  A histogram marks two endpoint events per
+varying piece, keyed by its step, and one sorted sweep per step writes
+each covered value once, with its count.
 
 The weights of degree <u, xi> = t of an integral xi are t times the slice
 P at degree 1 in a unimodular frame (``degree_frame``) that puts <u, xi>/g
@@ -50,12 +60,11 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict, namedtuple
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, compress, repeat
-from math import gcd
-from operator import add, ge, itemgetter, le, mul, sub
+from math import gcd, lcm
+from operator import add, floordiv, ge, itemgetter, le, mul, sub
 
 from .arith import unimodular_completion
 from .errors import UnsupportedGeometryError
-from .plconcave import integer_branches
 from .polyhedra import reeb_slice, unimodular_image
 
 # ---------------------------------------------------------------------------
@@ -64,65 +73,78 @@ from .polyhedra import reeb_slice, unimodular_image
 
 
 BATCH = 1024  # the most leaves, or children of one level, that one batch holds
+# The fewest children per node, averaged over a chunk, that a level expands
+# as envelope runs.  Runs cost a few column entries per line and node, the
+# per-child pick one per term and child; on the perfbench walks the runs
+# win from about 4 children per node on spectra and from about 10 on the
+# rank-4 report walks, whose small chunks carry up to 11 columns.
+RUNS = 10
 
 
 class PrefixBounds:
-    """A walker over the integer points of a bounded body, from its integer
-    rows per level: level k (k = 1..nvars) holds rows a.x <= b in x_1..x_k
-    that describe the body's projection onto its first k coordinates.
+    """A walker over the integer points of m times a bounded body, from its
+    integer rows per level: level k (k = 1..nvars) holds rows a.x <= c/denom
+    in x_1..x_k that describe the body's projection onto its first k
+    coordinates, so that m times it has the rows a.x <= m*c // denom.
 
     Each level's rows are split once by the sign of their x_k coefficient
     into upper and lower bounds of x_k.  A row with a zero x_k coefficient
     is left out: it bounds the projection onto x_1..x_{k-1} too, where the
-    walk has already enforced it.
+    walk has already enforced it.  ``dilated(m)`` walks m times the body
+    and shares the split rows and the plans of its walks (``_plan``), one
+    per key of the affine forms the caller asks for, so a walk at another
+    level only scales offsets.
 
     ``batches`` fixes one coordinate per level for a whole chunk of
     prefixes at once, as integer columns.  Every bound row of a deeper
     level, and every affine form that the caller asks for, carries its
     residual at each prefix; rows or forms that agree on every coefficient
     not yet fixed and on the divisor carry one residual, their min or max.
-    So the rows of the next level that share the coefficient being fixed
-    and the divisor are one column, those with a zero coefficient there one
-    scalar per parent, and the forms of one group that share their last
-    prefix coefficient one column before the last expansion.  Each level
-    expands at most ``BATCH`` children per step, splitting a parent's range
-    where a step ends, so the frontier stays bounded: about ``BATCH``
-    entries per level and column, whatever the size of the body."""
+    Each level expands at most ``BATCH`` children per step, splitting a
+    parent's range where a step ends, so the frontier stays bounded: about
+    ``BATCH`` entries per level and column, whatever the size of the body."""
 
-    def __init__(self, levels):
+    def __init__(self, levels, denom=1):
         self.nvars = len(levels)
         self._split = [None] + [
-            ([_bound_row(a, b, -1) for a, b in rows if a[-1] > 0],
-             [_bound_row(a, b, 1) for a, b in rows if a[-1] < 0])
+            ([_bound_row(a, c, -1) for a, c in rows if a[-1] > 0],
+             [_bound_row(a, c, 1) for a, c in rows if a[-1] < 0])
             for rows in levels]
+        self._denom, self._m, self._plans = denom, 1, {}
+
+    def dilated(self, m):
+        """The walker of m times the body, sharing this one's plans."""
+        walker = object.__new__(self.__class__)
+        walker.__dict__ = {**self.__dict__, "_m": m}
+        return walker
 
     def batches(self, groups=()):
         """Batches (values, los, his) of the leaves in ascending
         lexicographic order of their prefix x_1..x_{n-1}: for leaf i,
         los[i]..his[i] is the nonempty integer range of x_n, and values[g][i]
         is the least of the affine forms (linear, const) of ``groups[g]`` at
-        the prefix, ``linear`` having n - 1 integer entries.  A batch holds
+        the prefix, ``linear`` a tuple of n - 1 integers.  A batch holds
         at most ``BATCH`` leaves."""
-        families = [(min, [(tuple(l), 1, c) for l, c in group]) for group in groups]
-        for upper, lower in self._split[2:]:
-            families += [(max, lower), (min, upper)]
+        key = tuple(tuple(l for l, _ in group) for group in groups)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = _plan(self._split, key)
+        m, denom = self._m, self._denom
         upper, lower = self._split[1]
         if not upper or not lower:
             raise UnsupportedGeometryError("unbounded direction in lattice enumeration")
-        lo, hi = max(r // d for _, d, r in lower), min(r // d for _, d, r in upper)
+        lo = max((d - 1 - m * c // denom) // d for _, d, c in lower)
+        hi = min(m * c // denom // d for _, d, c in upper)
         if lo > hi:
             return
-        layout, chunk = [], []  # the root's classes, one column of one entry each
-        for f, (pick, members) in enumerate(families):
-            least = {}
-            for coefs, d, r in members:
-                least[coefs, d] = pick(least[coefs, d], r) if (coefs, d) in least else r
-            layout += [(f, coefs, d) for coefs, d in least]
-            chunk += [[r] for r in least.values()]
+        roots, levels = plan
+        consts = [c for group in groups for _, c in group]
+        chunk = [[min(consts[i] for i in root) if shift is None  # a class of forms
+                  else m * root // denom if shift < 0 else shift - m * root // denom]
+                 for root, shift in roots]  # the root's classes, one entry each
         chunks = [(chunk, [lo], [hi])]
-        for upper, lower in self._split[2:]:
-            layout, specs = _step(families, layout)
-            chunks = _expand_all(specs, chunks, not upper or not lower)
+        for level in levels:
+            chunks = _expand_all(level, chunks)
         yield from chunks
 
     def leaves(self):
@@ -135,62 +157,125 @@ class PrefixBounds:
             yield from zip(zip(*values) if n else repeat(()), los, his)
 
 
-def _bound_row(a, b, sign):
-    """Row a.x <= b of level k as (coefs, d, r) with d > 0: at a prefix x of
-    length k - 1, it bounds x_k by (r + coefs.x) // d, from above for sign -1
-    (a_k > 0) and, as an integer ceiling, from below for sign 1 (a_k < 0)."""
-    d = -sign * a[-1]
-    return tuple(sign * v for v in a[:-1]), d, (b if sign < 0 else d - 1 - b)
+def _bound_row(a, c, sign):
+    """Row a.x <= c/denom of level k as (coefs, d, c) with d > 0: in a walk
+    of m times the body, whose row has the offset b = m*c // denom, at a
+    prefix x of length k - 1 it bounds x_k by (r + coefs.x) // d, from above
+    for sign -1 (a_k > 0) with r = b and, as an integer ceiling, from below
+    for sign 1 (a_k < 0) with r = d - 1 - b."""
+    return tuple(sign * v for v in a[:-1]), -sign * a[-1], c
 
 
-def _step(families, layout):
-    """The column specs that fix the next coordinate, and the layout of the
-    carried columns after it.  ``layout`` names each carried column by
-    (family, coefs, d), coefs starting at the coordinate to fix.  A spec
-    (pick, fixed, moving) builds one column of the children: ``pick`` over
-    the parent's r // d for the fixed terms (i, d), whose coefficient is 0,
-    and over (the ``pick`` of r + a*x over the moving terms (i, a) of one
-    divisor d) // d for each (d, terms) of ``moving``, r being column i.  A
-    family whose coefficients end at this coordinate gives one column, the
-    others one per class of equal remaining coefficients and divisor.  The
-    specs of the carried columns come first, then those of the ending
-    families in family order."""
+def _plan(split, groups):
+    """The plan of a walk over the split rows with forms of the linear parts
+    ``groups``: (roots, levels), both independent of the level m and of the
+    forms' constants.
+
+    The forms of one group, the lower rows of a level (pick max) and its
+    upper rows (pick min) are the families of the walk.  A family's members
+    that share (coefs, d) are one class of the root, whose entry is (the
+    forms' indices, None) for a group, else (the least c, -1) for upper
+    rows, whose residual is m*c // denom, or (the least c, d - 1) for lower
+    rows, whose residual is d - 1 - m*c // denom: the pick of the members'
+    residuals.  ``levels`` holds per deeper level its column specs
+    (``_step``) and whether it lacks an upper or a lower bound."""
+    picks, roots, layout, start = [], [], [], 0
+    for group in groups:
+        classes = {}
+        for i, linear in enumerate(group, start):
+            classes.setdefault(linear, []).append(i)
+        start += len(group)
+        layout += [(len(picks), coefs, 1) for coefs in classes]
+        roots += [(indices, None) for indices in classes.values()]
+        picks.append(min)
+    for upper, lower in split[2:]:
+        for pick, rows in ((max, lower), (min, upper)):
+            least = {}
+            for coefs, d, c in rows:
+                least[coefs, d] = min(least.get((coefs, d), c), c)
+            layout += [(len(picks), coefs, d) for coefs, d in least]
+            roots += [(c, d - 1 if pick is max else -1) for (_, d), c in least.items()]
+            picks.append(pick)
+    levels = []
+    for upper, lower in split[2:]:
+        layout, specs = _step(picks, layout)
+        levels.append((specs, not upper or not lower))
+    return roots, levels
+
+
+def _step(picks, layout):
+    """The column specs (``_lines``) that fix the next coordinate, and the
+    layout of the carried columns after it.  ``layout`` names each carried
+    column by (family, coefs, d), coefs starting at the coordinate to fix.
+    A spec builds one column of the children: the family's pick of
+    (r + a*x) // d over its terms (i, a, d), r being column i and a the
+    coefficient of the coordinate.  A family whose coefficients end at this
+    coordinate gives one column, whose terms keep their divisors, the
+    others one per class of equal remaining coefficients and divisor, whose
+    residuals r + a*x are carried undivided.  The specs of the carried
+    columns come first, then those of the ending families in family
+    order."""
     carried, ends = {}, {}
     for i, (f, coefs, d) in enumerate(layout):
         if len(coefs) > 1:
-            fixed, moving = carried.setdefault((f, coefs[1:], d), ([], {}))
-            d = 1
+            carried.setdefault((f, coefs[1:], d), []).append((i, coefs[0], 1))
         else:
-            fixed, moving = ends.setdefault((f,), ([], {}))
-        if coefs[0]:
-            moving.setdefault(d, []).append((i, coefs[0]))
-        else:
-            fixed.append((i, d))
-    specs = [(families[key[0]][0], fixed, list(moving.items()))
-             for key, (fixed, moving) in chain(carried.items(), sorted(ends.items()))]
+            ends.setdefault((f,), []).append((i, coefs[0], d))
+    specs = [_lines(picks[key[0]], terms)
+             for key, terms in chain(carried.items(), sorted(ends.items()))]
     return list(carried), specs
 
 
-def _expand_all(specs, chunks, unbounded):
+def _lines(pick, terms):
+    """The terms (i, a, d) of a column as envelope lines: (pick, D, slopes,
+    offsets), D the least common multiple of the divisors.  A term
+    (r + a*x) // d is the line r*k + a*k*x over D, k = D/d, and floor
+    division by D commutes with min and max, so the column is the ``pick``
+    of the lines, floor-divided by D.  Terms of one slope a*k merge into
+    one line, whose offset at a node is the ``pick`` of the k*r over its
+    terms (i, k): ``offsets`` holds i for a line of one term with k = 1,
+    else its terms.  The lines are sorted by slope, descending for min and
+    ascending for max, so that each one is the ``pick`` on one run of x per
+    node, in order (``_cuts``)."""
+    if len(terms) == 1:
+        i, a, d = terms[0]
+        return pick, d, [a], [i]
+    denom = lcm(*(d for _, _, d in terms))
+    lines = {}
+    for i, a, d in terms:
+        lines.setdefault(a * (denom // d), []).append((i, denom // d))
+    slopes = sorted(lines, reverse=pick is min)
+    offsets = []
+    for a in slopes:
+        (i, k), *more = lines[a]
+        offsets.append(i if k == 1 and not more else lines[a])
+    return pick, denom, slopes, offsets
+
+
+def _expand_all(level, chunks):
     """The chunks of the children of ``chunks``, fixing their next
     coordinate; each holds at most ``BATCH`` children, none with an empty
-    range."""
+    range.  A part whose nodes have ``RUNS`` children or more on average
+    is expanded as envelope runs, the others child by child."""
+    specs, unbounded = level
     for chunk in chunks:
         if unbounded:
             raise UnsupportedGeometryError("unbounded direction in lattice enumeration")
-        for part in _parts(*chunk):
-            children = _expand(specs, *part)
+        for count, cols, los, his in _parts(*chunk):
+            expand = _expand_runs if count >= RUNS * len(los) else _expand
+            children = expand(specs, cols, los, his)
             if children[1]:
                 yield children
 
 
 def _parts(cols, los, his):
     """A chunk of nodes cut into runs of at most ``BATCH`` children, in
-    order; a parent whose range the cut meets is split between two runs."""
+    order, each with its number of children; a parent whose range the cut
+    meets is split between two runs."""
     ends = list(accumulate(map(sub, his, los)))
     total = ends[-1] + len(ends)
     if total <= BATCH:
-        yield cols, los, his
+        yield total, cols, los, his
         return
     ends = list(map(add, ends, range(1, len(ends) + 1)))  # children up to each parent
     for start in range(0, total, BATCH):
@@ -199,45 +284,56 @@ def _parts(cols, los, his):
         part_los, part_his = los[i:j + 1], his[i:j + 1]
         part_los[0] = his[i] + 1 - (ends[i] - start)
         part_his[-1] = his[j] - (ends[j] - stop)
-        yield [col[i:j + 1] for col in cols], part_los, part_his
+        yield stop - start, [col[i:j + 1] for col in cols], part_los, part_his
+
+
+def _children(out):
+    """The children (cols, los, his) of the expanded columns ``out``, the
+    last two being the new range, without those whose range is empty."""
+    if all(map(le, out[-2], out[-1])):
+        return out[:-2], out[-2], out[-1]
+    keep = list(map(le, out[-2], out[-1]))
+    *cols, los, his = [list(compress(col, keep)) for col in out]
+    return cols, los, his
+
+
+def _offsets(pick, offsets, cols):
+    """The offset column of a line: column ``offsets``, or the ``pick`` of
+    k*r over its terms (i, k), r being column i."""
+    if isinstance(offsets, int):
+        return cols[offsets]
+    scaled = [cols[i] if k == 1 else list(map(mul, cols[i], repeat(k))) for i, k in offsets]
+    return scaled[0] if len(scaled) == 1 else list(map(pick, *scaled))
 
 
 def _expand(specs, cols, los, his):
-    """The children (cols, los, his) of the nodes (cols, los, his): one per x
-    in each node's range, with the columns of ``specs``, the last two being
-    the new range.  Children with an empty range are dropped."""
+    """The children of the nodes (cols, los, his), child by child: one per x
+    in each node's range, each line R + A*x of each spec evaluated at every
+    child, their ``pick`` floor-divided by D."""
     ends = list(map(add, his, repeat(1)))
     xs = list(chain.from_iterable(map(range, los, ends)))
     # a parent's column entry, once per child
     spread = (itemgetter(*chain.from_iterable(map(repeat, range(len(los)), map(sub, ends, los))))
               if len(los) > 1 else lambda col: col * len(xs))
     steps = {}
-
-    def moved(i, a):
-        """r + a*x at each child, r being column i at its parent."""
-        if a == 1:
-            return map(add, spread(cols[i]), xs)
-        if a == -1:
-            return map(sub, spread(cols[i]), xs)
-        if a not in steps:
-            steps[a] = list(map(mul, xs, repeat(a)))
-        return map(add, spread(cols[i]), steps[a])
-
     out = []
-    for pick, fixed, moving in specs:
+    for pick, denom, slopes, offsets in specs:
         parts = []
-        if fixed:
-            parts.append(list(spread(_pick(pick, [cols[i] if d == 1 else [r // d for r in cols[i]]
-                                                  for i, d in fixed]))))
-        for d, terms in moving:
-            col = _pick(pick, [moved(i, a) for i, a in terms])
-            parts.append(list(col) if d == 1 else [r // d for r in col])
-        out.append(_pick(pick, parts))
-    if all(map(le, out[-2], out[-1])):
-        return out[:-2], out[-2], out[-1]
-    keep = list(map(le, out[-2], out[-1]))
-    *cols, los, his = [list(compress(col, keep)) for col in out]
-    return cols, los, his
+        for a, i in zip(slopes, offsets):
+            r = spread(_offsets(pick, i, cols))
+            if a == 0:
+                parts.append(r)
+            elif a == 1:
+                parts.append(map(add, r, xs))
+            elif a == -1:
+                parts.append(map(sub, r, xs))
+            else:
+                if a not in steps:
+                    steps[a] = list(map(mul, xs, repeat(a)))
+                parts.append(map(add, r, steps[a]))
+        col = _pick(pick, parts)
+        out.append(list(col) if denom == 1 else [v // denom for v in col])
+    return _children(out)
 
 
 def _pick(pick, cols):
@@ -250,6 +346,60 @@ def _pick(pick, cols):
         else:
             col = [u if u > v else v for u, v in zip(col, other)]
     return col
+
+
+def _expand_runs(specs, cols, los, his):
+    """The children of the nodes (cols, los, his) from envelope runs: per
+    spec and node, the lines' offsets, one floor division per pair of lines
+    for their crossings (``_cuts``), and one run per line, R + A*x over its
+    part of lo..hi, as a ``range`` (a ``repeat`` at slope 0) chained in C,
+    floor-divided by D."""
+    tops = list(map(add, his, repeat(1)))
+    out = []
+    for pick, denom, slopes, offsets in specs:
+        values = [_offsets(pick, i, cols) for i in offsets]
+        cuts = [los, *(_cuts(pick, slopes, values, los, his) if len(slopes) > 1 else ()), tops]
+        runs = []
+        for a, r, firsts, stops in zip(slopes, values, cuts, cuts[1:]):
+            if a == 0:
+                runs.append(map(repeat, r, map(sub, stops, firsts)))
+            elif a == 1:
+                runs.append(map(range, map(add, r, firsts), map(add, r, stops)))
+            else:
+                runs.append(map(range, map(add, r, map(mul, firsts, repeat(a))),
+                                map(add, r, map(mul, stops, repeat(a))), repeat(a)))
+        col = chain.from_iterable(chain.from_iterable(zip(*runs)) if len(runs) > 1 else runs[0])
+        out.append(list(col) if denom == 1 else list(map(floordiv, col, repeat(denom))))
+    return _children(out)
+
+
+def _cuts(pick, slopes, values, los, his):
+    """Where each line but the first starts its run on nodes lo..hi: line g
+    of the lines R + A*x (slopes A, offset columns R), sorted as ``_lines``
+    sorts them, is the ``pick`` on x in cuts[g - 1]..cuts[g] - 1, cuts[-1]
+    being lo and cuts[G - 1] hi + 1, a tie going to the lower line.
+
+    Line h is the ``pick`` over line k > h exactly for x <= q_hk, one floor
+    division.  So some line h <= g is the ``pick`` over every line k > g
+    exactly for x <= max_h min_k q_hk, and line g + 1 starts one past it,
+    clamped to the previous cut and to hi + 1."""
+    sign = 1 if pick is min else -1
+    firsts = {}
+    for h, k in combinations(range(len(slopes)), 2):
+        d, xs, ys = sign * (slopes[h] - slopes[k]), values[h], values[k]
+        firsts[h, k] = ([(y - x) // d + 1 for x, y in zip(xs, ys)] if sign > 0
+                        else [(x - y) // d + 1 for x, y in zip(xs, ys)])
+    cuts, prev = [], los
+    for g in range(1, len(slopes)):
+        best = None
+        for h in range(g):
+            col = firsts[h, g]
+            for k in range(g + 1, len(slopes)):
+                col = [u if u < v else v for u, v in zip(col, firsts[h, k])]
+            best = col if best is None else [u if u > v else v for u, v in zip(best, col)]
+        prev = [p if b < p else (hi + 1 if b > hi else b) for b, p, hi in zip(best, prev, his)]
+        cuts.append(prev)
+    return cuts
 
 
 # ---------------------------------------------------------------------------
@@ -292,27 +442,39 @@ def count_points(p, m, jobs=1):
 def _walk_order(p, branches=None):
     """The coordinate order of a walk over m*p, innermost coordinate last.
 
-    A leaf costs about one column entry per group of branches of one slope
-    along the innermost coordinate and per pair of such groups, while the
-    number of leaves falls as the innermost range widens.  So the innermost
-    coordinate is the one that minimizes (1 + the branch pairs of distinct
-    slopes along it) / (the width of p along it), ties going to the highest
-    index.  A coordinate along which p is flat is
-    never innermost.  The order depends on p and the branches only."""
+    A leaf carries one column per group of branches of one slope along the
+    innermost coordinate, and a pair of groups that cross inside p (their
+    difference changes sign on p's vertices) also splits it into two
+    nonempty pieces, while the number of leaves falls as the innermost
+    range widens.  So the innermost coordinate is the one that minimizes
+    (2 * those groups + the crossing pairs of distinct slopes along it) /
+    (the width of p along it), ties going to the highest index.  A
+    coordinate along which p is flat is never innermost.  The order
+    depends on p and the branches only."""
     n = p.rank
-    pairs = list(combinations(branches.linears, 2)) if branches is not None else []
     points = p.integer_vertices[1]  # D times p: the same ranking
+    linears = branches.linears if branches is not None else [(0,) * n]
+    crossing = []
+    for a, b in combinations(linears, 2):
+        gaps = [sum(map(mul, map(sub, a, b), x)) for x in points]
+        if min(gaps) < 0 < max(gaps):
+            crossing.append((a, b))
     widths = [max(x[i] for x in points) - min(x[i] for x in points) for i in range(n)]
-    inner = min((i for i in range(n) if widths[i]), default=n - 1,
-                key=lambda i: (Fraction(1 + sum(a[i] != b[i] for a, b in pairs), widths[i]), -i))
+    scale = lcm(*filter(None, widths))  # cost / width, times scale, in integers
+    inner = min((i for i in range(n) if widths[i]), default=n - 1, key=lambda i: (
+        (2 * len({l[i] for l in linears}) + sum(a[i] != b[i] for a, b in crossing))
+        * (scale // widths[i]), -i))
     return [i for i in range(n) if i != inner] + [inner]
 
 
 def _walker(p, m, order):
     """The walker of m*p with its coordinates taken in ``order``: the
-    levels that p keeps for the order, dilated by m."""
-    d = p.integer_vertices[0]
-    return PrefixBounds([[(a, m * c // d) for a, c in level] for level in p.walk_levels(order)])
+    levels that p keeps for the order, with the plans of their walks."""
+    order = tuple(order)
+    walker = p.walk_plans.get(order)
+    if walker is None:
+        walker = p.walk_plans[order] = PrefixBounds(p.walk_levels(order), p.integer_vertices[0])
+    return walker.dilated(m)
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +493,12 @@ class BranchData:
 
     @staticmethod
     def from_plconcave(f):
-        d, branches = integer_branches(f)
+        d, branches = f.integer_branches
         return BranchData([l for l, _ in branches], [c for _, c in branches], d)
 
     def transported(self, columns):
         """The branches in the coordinates v of u = V v, for the integer
-        matrix V with these columns: <u, l> = <v, V^T l>.  The columns of a
-        permutation reorder the coordinates."""
+        matrix V with these columns: <u, l> = <v, V^T l>."""
         return BranchData([tuple(sum(map(mul, l, c)) for c in columns) for l in self.linears],
                           self.consts, self.denom)
 
@@ -375,9 +536,9 @@ def _piece_batches(p, m, branches, clamp):
     last coordinate and their ``_pieces``.  The branches of one slope along
     the last coordinate form one group of the walk's forms."""
     order = _walk_order(p, branches)
-    bd = branches.transported([[int(i == j) for i in range(p.rank)] for j in order])
-    slopes = sorted({l[-1] for l in bd.linears}, reverse=True)
-    groups = [[(l[:-1], c) for l, c in zip(bd.linears, bd.consts) if l[-1] == B] for B in slopes]
+    linears = [tuple(l[i] for i in order) for l in branches.linears]
+    slopes = sorted({l[-1] for l in linears}, reverse=True)
+    groups = [[(l[:-1], c) for l, c in zip(linears, branches.consts) if l[-1] == B] for B in slopes]
     for cols, los, his in _walker(p, m, order).batches(groups):
         yield los, his, _pieces(slopes, cols, los, his, clamp)
 
@@ -390,29 +551,24 @@ def _pieces(slopes, cols, los, his, clamp):
     On leaf i the group's piece is ss[i]..es[i], the part of the leaf where
     the group is the minimum, a tie going to the lower group index; it is
     empty when es[i] == ss[i] - 1.  A leaf's pieces come in group order,
-    tile it and differ in B.  Each bound is one floor division per pair of
-    groups.  Under the clamp each piece keeps only its part where
-    A + B*t > 0, and the rest of a leaf, where the minimum is <= 0, is its
-    zero piece."""
-    pairs = {}
-    for g, h in combinations(range(len(slopes)), 2):
-        # group g is at most group h exactly for t <= q
-        d = slopes[g] - slopes[h]
-        pairs[g, h] = [(y - x) // d for x, y in zip(cols[g], cols[h])]
+    tile it and differ in B.  The groups are the lines of an envelope over
+    the leaves (``_cuts``).  Under the clamp each piece keeps only its part
+    where A + B*t > 0, and the rest of a leaf, where the minimum is <= 0,
+    is its zero piece."""
+    if len(slopes) > 1:
+        cuts = _cuts(min, slopes, cols, los, his)
+        bounds = zip([los, *cuts], [*([c - 1 for c in cut] for cut in cuts), his])
+    else:
+        bounds = [(los, his)]
     out = []
-    for g, (B, A) in enumerate(zip(slopes, cols)):
-        ss, es = los, his
-        for h in range(g):
-            ss = [s if s > q else q + 1 for s, q in zip(ss, pairs[h, g])]
-        for h in range(g + 1, len(slopes)):
-            es = [e if e < q else q for e, q in zip(es, pairs[g, h])]
-        if clamp and B > 0:  # A + B*t > 0 from t = -A // B + 1 on
-            ss = [s if a + B * s > 0 else -a // B + 1 for a, s in zip(A, ss)]
-        elif clamp and B < 0:  # ... up to t = (A - 1) // -B
-            es = [e if a + B * e > 0 else (a - 1) // -B for a, e in zip(A, es)]
-        elif clamp:  # B == 0: the whole piece where A > 0
-            es = [e if a > 0 else s - 1 for a, s, e in zip(A, ss, es)]
-        if ss is not los or es is not his:
+    for B, A, (ss, es) in zip(slopes, cols, bounds):
+        if clamp:
+            if B > 0:  # A + B*t > 0 from t = -A // B + 1 on
+                ss = [s if a + B * s > 0 else -a // B + 1 for a, s in zip(A, ss)]
+            elif B < 0:  # ... up to t = (A - 1) // -B
+                es = [e if a + B * e > 0 else (a - 1) // -B for a, e in zip(A, es)]
+            else:  # B == 0: the whole piece where A > 0
+                es = [e if a > 0 else s - 1 for a, s, e in zip(A, ss, es)]
             es = [e if e >= s else s - 1 for s, e in zip(ss, es)]
         out.append((B, A, ss, es))
     return out

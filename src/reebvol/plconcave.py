@@ -24,6 +24,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import le, mul
 
 from .arith import det, dot, fmt, rat, vec
@@ -79,6 +80,16 @@ class PLConcave:
     def rank(self) -> int:
         return len(self.branches[0].linear)
 
+    @cached_property
+    def integer_branches(self) -> tuple:
+        """The least common denominator d of all the branches' entries, and
+        the branches times d as (integer linear part, integer constant)
+        pairs, in branch order; derived once per function."""
+        d = math.lcm(*(x.denominator for b in self.branches for x in b.linear + (b.constant,)))
+        return d, tuple((tuple(x.numerator * (d // x.denominator) for x in b.linear),
+                         b.constant.numerator * (d // b.constant.denominator))
+                        for b in self.branches)
+
     def value(self, u):
         return min(b.value(u) for b in self.branches)
 
@@ -122,16 +133,8 @@ def homogenize(f: PLConcave, dual=None) -> PLConcave:
     the input is not a filtration).
     """
     if dual is not None:
-        _check_rays(integer_branches(f)[1], dual)
+        _check_rays(f.integer_branches[1], dual)
     return PLConcave.make([(b.linear, 0) for b in f.branches])
-
-
-def integer_branches(f: PLConcave):
-    """The least common denominator d of all the branches' entries, and the
-    branches times d as (integer linear part, integer constant) pairs."""
-    d = math.lcm(*(x.denominator for b in f.branches for x in b.linear + (b.constant,)))
-    return d, [(tuple(x.numerator * (d // x.denominator) for x in b.linear),
-                b.constant.numerator * (d // b.constant.denominator)) for b in f.branches]
 
 
 def _vertex_values(branches, p: Polytope):
@@ -155,7 +158,7 @@ def validate_nonnegative(f: PLConcave, dual, q: Polytope):
     Checked exactly at the vertices of the sub-level body and, for the
     homogenized branches, at the rays; by concavity this is sufficient.
     """
-    _, branches = integer_branches(f)
+    _, branches = f.integer_branches
     _check_rays(branches, dual)
     for j, values in enumerate(zip(*_vertex_values(branches, q))):
         if min(values) < 0:
@@ -174,7 +177,7 @@ def linearity_subdivision(f: PLConcave, p: Polytope):
     """
     if p.affine_dim < p.rank:
         raise DegeneratePolytopeError(p.affine_dim)
-    values = _vertex_values(integer_branches(f)[1], p)
+    values = _vertex_values(f.integer_branches[1], p)
     for b, mine in zip(f.branches, values):
         if all(all(map(le, mine, other)) for other in values):
             return ((p, b),)
@@ -221,7 +224,7 @@ def integrate_moment(f: PLConcave, p: Polytope, k: int) -> Fraction:
         return volume(p)
     if p.affine_dim < p.rank:
         return Fraction(0)
-    d, branches = integer_branches(f)
+    d, branches = f.integer_branches
     integer = dict(zip(f.branches, branches))
     total = Fraction(0)
     for cell, branch in linearity_subdivision(f, p):
@@ -348,7 +351,7 @@ def superlevel_profile(f: PLConcave, delta: Polytope) -> SuperlevelProfile:
     if delta.affine_dim < delta.rank:
         raise DegeneratePolytopeError(delta.affine_dim)
     n = delta.rank
-    d, branches = integer_branches(f)
+    d, branches = f.integer_branches
     integer = dict(zip(f.branches, branches))
     cells = [(cell.measure, _vertex_values([integer[b]], cell)[0])
              for cell, b in linearity_subdivision(f, delta)]
@@ -393,7 +396,7 @@ def restrict_to_chart(f: PLConcave, chart: FacetChart) -> PLConcave:
     constant (c a_j e + l_j o)/(d a_j e)."""
     j, a = chart.drop, chart.normal
     o, e = chart.offset.numerator, chart.offset.denominator
-    d, branches = integer_branches(f)
+    d, branches = f.integer_branches
     den = d * a[j]
     return PLConcave.make([
         (tuple(Fraction(l[i] * a[j] - l[j] * a[i], den) for i in range(len(a)) if i != j),

@@ -350,7 +350,8 @@ class Polytope:
     normals with rational offsets, which ``cut`` renormalizes.  Lower
     dimensional bodies are allowed; ``affine_dim`` is the dimension of the
     affine hull, -1 for the empty polytope.  The facet incidences, the
-    ``measure`` and the walk levels are derived on first use and kept.
+    ``measure``, the walk levels and the walk plans are derived on first
+    use and kept.
     """
 
     rank: int
@@ -363,11 +364,14 @@ class Polytope:
                              halfspaces=tuple(halfspaces), affine_dim=affine_dim)
 
     @staticmethod
-    def from_integer(rank, integer_vertices, halfspaces, affine_dim) -> "Polytope":
-        """The polytope of a vertex form (D, points) in lowest terms."""
+    def from_integer(rank, integer_vertices, halfspaces, affine_dim, incidence=None) -> "Polytope":
+        """The polytope of a vertex form (D, points) in lowest terms, with
+        its ``incidence`` when the constructor already knows it."""
         p = object.__new__(Polytope)
         p.__dict__.update(rank=rank, integer_vertices=integer_vertices,
                           halfspaces=halfspaces, affine_dim=affine_dim)
+        if incidence is not None:
+            p.__dict__["incidence"] = incidence
         return p
 
     @cached_property
@@ -401,6 +405,12 @@ class Polytope:
 
     @cached_property
     def _walk_levels(self) -> dict:
+        return {}
+
+    @cached_property
+    def walk_plans(self) -> dict:
+        """What the lattice walker keeps of the body per walk order, for
+        every dilation of it (``lattice._walker``)."""
         return {}
 
     def walk_levels(self, order) -> tuple:
@@ -442,6 +452,7 @@ class Polytope:
             _lowest(d * c.denominator, [tuple(c.numerator * x for x in v) for v in points]),
             tuple((a, c * b) for a, b in self.halfspaces),
             self.affine_dim,
+            self.__dict__.get("incidence"),
         )
 
     def to_json(self) -> dict:
@@ -515,13 +526,12 @@ def _polytope(rank, normed, found, assume_bounded) -> Polytope:
                 tight[i] |= 1 << j
     if (1 << len(form[1])) - 1 in tight:
         # an implicit equality: the body lies in a hyperplane
-        return Polytope.from_integer(rank, form, tuple(normed), _affine_dim(form[1]))
+        return Polytope.from_integer(rank, form, tuple(normed), _affine_dim(form[1]), tuple(tight))
     # the facets are the halfspaces whose tight vertex sets are maximal
-    facets = tuple(
-        h for h, m in zip(normed, tight)
-        if m and all(m | other != other or other == m for other in tight)
-    )
-    return Polytope.from_integer(rank, form, facets, rank)
+    facets = [(h, m) for h, m in zip(normed, tight)
+              if m and all(m | other != other or other == m for other in tight)]
+    return Polytope.from_integer(rank, form, tuple(h for h, _ in facets), rank,
+                                 tuple(m for _, m in facets))
 
 
 def polytope_from_halfspaces(rank, halfspaces, assume_bounded=False) -> Polytope:
@@ -587,10 +597,13 @@ def polytope_from_vertices(points, denom=1) -> Polytope:
     rays, zeros = _double_description(generators + both, n + 1)
     full = (1 << len(pts)) - 1
     zeros = [z & full for z in zeros]
-    normals = [r for r, z in zip(rays, zeros) if z] + both
-    facets = sorted((tuple(-x for x in r[:-1]), r[-1]) for r in normals)
-    extreme = _lowest(denom, [pts[i] for i in _extreme(zeros, len(pts))])
-    return Polytope.from_integer(n, extreme, tuple(facets), n - len(equations))
+    kept = _extreme(zeros, len(pts))
+    normals = [(r, z) for r, z in zip(rays, zeros) if z] + [(e, full) for e in both]
+    facets = sorted((tuple(-x for x in r[:-1]), r[-1],  # with the kept points on it
+                     sum(1 << j for j, i in enumerate(kept) if z >> i & 1)) for r, z in normals)
+    return Polytope.from_integer(n, _lowest(denom, [pts[i] for i in kept]),
+                                 tuple(f[:2] for f in facets), n - len(equations),
+                                 tuple(f[2] for f in facets))
 
 
 def check_consistency(p: Polytope, strict: bool = False) -> bool:

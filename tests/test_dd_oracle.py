@@ -491,3 +491,25 @@ def test_every_constructor_builds_the_integer_vertex_form(case):
     for body in (hull, p):
         image = unimodular_image(body, v, w_inverse)
         assert_vertex_form(image, [mat_vec(w_inverse, x) for x in body.vertices])
+
+
+@seed(20261022)
+@settings(SETTINGS, max_examples=40)
+@given(vertex_form_cases())
+def test_dd_constructors_hand_over_their_incidences(case):
+    """The hulls, halfspace systems, cuts (also onto a hyperplane) and
+    scalings built from double descriptions come with the bitmask of the
+    vertices on each halfspace, equal to comparing every dot product."""
+    sigma, _, pts, halfspace, scale, _ = case
+    n = sigma.rank
+    hull = polytope_from_vertices(pts)
+    flat = polytope_from_vertices([(F(0),) + p[1:] for p in pts])
+    a, b = halfspace
+    bodies = [hull, flat, polytope_from_halfspaces(n, hull.halfspaces), cut(hull, [halfspace]),
+              cut(hull, [halfspace, (tuple(-x for x in a), -b)])]
+    bodies.append(bodies[3].scaled(scale))
+    for body in bodies:
+        if body.affine_dim >= 0:
+            assert body.__dict__["incidence"] == tuple(
+                sum(1 << j for j, v in enumerate(body.vertices) if dot(a, v) == b)
+                for a, b in body.halfspaces)

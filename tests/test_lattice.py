@@ -16,7 +16,9 @@ from reebvol import lattice
 from reebvol.arith import dot, rank_of
 from reebvol.errors import UnsupportedGeometryError
 from reebvol.grading import GradedSetup, s_m
-from reebvol.polyhedra import Cone, dual_cone, polytope_from_vertices, reeb_slice
+from reebvol.plconcave import PLConcave
+from reebvol.polyhedra import (Cone, dual_cone, polytope_from_halfspaces, polytope_from_vertices,
+                               reeb_slice)
 
 
 def _unit(n, i, c):
@@ -445,3 +447,158 @@ def test_rank_seven_cones_walk_their_projections(rays, counts, rows):
         assert list(lattice.iter_points(q, m)) == points
     walker = lattice._walker(q, 1, lattice._walk_order(q))
     assert [len(upper) + len(lower) for upper, lower in walker._split[1:]] == rows
+
+
+# -- envelope runs and walk plans ----------------------------------------------
+
+
+def brute_children(specs, cols, los, his):
+    """The children of the nodes (cols, los, his) by evaluating every term of
+    every spec (pick, terms (i, a, d)) at every x: the ``pick`` of
+    (r + a*x) // d, r being column i at the node; the last two specs give
+    the child's range, and a child whose range is empty is dropped."""
+    out = []
+    for node, (lo, hi) in enumerate(zip(los, his)):
+        for x in range(lo, hi + 1):
+            values = [pick((cols[i][node] + a * x) // d for i, a, d in terms)
+                      for pick, terms in specs]
+            if values[-2] <= values[-1]:
+                out.append(tuple(values))
+    return out
+
+
+@st.composite
+def envelope_chunks(draw):
+    """A chunk of 1-4 nodes with ranges of 1-12 children (1 for a
+    single-child node) and 1-5 integer columns, and 1-4 column specs of 1-4
+    terms (i, a, d) each, picked by min or max: slopes in -3..3 and
+    divisors 1-4, so that terms of one slope a/d may have different
+    divisors.  The last two specs give the children's range."""
+    width = draw(st.integers(1, 5))
+    nodes = draw(st.integers(1, 4))
+    cols = [draw(st.lists(st.integers(-20, 20), min_size=nodes, max_size=nodes))
+            for _ in range(width)]
+    los = draw(st.lists(st.integers(-6, 6), min_size=nodes, max_size=nodes))
+    his = [lo + draw(st.integers(0, 11)) for lo in los]
+    term = st.tuples(st.integers(0, width - 1), st.integers(-3, 3), st.integers(1, 4))
+    specs = draw(st.lists(st.tuples(st.sampled_from([min, max]),
+                                    st.lists(term, min_size=1, max_size=4)),
+                          min_size=3, max_size=6))
+    return specs, cols, los, his
+
+
+def one_node(specs, column, lo, hi):
+    return specs, [[r] for r in column], [lo], [hi]
+
+
+@seed(20261020)
+@settings(max_examples=400, deadline=None, database=None)
+@given(envelope_chunks())
+# lines x and 6 - x of a min cross exactly at the integer x = 3, and of a max
+@example(one_node([(min, [(0, 1, 1), (1, -1, 1)]), (max, [(0, 1, 1), (1, -1, 1)]),
+                   (max, [(2, 0, 1)]), (min, [(3, 0, 1)])], [0, 6, -9, 9], 0, 8))
+# one slope 1/2 over the divisors 2 and 4, and three lines through one point
+@example(one_node([(min, [(0, 1, 2), (1, 2, 4), (2, -1, 3)]),
+                   (max, [(0, 2, 4), (1, 1, 2), (2, 0, 1)]),
+                   (max, [(3, 0, 1)]), (min, [(4, 0, 1)])], [1, 3, 5, -9, 9], -4, 7))
+# single-child nodes beside a wide one, and an empty child range
+@example(([(min, [(0, 1, 1), (1, -2, 3)]), (max, [(0, -1, 2)]), (min, [(1, 1, 1)])],
+          [[0, 4, -3], [2, -2, 5]], [0, 3, -1], [0, 9, -1]))
+def test_envelope_runs_match_the_child_by_child_pick(case):
+    """Expanding a chunk as envelope runs gives the children of the
+    child-by-child pick, and both give those of evaluating every term."""
+    specs, cols, los, his = case
+    lines = [lattice._lines(pick, terms) for pick, terms in specs]
+    expected = brute_children(specs, cols, los, his)
+    for expand in (lattice._expand_runs, lattice._expand):
+        children, child_los, child_his = expand(lines, cols, los, his)
+        assert list(zip(*children, child_los, child_his)) == expected
+
+
+@st.composite
+def envelope_bodies(draw):
+    """A body of rank 1-5 cut from a box by up to three rows, each possibly
+    with a twin of the same slope over another divisor (k*a . x <= k*b + j,
+    k = 2 or 3), at a level 1-4, with 1-3 integer branches, a batch size
+    1-7 and a run threshold that sends every chunk, none or some of them
+    through the envelope runs."""
+    n = draw(st.integers(1, 5))
+    rows = []
+    for i in range(n):
+        lo, hi = draw(st.integers(-2, 1)), draw(st.integers(0, 2))
+        rows += [(_unit(n, i, 1), hi), (_unit(n, i, -1), -lo)]
+    for _ in range(draw(st.integers(0, 3))):
+        a = tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+        assume(any(a))
+        b = draw(st.integers(-2, 6))
+        rows.append((a, b))
+        if draw(st.booleans()):
+            k = draw(st.integers(2, 3))
+            rows.append((tuple(k * x for x in a), k * b + draw(st.integers(0, k - 1))))
+    p = polytope_from_halfspaces(n, rows)
+    assume(p.affine_dim >= 0)
+    m = draw(st.integers(1, LEVELS[n]))
+    k = draw(st.integers(1, 3))
+    linears = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=k, max_size=k))
+    consts = draw(st.lists(st.integers(-4 * m - 4, 4), min_size=k, max_size=k))
+    bd = lattice.BranchData(linears, consts, draw(st.integers(1, 3)))
+    runs = draw(st.sampled_from([0, 2, 10**9]))
+    return draw(st.integers(1, 7)), runs, p, m, bd, draw(st.permutations(range(n)))
+
+
+@seed(20261020)
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(envelope_bodies())
+def test_envelope_walks_match_brute_force(case):
+    """With batches of 1-7 leaves and every chunk expanded as envelope runs,
+    child by child or either way by its children per node, the leaves of a
+    walk in a drawn order, of the walk on the Fourier-Motzkin levels of the
+    body's rows, and the reductions in all four modes match the
+    bounding-box oracle; a second level on the same body reuses its plans."""
+    size, runs, p, m, bd, order = case
+    n = p.rank
+    with mock.patch.object(lattice, "BATCH", size), mock.patch.object(lattice, "RUNS", runs):
+        for level in (m, m + 1):
+            points = brute_lattice_points(p, level)
+            leaves = list(lattice._walker(p, level, order).leaves())
+            assert leaves == leaves_of(sorted(tuple(u[i] for i in order) for u in points))
+            rows = [(a, b * level) for a, b in p.halfspaces]
+            assert list(lattice.PrefixBounds(fm_levels(rows, n)).leaves()) == leaves_of(points)
+            assert_reductions_match(p, level, bd, points)
+
+
+@pytest.mark.parametrize("lo, order", [(0, [1, 0]), (-2, [0, 1])])
+def test_walk_order_counts_only_branches_that_cross(lo, order):
+    """Two branches of distinct slopes along x_1 on the box [lo, lo + 5] x
+    [0, 2]: they cross inside it only when lo < 0, and only then does the
+    pair tip the wider axis x_1 off the innermost place."""
+    box = polytope_from_vertices([(x, y) for x in (lo, lo + 5) for y in (0, 2)])
+    assert lattice._walk_order(box, lattice.BranchData([(1, 0), (0, 0)], [0, 0], 1)) == order
+
+
+SQUARE_SIGMA = [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]]
+
+
+def test_benchmark_bodies_walk_their_fastest_axis_innermost():
+    """The innermost axes that measured fastest on two benchmark bodies: the
+    sub-level body of the square cone at xi = (1, 1, 2) under three
+    branches, about 1.5x faster than x_1 or x_2 innermost, and that of the
+    rank-4 orthant at xi = (1, 1, 2, 3) under two, about 10% faster than
+    the two widest axes."""
+    square = GradedSetup(dual_cone(Cone.from_rays(SQUARE_SIGMA)), (1, 1, 2),
+                         PLConcave.make([((1, 2, 2), 0), ((2, 1, 2), 1), ((1, 1, 2), 2)]))
+    assert lattice._walk_order(square.q, square._branches) == [0, 1, 2]
+    orthant4 = GradedSetup(dual_cone(Cone.from_rays([_unit(4, i, 1) for i in range(4)])),
+                           (1, 1, 2, 3), PLConcave.make([((1, 1, 1, 0), 1), ((0, 0, 1, 0), 0)]))
+    assert lattice._walk_order(orthant4.q, orthant4._branches) == [0, 1, 3, 2]
+
+
+def test_dilations_share_one_walk_plan(orthant3):
+    """The walk plan of a body is built once: s_m at two levels and a second
+    call at the first build one PrefixBounds and one plan between them."""
+    g = GradedSetup(dual_cone(orthant3), (1, 2, 3), min_form((1, 0, 0), (0, 1, 1)))
+    with mock.patch.object(lattice, "_plan", wraps=lattice._plan) as plans:
+        values = [s_m(g, m) for m in (7, 11, 7)]
+    assert values[0] == values[2] and plans.call_count == 1
+    assert list(g.q.walk_plans) == [tuple(lattice._walk_order(g.q, g._branches))]

@@ -509,3 +509,11 @@ def test_plconcave_json_roundtrip():
     f = PLConcave.make([((1, 0), F(1, 2)), ((0, 1), 0)])
     again = PLConcave.from_json(f.to_json())
     assert again == f
+
+
+def test_integer_branches_are_derived_once():
+    """The integer form scales every branch by the least common denominator
+    of all their entries, in branch order, and is kept on the function."""
+    f = PLConcave.make([((F(1, 2), 0), F(1, 3)), ((2, F(3, 4)), 0)])
+    assert f.integer_branches == (12, (((6, 0), 4), ((24, 9), 0)))
+    assert f.integer_branches is f.integer_branches
