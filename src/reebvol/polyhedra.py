@@ -598,12 +598,13 @@ def polytope_from_vertices(points, denom=1) -> Polytope:
     full = (1 << len(pts)) - 1
     zeros = [z & full for z in zeros]
     kept = _extreme(zeros, len(pts))
+    if len(kept) < len(pts):  # the tight masks over the kept points (a face holds some)
+        zeros = [sum(1 << j for j, i in enumerate(kept) if z >> i & 1) for z in zeros]
+        full = (1 << len(kept)) - 1
     normals = [(r, z) for r, z in zip(rays, zeros) if z] + [(e, full) for e in both]
-    facets = sorted((tuple(-x for x in r[:-1]), r[-1],  # with the kept points on it
-                     sum(1 << j for j, i in enumerate(kept) if z >> i & 1)) for r, z in normals)
-    return Polytope.from_integer(n, _lowest(denom, [pts[i] for i in kept]),
-                                 tuple(f[:2] for f in facets), n - len(equations),
-                                 tuple(f[2] for f in facets))
+    halfspaces, masks = zip(*sorted(((tuple(-x for x in r[:-1]), r[-1]), z) for r, z in normals))
+    return Polytope.from_integer(n, _lowest(denom, [pts[i] for i in kept]), halfspaces,
+                                 n - len(equations), masks)
 
 
 def check_consistency(p: Polytope, strict: bool = False) -> bool:
