@@ -101,7 +101,9 @@ def spectrum_histogram(g: GradedSetup, m: int):
     """Sorted (value, multiplicity) pairs of the level-m spectrum."""
     hist = lattice.value_histogram(g.q, m, g._branches, floor_mode=g.ceiling, clamp=g.clamp)
     d = 1 if g.ceiling else g._branches.denom
-    return tuple((Fraction(k, d), c) for k, c in sorted(hist.items()))
+    keys = sorted(hist)
+    values = map(Fraction, keys) if d == 1 else map(Fraction, keys, repeat(d))
+    return tuple(zip(values, map(hist.__getitem__, keys)))
 
 
 def s_m(g: GradedSetup, m: int) -> Fraction:

@@ -58,7 +58,7 @@ class PolarizedToricSetup(GradedSetup):
     ``psi`` is the explicit filtration, else the linear one of a direction
     in the cone, else None.  The chart of P, the ray subcones, vol(Q) and S
     are derived on first use and shared by every route, as are the
-    triangulations and first moments that Q and the chart body keep.
+    triangulations that Q and the chart body keep.
     """
 
     def __init__(self, sigma: Cone, xi, eta=None, psi: PLConcave | None = None,

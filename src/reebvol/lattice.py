@@ -37,15 +37,28 @@ bounding box is ever materialized.
 Streaming enumeration expands each leaf's range in the natural coordinate
 order, as its output is lexicographic.  The reductions (point counts, sums
 and maxima of a minimum of integer affine forms, value histograms) take the
-innermost coordinate from ``_walk_order`` and reduce each leaf batch as
-columns, in integers only, without visiting points.  The branches of one
-slope along the last coordinate form a group, whose least offset at each
-leaf is one of the walk's form values; the groups are the lines of the
-same envelope over the leaves, which gives the piece of each leaf where a
-group is the minimum, and the clamp cuts each piece at its zero.  Sums are
-closed forms over the pieces.  A histogram marks two endpoint events per
-varying piece, keyed by its step, and one sorted sweep per step writes
-each covered value once, with its count.
+innermost coordinate from ``_walk_order`` and work in integers only,
+without visiting points.  The branches of one slope along the last
+coordinate form a group, whose least offset at each leaf is one of the
+walk's form values.
+
+Counts, and sums of one group without floor or clamp, stop the walk one
+level early (``PrefixBounds.nodes``): on a run of a node's envelope the
+children's bounds L, U of the last coordinate and the group's minimum A
+are each one line, floor((R + a*x)/D), so the children's U - L + 1 and
+A*(U - L + 1) + B*(U*(U + 1) - L*(L - 1))/2 sum in closed form, per
+residue class of x mod D for the sums (``_node_sums``) and by tables of
+the residues for the counts (``_floor_total``).  Counts take every chunk
+this way; sums take a chunk with at least D*(RUNS/2 per node + 15*RUNS)
+children, where the closed form measured faster than the leaves.  The other
+reductions reduce each leaf batch as columns: the groups are the lines of
+the same envelope over the leaves, which gives the piece of each leaf where
+a group is the minimum, and the clamp cuts each piece at its zero.  Sums
+are closed forms over the pieces, floored ones through the residue tables.
+A histogram counts, per step, two endpoint events per varying piece in C
+and sums each residue class of the step over a dense grid of the keys
+(``_histogram``), or sweeps the sorted keys when they span more than
+``DENSE`` times the events.
 
 The weights of degree <u, xi> = t of an integral xi are t times the slice
 P at degree 1 in a unimodular frame (``degree_frame``) that puts <u, xi>/g
@@ -59,9 +72,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict, namedtuple
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, compress, repeat
+from functools import lru_cache, partial
+from itertools import accumulate, chain, combinations, compress, repeat, starmap
 from math import gcd, lcm
-from operator import add, floordiv, ge, itemgetter, le, mul, sub
+from operator import add, floordiv, ge, itemgetter, le, lt, mod, mul, sub
 
 from .arith import unimodular_completion
 from .errors import UnsupportedGeometryError
@@ -125,10 +139,26 @@ class PrefixBounds:
         is the least of the affine forms (linear, const) of ``groups[g]`` at
         the prefix, ``linear`` a tuple of n - 1 integers.  A batch holds
         at most ``BATCH`` leaves."""
+        last, chunks = self.nodes(groups)
+        return chunks if last is None else _expand_all(last, chunks)
+
+    def nodes(self, groups=()):
+        """The walk of ``batches`` stopped one level above its leaves:
+        (last, chunks), ``last`` the level that fixes x_{n-1} (its column
+        specs, whether it is unbounded) and ``chunks`` the batches
+        (cols, los, his) of the nodes it expands, x_1..x_{n-2} fixed and
+        los[i]..his[i] the range of x_{n-1}.  The specs give the children's
+        columns in order: one per group, then the lower and the upper bound
+        of x_n.  A walk of one coordinate has no such level: (None, its one
+        batch of leaves)."""
         key = tuple(tuple(l for l, _ in group) for group in groups)
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = _plan(self._split, key)
+        roots, levels = plan
+        return (levels[-1] if levels else None), self._chunks(groups, roots, levels[:-1])
+
+    def _chunks(self, groups, roots, levels):
         m, denom = self._m, self._denom
         upper, lower = self._split[1]
         if not upper or not lower:
@@ -137,7 +167,6 @@ class PrefixBounds:
         hi = min(m * c // denom // d for _, d, c in upper)
         if lo > hi:
             return
-        roots, levels = plan
         consts = [c for group in groups for _, c in group]
         chunk = [[min(consts[i] for i in root) if shift is None  # a class of forms
                   else m * root // denom if shift < 0 else shift - m * root // denom]
@@ -373,6 +402,17 @@ def _expand_runs(specs, cols, los, his):
     return _children(out)
 
 
+def _runs(spec, cols, los, his, tops):
+    """The envelope runs of a column spec on the nodes (cols, los, his):
+    (D, lines), one (A, R, firsts, stops) per line R + A*x, which is the
+    spec's ``pick`` on firsts[i]..stops[i] - 1 of node i, an empty run when
+    stops[i] == firsts[i]; ``tops`` is his + 1."""
+    pick, denom, slopes, offsets = spec
+    values = [_offsets(pick, i, cols) for i in offsets]
+    cuts = [los, *(_cuts(pick, slopes, values, los, his) if len(slopes) > 1 else ()), tops]
+    return denom, list(zip(slopes, values, cuts, cuts[1:]))
+
+
 def _cuts(pick, slopes, values, los, his):
     """Where each line but the first starts its run on nodes lo..hi: line g
     of the lines R + A*x (slopes A, offset columns R), sorted as ``_lines``
@@ -400,6 +440,120 @@ def _cuts(pick, slopes, values, los, his):
         prev = [p if b < p else (hi + 1 if b > hi else b) for b, p, hi in zip(best, prev, his)]
         cuts.append(prev)
     return cuts
+
+
+# ---------------------------------------------------------------------------
+# closed forms over the children of a node
+# ---------------------------------------------------------------------------
+
+
+TABLE = 1 << 12  # the most entries, divisor d times period p, of one residue table
+
+
+@lru_cache(maxsize=64)
+def _residue_table(b, d):
+    """(p, pre) for the residues rho_j = (v + b*j) mod d, whose period in j
+    is p = d/gcd(b, d): pre[v*(p + 1) + i] is the sum of rho_j over j < i
+    for the first residue v = 0..d-1."""
+    p = d // gcd(b, d)
+    pre = []
+    for v in range(d):
+        pre += accumulate([(v + b * j) % d for j in range(p)], initial=0)
+    return p, pre
+
+
+def _floor_total(b, d, v0s, ns):
+    """sum_i sum_{j < ns[i]} floor((v0s[i] + b*j)/d), ns[i] >= 0: the sum of
+    the progressions' terms less their residues mod d, divided by d.  The
+    residues repeat with period p = d/gcd(b, d), so a progression's residue
+    sum is q full periods and a prefix of length n - q*p, looked up in the
+    table of its first residue (``_residue_table``); ``floor_sum`` takes a
+    progression whose table would exceed ``TABLE`` entries."""
+    total = sum(map(mul, ns, v0s)) + b * ((sum(map(mul, ns, ns)) - sum(ns)) // 2)
+    if d == 1:
+        return total
+    if d * (d // gcd(b, d)) > TABLE:
+        return sum(floor_sum(n, d, v, b) for v, n in zip(v0s, ns))
+    p, pre = _residue_table(b % d, d)
+    w = p + 1
+    for v, (q, r) in zip(v0s, map(divmod, ns, repeat(p))):
+        i = v % d * w
+        total -= q * pre[i + p] + pre[i + r]
+    return total // d
+
+
+def _node_count(specs, cols, los, his):
+    """The number of points under the nodes (cols, los, his): over the
+    children x, the sum of U(x) - L(x) + 1, L and U the last two specs'
+    columns, each floor((R + A*x)/D) on a run of its envelope.  U - L + 1
+    is never negative, as each level is the exact projection of the next."""
+    tops = list(map(add, his, repeat(1)))
+    total = _size(los, his)
+    for sign, spec in ((1, specs[-1]), (-1, specs[-2])):
+        denom, lines = _runs(spec, cols, los, his, tops)
+        for a, r, firsts, stops in lines:
+            v0s = list(map(add, r, map(mul, firsts, repeat(a)))) if a else r
+            total += sign * _floor_total(a, denom, v0s, list(map(sub, stops, firsts)))
+    return total
+
+
+def _node_sums(B, specs, cols, los, his):
+    """(count, sum) of A + B*t over the points (x, t) under the nodes, A
+    the one group's column (the first spec, D = 1): over the children x,
+    U - L + 1 and A*(U - L + 1) + B*(U*(U + 1) - L*(L - 1))/2, L and U the
+    last two specs' columns.  On a piece of a node where L (or U) and A are
+    one line each, the x of one residue class mod D make L = (R + u*x)//D
+    a progression of step u, so the piece's sums are power sums
+    (``_power_sums``)."""
+    tops = list(map(add, his, repeat(1)))
+    _, group = _runs(specs[0], cols, los, his, tops)
+    count, total = _size(los, his), 0
+    for sign, spec in ((1, specs[-1]), (-1, specs[-2])):
+        denom, lines = _runs(spec, cols, los, his, tops)
+        for u, r, firsts, stops in lines:
+            for a, ra, gfirsts, gstops in group:
+                fs, ss, rs, ras = firsts, stops, r, ra
+                if len(group) > 1:  # the part of the run where this line is A, if any
+                    fs, ss = list(map(max, fs, gfirsts)), list(map(min, ss, gstops))
+                    keep = list(map(lt, fs, ss))
+                    if not all(keep):
+                        fs, ss, rs, ras = (list(compress(col, keep)) for col in (fs, ss, rs, ras))
+                for c in range(denom):  # x0 the first x = c mod D of the piece
+                    if denom == 1:
+                        x0s, ns = fs, list(map(sub, ss, fs))
+                        vs = list(map(add, rs, map(mul, fs, repeat(u)))) if u else rs
+                    else:
+                        x0s = list(map(add, fs, map(mod, map(sub, repeat(c), fs), repeat(denom))))
+                        ns = list(map(floordiv, map(add, map(sub, ss, x0s), repeat(denom - 1)),
+                                      repeat(denom)))
+                        vs = list(map(floordiv, map(add, rs, map(mul, x0s, repeat(u))), repeat(denom)))
+                    ws = list(map(add, ras, map(mul, x0s, repeat(a)))) if a else ras
+                    s1, q = _power_sums(ns, vs, u, ws, a * denom, B, sign)
+                    count += sign * s1
+                    total += sign * q
+    for a, r, firsts, stops in group:
+        ns = list(map(sub, stops, firsts))
+        ws = list(map(add, r, map(mul, firsts, repeat(a)))) if a else r
+        total += 2 * sum(map(mul, ns, ws)) + a * (sum(map(mul, ns, ns)) - sum(ns))
+    return count, total // 2
+
+
+def _power_sums(ns, vs, u, ws, a, B, sign):
+    """(S, 2*P + B*(Q + sign*S)) for the progressions X_j = v + u*j and
+    A_j = w + a*j, j < n, n >= 0, per entry of ns, vs, ws: S, Q and P the
+    sums of X, X**2 and A*X, from the power sums of j: n, n(n - 1)/2 and
+    n(n - 1)(2n - 1)/6, as columns in C."""
+    es = list(map(mul, ns, map(sub, ns, repeat(1))))  # 2*T1 = n(n - 1), even
+    nvs = list(map(mul, ns, vs))
+    s = sum(nvs) + u * sum(es) // 2
+    # 2*(n*w*v + (w*u + a*v)*T1 + a*u*T2) + B*(n*v**2 + 2*u*v*T1 + u**2*T2)
+    q = 2 * sum(map(mul, nvs, ws)) + B * sum(map(mul, nvs, vs)) + sign * B * s
+    if a + B * u:
+        q += (a + B * u) * sum(map(mul, vs, es))
+    if u:  # 6*T2 = n(n - 1)(2n - 1)
+        t2 = sum(map(mul, es, map(sub, map(add, ns, ns), repeat(1)))) // 6
+        q += u * (sum(map(mul, ws, es)) + (2 * a + B * u) * t2)
+    return s, q
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +590,8 @@ def count_points(p, m, jobs=1):
         return 0
     if m == 0:
         return 1
-    return sum(_size(los, his) for _, los, his in _walker(p, m, _walk_order(p)).batches())
+    last, chunks = _walker(p, m, _walk_order(p)).nodes()
+    return sum(_fold(last, chunks, _node_count, lambda cols, los, his: _size(los, his)))
 
 
 def _walk_order(p, branches=None):
@@ -535,12 +690,37 @@ def _piece_batches(p, m, branches, clamp):
     coordinates in the order of ``_walk_order``: the leaves' ranges of the
     last coordinate and their ``_pieces``.  The branches of one slope along
     the last coordinate form one group of the walk's forms."""
+    order, slopes, groups = _groups(p, branches)
+    for cols, los, his in _walker(p, m, order).batches(groups):
+        yield los, his, _pieces(slopes, cols, los, his, clamp)
+
+
+def _groups(p, branches):
+    """(order, slopes, groups): the walk order of ``_walk_order``, the
+    distinct slopes of the branches along its last coordinate, descending,
+    and per slope the group of its branches as forms (linear, const) in the
+    other coordinates."""
     order = _walk_order(p, branches)
     linears = [tuple(l[i] for i in order) for l in branches.linears]
     slopes = sorted({l[-1] for l in linears}, reverse=True)
     groups = [[(l[:-1], c) for l, c in zip(linears, branches.consts) if l[-1] == B] for B in slopes]
-    for cols, los, his in _walker(p, m, order).batches(groups):
-        yield los, his, _pieces(slopes, cols, los, his, clamp)
+    return order, slopes, groups
+
+
+def _fold(last, chunks, node, leaf, gate=(0, 0)):
+    """The results of the walk ``last, chunks`` (``PrefixBounds.nodes``)
+    per chunk of nodes one level above its leaves: node(specs, cols, los,
+    his) when ``node`` is given and the chunk has at least a*nodes + b
+    children, (a, b) = ``gate``, else leaf(cols, los, his) per batch of its
+    leaves."""
+    for chunk in chunks:
+        if last is None:
+            yield leaf(*chunk)
+        elif node is not None and not last[1] and (
+                _size(*chunk[1:]) >= gate[0] * len(chunk[1]) + gate[1]):
+            yield node(last[0], *chunk)
+        else:
+            yield from starmap(leaf, _expand_all(last, [chunk]))
 
 
 def _pieces(slopes, cols, los, his, clamp):
@@ -595,9 +775,9 @@ def _total(pieces, denom, floor_mode):
     the scaled values, or in floor_mode of the floored ones."""
     total = 0
     for B, A, ss, es in pieces:
-        if floor_mode:
-            total += sum(floor_sum(e - s + 1, denom, a + B * s, B)
-                         for a, s, e in zip(A, ss, es) if e >= s)
+        if floor_mode:  # empty pieces, e = s - 1, count no term
+            total += _floor_total(B, denom, list(map(add, A, map(mul, ss, repeat(B)))),
+                                  [e - s + 1 for s, e in zip(ss, es)])
         else:  # twice the sum of A + B*t over s..e, summed
             total += sum([(2 * a + B * (s + e)) * (e - s + 1) for a, s, e in zip(A, ss, es)]) // 2
     return total
@@ -611,11 +791,27 @@ def count_and_sum(p, m, branches, floor_mode=False, clamp=False):
         return 0, Fraction(0)
     if m == 0:
         return 1, _scaled(_origin(branches, clamp), branches.denom, floor_mode)
+    order, slopes, groups = _groups(p, branches)
+    last, chunks = _walker(p, m, order).nodes(groups)
+    node = gate = None
+    if len(slopes) == 1 and not (floor_mode or clamp or last is None):
+        # A node costs a few column entries per piece and residue class mod
+        # D, a leaf about one per child: over the chunks of the perfbench and
+        # rank-5 walks the node sums won from about D*(5 per node + 150)
+        # children, and lost up to 3x on smaller single-node chunks.
+        d = max(last[0][-1][1], last[0][-2][1])
+        node, gate = partial(_node_sums, slopes[0]), (RUNS * d // 2, 15 * RUNS * d)
     count = total = 0
-    for los, his, pieces in _piece_batches(p, m, branches, clamp):
-        count += _size(los, his)
-        total += _total(pieces, branches.denom, floor_mode)
+    for c, t in _fold(last, chunks, node, partial(_leaf_sums, slopes, branches.denom, floor_mode,
+                                                   clamp), gate):
+        count += c
+        total += t
     return count, (Fraction(total) if floor_mode else Fraction(total, branches.denom))
+
+
+def _leaf_sums(slopes, denom, floor_mode, clamp, cols, los, his):
+    """(count, sum) over a batch of leaves, from their ``_pieces``."""
+    return _size(los, his), _total(_pieces(slopes, cols, los, his, clamp), denom, floor_mode)
 
 
 def sum_values(p, m, branches, floor_mode=False, clamp=False):
@@ -647,10 +843,10 @@ def value_histogram(p, m, branches, floor_mode=False, clamp=False, jobs=1):
     in floor_mode.  The work is in the ``_pieces`` columns and the distinct
     keys, not in the points: a constant piece adds its length to its key, a
     piece of slope B != 0 marks +1 at its first value and -1 one step |B|
-    past its last (an empty one both at one key), and one sorted sweep per
-    step writes each covered value once, with its count.  Under the clamp
-    the points outside the positive pieces count at the key 0.  ``jobs`` is
-    accepted for compatibility; it has no effect.
+    past its last (an empty one both at one key), counted per step in C,
+    and ``_histogram`` sums the marks of each residue class of a step.
+    Under the clamp the points outside the positive pieces count at the
+    key 0.  ``jobs`` is accepted for compatibility; it has no effect.
     """
     _check_level(m)
     if p.affine_dim < 0 or not p.integer_vertices[1]:
@@ -659,46 +855,85 @@ def value_histogram(p, m, branches, floor_mode=False, clamp=False, jobs=1):
     if m == 0:
         v = _origin(branches, clamp)
         return {v // D if floor_mode else v: 1}
-    hist = Counter()
-    firsts, lasts = defaultdict(list), defaultdict(list)  # per step |B|
+    starts, ends = defaultdict(Counter), defaultdict(Counter)  # per step |B|
+    flat, lengths = [], []  # the constant pieces' keys and lengths
+    zeros = 0
     for los, his, pieces in _piece_batches(p, m, branches, clamp):
-        zeros = clamp and _size(los, his) - sum(_size(ss, es) for _, _, ss, es in pieces)
-        if zeros:
-            hist[0] += zeros
+        if clamp:
+            zeros += _size(los, his) - sum(_size(ss, es) for _, _, ss, es in pieces)
         for B, A, ss, es in pieces:
             if B == 0:
-                for a, s, e in zip(A, ss, es):
-                    if e >= s:
-                        hist[a] += e - s + 1
+                flat += A
+                lengths += map(sub, es, map(sub, ss, repeat(1)))
                 continue
-            first, last = (ss, es) if B > 0 else (es, ss)
-            firsts[abs(B)].extend(map(add, A, map(mul, first, repeat(B))))
-            lasts[abs(B)].extend(map(add, A, map(mul, last, repeat(B))))
-    for b, first in firsts.items():
-        events = Counter(first)
-        events.subtract(Counter(map(add, lasts[b], repeat(b))))
-        hist.update(_coverage(events, b))
-    if not floor_mode:
-        return hist
-    folded = Counter()
-    for k, c in hist.items():
-        folded[k // D] += c
-    return folded
+            if len(pieces) > 1 or clamp:  # pieces may be empty: drop them if many are
+                keep = list(map(le, ss, es))
+                if keep.count(False) * 4 > len(keep):
+                    A, ss, es = (list(compress(col, keep)) for col in (A, ss, es))
+            first, past = (ss, map(add, es, repeat(1))) if B > 0 else (es, map(sub, ss, repeat(1)))
+            if B != 1:
+                first, past = map(mul, first, repeat(B)), map(mul, past, repeat(B))
+            starts[abs(B)].update(map(add, A, first))
+            ends[abs(B)].update(map(add, A, past))
+    if zeros:
+        flat.append(0)
+        lengths.append(zeros)
+    return _histogram(starts, ends, flat, lengths, D if floor_mode else 1)
 
 
-def _coverage(events, b):
-    """The values that progressions of step b cover, each with the number of
-    progressions covering it, from their endpoint events {value: +1 per
-    first value and -1 per value one step past a last one}.  Each residue
-    class modulo b is swept in ascending order."""
-    covered = {}
-    count = prev = 0
-    for k in sorted(events, key=lambda k: (k % b, k)):
-        if count:
-            covered.update(zip(range(prev, k, b), repeat(count)))
-        count += events[k]
-        prev = k
-    return covered
+DENSE = 16  # the widest key span, per event, that a histogram sums on a dense grid
+
+
+def _histogram(starts, ends, flat, lengths, fold):
+    """{key // fold: count} over the keys that the progressions of each
+    step b cover, from their endpoint events (``starts``, ``ends``: Counters
+    per b), plus lengths[i] at each key flat[i], without zero counts.
+
+    When the keys span at most ``DENSE`` times the number of events, the
+    events of each step fill a dense grid of the span, whose residue
+    classes mod b are running sums (``accumulate``), and ``fold`` > 1 sums
+    blocks of that many keys.  Otherwise each step's event keys are sorted
+    by residue class and value, and the running count between consecutive
+    keys covers their range of step b (``_sweep``)."""
+    counters = [c for c in chain(starts.values(), ends.values(), [flat]) if c]
+    if not counters:
+        return {}
+    lo, hi = min(map(min, counters)), max(map(max, counters))
+    if hi - lo >= DENSE * sum(map(len, counters)):
+        hist = Counter()
+        for k, c in chain(*(_sweep(first, ends[b], b).items() for b, first in starts.items()),
+                          zip(flat, lengths)):
+            hist[k // fold] += c
+        return +hist
+    span = range(lo, hi + 1)
+    grid = [0] * len(span)
+    for i, c in zip(map(sub, flat, repeat(lo)), lengths):
+        grid[i] += c
+    for b, first in starts.items():
+        marks = list(map(sub, map(first.get, span, repeat(0)), map(ends[b].get, span, repeat(0))))
+        for r in range(min(b, len(marks))):
+            marks[r::b] = accumulate(marks[r::b])
+        grid = list(map(add, grid, marks))
+    if fold > 1:  # blocks [fold*k, fold*(k + 1)) of keys
+        grid = [0] * (lo % fold) + grid + [0] * (-(hi + 1) % fold)
+        lo //= fold
+        grid = list(map(sum, zip(*[iter(grid)] * fold)))
+    return dict(compress(zip(range(lo, lo + len(grid)), grid), grid))
+
+
+def _sweep(first, past, b):
+    """{value: count} of the values that progressions of step b cover, from
+    their events: ``first`` counts the first values, ``past`` the values one
+    step past the last ones.  The keys are swept per residue class mod b in
+    ascending order, where the running count returns to 0 at each class's
+    end."""
+    keys = sorted(first.keys() | past.keys())
+    if b > 1:
+        keys.sort(key=b.__rmod__)  # stable: by residue, then by value
+    counts = list(accumulate(map(sub, map(first.get, keys, repeat(0)), map(past.get, keys, repeat(0)))))
+    runs = list(map(range, compress(keys, counts), compress(keys[1:], counts), repeat(b)))
+    return dict(zip(chain.from_iterable(runs),
+                    chain.from_iterable(map(repeat, compress(counts, counts), map(len, runs)))))
 
 
 # ---------------------------------------------------------------------------

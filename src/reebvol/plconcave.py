@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import le, mul
 
-from .arith import det, dot, fmt, rat, vec
+from .arith import dot, fmt, rat, vec
 from .errors import (
     DegeneratePolytopeError,
     DimensionMismatchError,
@@ -201,23 +201,11 @@ def _complete_homogeneous(values, k):
     return h[k]
 
 
-def _simplex_moment(points, form: AffineForm, k):
-    """Exact integral of (affine form)^k over a simplex: the volume times
-    k! n!/(n+k)! times h_k of the vertex values."""
-    n = len(points) - 1
-    vol = abs(det([tuple(x - y for x, y in zip(v, points[0])) for v in points[1:]]))
-    vol /= math.factorial(n)
-    if vol == 0:
-        return Fraction(0)
-    values = [form.value(v) for v in points]
-    coef = Fraction(math.factorial(k) * math.factorial(n), math.factorial(n + k))
-    return vol * coef * _complete_homogeneous(values, k)
-
-
 def integrate_moment(f: PLConcave, p: Polytope, k: int) -> Fraction:
-    """Exact integral of f^k over p, through the linearity subdivision: the
-    closed form of ``_simplex_moment`` on each simplex of a cell, in its
-    integer data (``measure``, the branch values times d*D), one Fraction a cell."""
+    """Exact integral of f^k over p, through the linearity subdivision: on
+    each simplex of a cell the volume times k! n!/(n+k)! times h_k of the
+    vertex values, in the cell's integer data (``measure``, the branch
+    values times d*D), one Fraction a cell."""
     if k < 0 or k > MAX_MOMENT_DEGREE:
         raise UnsupportedDegreeError(f"moment degree {k} unsupported (max {MAX_MOMENT_DEGREE})")
     if k == 0:

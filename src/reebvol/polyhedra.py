@@ -310,19 +310,6 @@ class Measure:
         n = self.rank
         return Fraction(sum(self.dets), factorial(n) * self.denom ** n)
 
-    @cached_property
-    def first_moment(self) -> tuple:
-        """The integral of x over the body.  A simplex contributes its
-        volume times its centroid, so this is the sum over simplices of
-        |det| times the vertex sum, over (n+1)! denom^(n+1)."""
-        n = self.rank
-        acc = [0] * n
-        for s, d in zip(self.simplices, self.dets):
-            for j, column in enumerate(zip(*(self.points[i] for i in s))):
-                acc[j] += d * sum(column)
-        scale = factorial(n + 1) * self.denom ** (n + 1)
-        return tuple(Fraction(x, scale) for x in acc)
-
 
 def _vertex_form(vertices):
     """(D, points): rational vertices times their least common denominator D."""
@@ -780,18 +767,6 @@ class FacetChart:
     offset: Fraction
     drop: int
     body: Polytope  # the projected, full-dimensional polytope
-
-    def project(self, u):
-        return u[: self.drop] + u[self.drop + 1 :]
-
-    def lift(self, y):
-        partial = sum(
-            c * y[i if i < self.drop else i - 1]
-            for i, c in enumerate(self.normal)
-            if i != self.drop
-        )
-        uj = (self.offset - partial) / self.normal[self.drop]
-        return y[: self.drop] + (uj,) + y[self.drop :]
 
 
 def facet_chart(p: Polytope) -> FacetChart:

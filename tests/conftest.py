@@ -3,14 +3,18 @@
 import itertools
 import math
 import os
+from collections import Counter, defaultdict
 from fractions import Fraction as F
+from itertools import repeat
+from operator import add, mul
 from pathlib import Path
 
 import pytest
 
-from reebvol import Cone, PLConcave, PolarizedToricSetup
+from reebvol import Cone, PLConcave, PolarizedToricSetup, lattice
 from reebvol.arith import det, dot, orthogonal_complement_vector
-from reebvol.plconcave import SuperlevelProfile, linearity_subdivision, superlevel_body
+from reebvol.plconcave import (SuperlevelProfile, _complete_homogeneous, linearity_subdivision,
+                               superlevel_body)
 from reebvol.polyhedra import volume
 
 
@@ -262,3 +266,89 @@ def cut_profile(f, delta):
 
 def setup_for(cone, xi, psi=None, eta=None, **kw):
     return PolarizedToricSetup(cone, xi, eta=eta, psi=psi, **kw)
+
+
+# -- oracles moved out of the package ------------------------------------------
+
+
+def first_moment(measure):
+    """The integral of x over a body, from its ``Measure``: a simplex
+    contributes its volume times its centroid, so this is the sum over
+    simplices of |det| times the vertex sum, over (n+1)! denom^(n+1)."""
+    n = measure.rank
+    acc = [0] * n
+    for s, d in zip(measure.simplices, measure.dets):
+        for j, column in enumerate(zip(*(measure.points[i] for i in s))):
+            acc[j] += d * sum(column)
+    scale = math.factorial(n + 1) * measure.denom ** (n + 1)
+    return tuple(F(x, scale) for x in acc)
+
+
+def chart_project(chart, u):
+    """A point of a ``FacetChart``'s hyperplane in the chart's coordinates."""
+    return u[: chart.drop] + u[chart.drop + 1 :]
+
+
+def chart_lift(chart, y):
+    """The point of the chart's hyperplane with chart coordinates y."""
+    partial = sum(c * y[i if i < chart.drop else i - 1]
+                  for i, c in enumerate(chart.normal) if i != chart.drop)
+    uj = (chart.offset - partial) / chart.normal[chart.drop]
+    return y[: chart.drop] + (uj,) + y[chart.drop :]
+
+
+def simplex_moment(points, form, k):
+    """Exact integral of (affine form)^k over a simplex: the volume times
+    k! n!/(n+k)! times h_k of the vertex values."""
+    n = len(points) - 1
+    vol = abs(det([tuple(x - y for x, y in zip(v, points[0])) for v in points[1:]]))
+    vol /= math.factorial(n)
+    if vol == 0:
+        return F(0)
+    values = [form.value(v) for v in points]
+    coef = F(math.factorial(k) * math.factorial(n), math.factorial(n + k))
+    return vol * coef * _complete_homogeneous(values, k)
+
+
+def sweep_histogram(p, m, branches, floor_mode=False, clamp=False):
+    """``lattice.value_histogram`` by a sorted sweep: the pieces' endpoint
+    events per step |B| (+1 at a first value, -1 one step past a last one),
+    each residue class of a step swept in ascending order and every covered
+    value written once, with its count; constant pieces add their lengths,
+    and under the clamp the rest of each leaf counts at 0."""
+    D = branches.denom
+    if p.affine_dim < 0 or not p.integer_vertices[1]:
+        return {}
+    if m == 0:
+        v = lattice._origin(branches, clamp)
+        return {v // D if floor_mode else v: 1}
+    hist = Counter()
+    firsts, lasts = defaultdict(list), defaultdict(list)
+    for los, his, pieces in lattice._piece_batches(p, m, branches, clamp):
+        if clamp:
+            hist[0] += lattice._size(los, his) - sum(lattice._size(ss, es) for _, _, ss, es in pieces)
+        for B, A, ss, es in pieces:
+            if B == 0:
+                for a, s, e in zip(A, ss, es):
+                    if e >= s:
+                        hist[a] += e - s + 1
+                continue
+            first, last = (ss, es) if B > 0 else (es, ss)
+            firsts[abs(B)].extend(map(add, A, map(mul, first, repeat(B))))
+            lasts[abs(B)].extend(map(add, A, map(mul, last, repeat(B))))
+    for b, first in firsts.items():
+        events = Counter(first)
+        events.subtract(Counter(map(add, lasts[b], repeat(b))))
+        count = prev = 0
+        for k in sorted(events, key=lambda k: (k % b, k)):
+            if count:
+                hist.update(dict(zip(range(prev, k, b), repeat(count))))
+            count += events[k]
+            prev = k
+    hist = +hist
+    if not floor_mode:
+        return dict(hist)
+    folded = Counter()
+    for k, c in hist.items():
+        folded[k // D] += c
+    return dict(folded)

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import brute_hull, brute_pulling, brute_vertices, min_form, permutation_det
+from conftest import (brute_hull, brute_pulling, brute_vertices, first_moment, min_form,
+                      permutation_det)
 from reebvol.arith import dot, mat_vec, primitive, rank_of, unimodular_completion
 from reebvol.plconcave import linearity_subdivision
 from reebvol.polyhedra import (
@@ -419,7 +420,7 @@ def assert_measure_matches_oracle(p):
         for j in range(n)
     )
     assert volume(p) == p.measure.volume == sum(vols)
-    assert p.measure.first_moment == moment
+    assert first_moment(p.measure) == moment
 
 
 @seed(20261020)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import brute_lattice_points, fm_levels, min_form
+from conftest import brute_lattice_points, fm_levels, min_form, sweep_histogram
 from reebvol import lattice
 from reebvol.arith import dot, rank_of
 from reebvol.errors import UnsupportedGeometryError
@@ -399,15 +399,18 @@ def widest_walk(p, m, widest):
 
 def test_walks_take_the_widest_axis_innermost(orthant3, monkeypatch):
     """Two branches crossing along every axis, and no branches at all: either
-    way the cheapest innermost axis is the widest one.  The leaf counts are
-    pinned: batching the leaves does not change the walk."""
+    way the cheapest innermost axis is the widest one, and the reductions
+    walk it (the one walk plan they keep).  The leaf counts are pinned:
+    batching the leaves does not change the walk."""
     g = GradedSetup(dual_cone(orthant3), (1, 2, 3), min_form((1, 0, 0), (0, 1, 1)))
-    walked = leaves_walked(monkeypatch, lambda: s_m(g, 60))
-    assert walked == leaves_walked(monkeypatch, widest_walk(g.q, 60, 0)) == 331
+    s_m(g, 60)
+    assert list(g.q.walk_plans) == [tuple(innermost(3, 0))]
+    assert leaves_walked(monkeypatch, widest_walk(g.q, 60, 0)) == 331
     q = _cone_q_p(CROSS4, (0, 0, 0, 1))[0]
     assert lattice._walk_order(q) == [0, 1, 3, 2]  # three widest axes tie: the highest wins
-    walked = leaves_walked(monkeypatch, lambda: lattice.count_points(q, 16))
-    assert walked == leaves_walked(monkeypatch, widest_walk(q, 16, 2)) == 6545
+    lattice.count_points(q, 16)
+    assert list(q.walk_plans) == [(0, 1, 3, 2)]
+    assert leaves_walked(monkeypatch, widest_walk(q, 16, 2)) == 6545
 
 
 def test_walk_memory_stays_flat_in_the_level():
@@ -602,3 +605,130 @@ def test_dilations_share_one_walk_plan(orthant3):
         values = [s_m(g, m) for m in (7, 11, 7)]
     assert values[0] == values[2] and plans.call_count == 1
     assert list(g.q.walk_plans) == [tuple(lattice._walk_order(g.q, g._branches))]
+
+
+# -- closed forms over the children of a node ----------------------------------
+
+
+NODE_LEVELS = {1: 40, 2: 40, 3: 12, 4: 5, 5: 3}  # the bounding-box oracle stays small
+
+
+@st.composite
+def node_bodies(draw):
+    """A body of rank 1-5 cut from a box, possibly flat along some axes, by
+    up to three rows a.x <= b with coefficients -4..4, so that the walk's
+    divisors run 1-4 and its envelopes have several lines, each row
+    possibly with a twin of its slope over another divisor
+    (k*a.x <= k*b + j, k = 2 or 3); a level 0-40 at ranks 1-2 (fewer
+    above), a walk order, and 1-3 branches of one slope along its last
+    coordinate, so one group, of one or several lines."""
+    n = draw(st.integers(1, 5))
+    rows = []
+    for i in range(n):
+        lo, hi = draw(st.integers(-2, 1)), draw(st.integers(0, 3 if n <= 3 else 2))
+        lo = min(lo, hi)
+        rows += [(_unit(n, i, 1), hi), (_unit(n, i, -1), -lo)]
+    for _ in range(draw(st.integers(0, 3))):
+        a = tuple(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+        assume(any(a))
+        b = draw(st.integers(-2, 8))
+        rows.append((a, b))
+        if draw(st.booleans()):
+            k = draw(st.integers(2, 3))
+            rows.append((tuple(k * x for x in a), k * b + draw(st.integers(0, k - 1))))
+    p = polytope_from_halfspaces(n, rows)
+    assume(p.affine_dim >= 0)
+    order = draw(st.permutations(range(n)))
+    slope = draw(st.integers(-3, 3))
+    k = draw(st.integers(1, 3))
+    linears = []
+    for _ in range(k):
+        linear = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        linear[order[-1]] = slope
+        linears.append(tuple(linear))
+    m = draw(st.integers(0, NODE_LEVELS[n]))
+    consts = draw(st.lists(st.integers(-4 * m - 4, 4), min_size=k, max_size=k))
+    return p, m, order, lattice.BranchData(linears, consts, draw(st.integers(1, 3)))
+
+
+def leaf_reductions(last, chunk, slopes, denom):
+    """(count, scaled sum) over the leaves of one chunk of nodes."""
+    count = total = 0
+    for cols, los, his in lattice._expand_all(last, [chunk]):
+        count += lattice._size(los, his)
+        total += lattice._total(lattice._pieces(slopes, cols, los, his, False), denom, False)
+    return count, total
+
+
+@seed(20261021)
+@settings(max_examples=120, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(node_bodies(), st.integers(1, 7))
+# rank 2: a single node whose range runs over a wide segment with divisor 3
+@example((polytope_from_halfspaces(2, [((1, 0), 4), ((-1, 0), 1), ((1, 3), 7), ((-1, -3), 2)]),
+          40, [0, 1], lattice.BranchData([(2, 1), (-1, 1)], [3, -5], 2)), 1024)
+# single-child nodes: the box is flat along the second walk coordinate
+@example((polytope_from_halfspaces(3, [((1, 0, 0), 2), ((-1, 0, 0), 1), ((0, 1, 0), 0),
+                                        ((0, -1, 0), 0), ((0, 0, 1), 3), ((0, 0, -1), 2),
+                                        ((1, 0, 2), 3), ((2, 0, 4), 7)]),
+          12, [0, 1, 2], lattice.BranchData([(1, 2, -1), (0, 0, -1)], [0, 1], 1)), 3)
+def test_node_runs_match_the_leaves_and_brute_force(case, size):
+    """Counting and summing each node's children in closed form equals the
+    leaves' reductions chunk by chunk, and with every chunk sent through
+    the node runs (``RUNS`` = 0) or none of them (``RUNS`` = 10**9), in
+    batches of 1-7 or more nodes, count_points and count_and_sum equal the
+    bounding-box oracle."""
+    p, m, order, bd = case
+    n = p.rank
+    points = brute_lattice_points(p, m)
+    values = [oracle_value(bd, u, False, False) for u in points]
+    with mock.patch.object(lattice, "_walk_order", lambda *_: list(order)), \
+            mock.patch.object(lattice, "BATCH", size):
+        _, slopes, groups = lattice._groups(p, bd)
+        assert len(slopes) == 1
+        if m and n > 1 and points:
+            last, chunks = lattice._walker(p, m, order).nodes(groups)
+            for chunk in chunks:
+                expected = leaf_reductions(last, chunk, slopes, bd.denom)
+                assert lattice._node_count(last[0], *chunk) == expected[0]
+                assert lattice._node_sums(slopes[0], last[0], *chunk) == expected
+        for runs in (0, 10**9):
+            with mock.patch.object(lattice, "RUNS", runs):
+                assert lattice.count_points(p, m) == len(points)
+                assert lattice.count_and_sum(p, m, bd) == (len(points), sum(values))
+
+
+@seed(20261021)
+@settings(max_examples=80, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(envelope_bodies(), st.sampled_from([0, 16, 10**9]))
+# one leaf whose progression of step 40 spans 1600 keys for 2 events
+@example((1, 0, polytope_from_halfspaces(1, [((1,), 40), ((-1,), 0)]), 1,
+          lattice.BranchData([(40,)], [-7], 1), [0]), 16)
+def test_histograms_match_the_sorted_sweep(case, dense):
+    """The value histogram equals the sorted sweep (``sweep_histogram``)
+    with steps b > 1, empty pieces, clamp zeros and floor folding, whether
+    the keys go on a dense grid (``DENSE`` = 10**9), through the sparse
+    sweep (``DENSE`` = 0) or as their span decides."""
+    size, _, p, m, bd, _ = case
+    with mock.patch.object(lattice, "BATCH", size), mock.patch.object(lattice, "DENSE", dense):
+        for floor_mode, clamp in itertools.product((False, True), repeat=2):
+            assert (lattice.value_histogram(p, m, bd, floor_mode, clamp)
+                    == sweep_histogram(p, m, bd, floor_mode, clamp))
+
+
+@seed(20261021)
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(-50, 50), st.integers(0, 30)), min_size=0, max_size=6),
+       st.one_of(st.integers(1, 12), st.integers(60, 200)), st.integers(-40, 40))
+@example([(-7, 13), (0, 0), (31, 5)], 97, 5)  # d*p = 9409, above TABLE: floor_sum
+@example([(-3, 9)], 6, -4)  # period 3 of the residues, negative start and step
+def test_floor_tables_match_floor_sum(progressions, d, b):
+    """Summing floors by residue tables equals ``floor_sum`` and the direct
+    sum, for negative starts and steps, periods shorter than d and tables
+    above ``TABLE`` entries."""
+    v0s = [v for v, _ in progressions]
+    ns = [n for _, n in progressions]
+    expected = sum(lattice.floor_sum(n, d, v, b) for v, n in progressions)
+    assert expected == sum((v + b * j) // d for v, n in progressions for j in range(n))
+    assert lattice._floor_total(b, d, v0s, ns) == expected

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import cut_profile, min_form
+from conftest import cut_profile, min_form, simplex_moment
 from reebvol import plconcave
 from reebvol.arith import dot
 from reebvol.errors import (
@@ -27,7 +27,6 @@ from reebvol.plconcave import (
     superlevel_body,
     superlevel_profile,
 )
-from reebvol.plconcave import _simplex_moment  # white-box, for the bisection oracle
 from reebvol.polyhedra import (
     dual_cone,
     polytope_from_halfspaces,
@@ -187,7 +186,7 @@ def _bisect_moment(points, form, k, depth):
     """Independent consistency oracle: recursively halve an edge and apply
     the closed form to the pieces."""
     if depth == 0:
-        return _simplex_moment(points, form, k)
+        return simplex_moment(points, form, k)
     mid = tuple((a + b) / 2 for a, b in zip(points[0], points[1]))
     s1 = (mid,) + tuple(points[1:])
     s2 = (points[0], mid) + tuple(points[2:])
@@ -198,7 +197,7 @@ def test_moment_closed_form_stable_under_subdivision():
     simplex3 = [(F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))]
     for k in (1, 2, 3, 4):
         form = AffineForm.make((1, 2, 3), F(1, 2))
-        direct = _simplex_moment(simplex3, form, k)
+        direct = simplex_moment(simplex3, form, k)
         assert direct == _bisect_moment(tuple(simplex3), form, k, 3)
 
 
