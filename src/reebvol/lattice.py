@@ -49,16 +49,17 @@ are each one line, floor((R + a*x)/D), so the children's U - L + 1 and
 A*(U - L + 1) + B*(U*(U + 1) - L*(L - 1))/2 sum in closed form, per
 residue class of x mod D for the sums (``_node_sums``) and by tables of
 the residues for the counts (``_floor_total``).  Counts take every chunk
-this way; sums take a chunk with at least D*(RUNS/2 per node + 15*RUNS)
-children, where the closed form measured faster than the leaves.  The other
+this way; sums take a chunk with at least D*(5 per node + 150) children,
+where the closed form measured faster than the leaves.  The other
 reductions reduce each leaf batch as columns: the groups are the lines of
 the same envelope over the leaves, which gives the piece of each leaf where
 a group is the minimum, and the clamp cuts each piece at its zero.  Sums
 are closed forms over the pieces, floored ones through the residue tables.
-A histogram counts, per step, two endpoint events per varying piece in C
-and sums each residue class of the step over a dense grid of the keys
+A histogram counts, per step, two endpoint events per varying piece in C,
+adds each constant piece's length to its key, and sums each residue class
+of the step that holds progressions over a dense grid of the keys
 (``_histogram``), or sweeps the sorted keys when they span more than
-``DENSE`` times the events.
+``DENSE`` times the distinct event keys.
 
 The weights of degree <u, xi> = t of an integral xi are t times the slice
 P at degree 1 in a unimodular frame (``degree_frame``) that puts <u, xi>/g
@@ -379,17 +380,15 @@ def _pick(pick, cols):
 
 def _expand_runs(specs, cols, los, his):
     """The children of the nodes (cols, los, his) from envelope runs: per
-    spec and node, the lines' offsets, one floor division per pair of lines
-    for their crossings (``_cuts``), and one run per line, R + A*x over its
-    part of lo..hi, as a ``range`` (a ``repeat`` at slope 0) chained in C,
+    spec, one run per line and node (``_runs``), R + A*x over its part of
+    lo..hi, as a ``range`` (a ``repeat`` at slope 0) chained in C,
     floor-divided by D."""
     tops = list(map(add, his, repeat(1)))
     out = []
-    for pick, denom, slopes, offsets in specs:
-        values = [_offsets(pick, i, cols) for i in offsets]
-        cuts = [los, *(_cuts(pick, slopes, values, los, his) if len(slopes) > 1 else ()), tops]
+    for spec in specs:
+        denom, lines = _runs(spec, cols, los, his, tops)
         runs = []
-        for a, r, firsts, stops in zip(slopes, values, cuts, cuts[1:]):
+        for a, r, firsts, stops in lines:
             if a == 0:
                 runs.append(map(repeat, r, map(sub, stops, firsts)))
             elif a == 1:
@@ -406,7 +405,9 @@ def _runs(spec, cols, los, his, tops):
     """The envelope runs of a column spec on the nodes (cols, los, his):
     (D, lines), one (A, R, firsts, stops) per line R + A*x, which is the
     spec's ``pick`` on firsts[i]..stops[i] - 1 of node i, an empty run when
-    stops[i] == firsts[i]; ``tops`` is his + 1."""
+    stops[i] == firsts[i]; ``tops`` is his + 1.  The lines' offsets R come
+    from the nodes' columns, and their crossings from one floor division
+    per pair of lines (``_cuts``)."""
     pick, denom, slopes, offsets = spec
     values = [_offsets(pick, i, cols) for i in offsets]
     cuts = [los, *(_cuts(pick, slopes, values, los, his) if len(slopes) > 1 else ()), tops]
@@ -800,7 +801,7 @@ def count_and_sum(p, m, branches, floor_mode=False, clamp=False):
         # rank-5 walks the node sums won from about D*(5 per node + 150)
         # children, and lost up to 3x on smaller single-node chunks.
         d = max(last[0][-1][1], last[0][-2][1])
-        node, gate = partial(_node_sums, slopes[0]), (RUNS * d // 2, 15 * RUNS * d)
+        node, gate = partial(_node_sums, slopes[0]), (5 * d, 150 * d)
     count = total = 0
     for c, t in _fold(last, chunks, node, partial(_leaf_sums, slopes, branches.denom, floor_mode,
                                                    clamp), gate):
@@ -841,10 +842,11 @@ def value_histogram(p, m, branches, floor_mode=False, clamp=False, jobs=1):
 
     Keys are scaled integers (value = key/denom), or already-floored integers
     in floor_mode.  The work is in the ``_pieces`` columns and the distinct
-    keys, not in the points: a constant piece adds its length to its key, a
-    piece of slope B != 0 marks +1 at its first value and -1 one step |B|
-    past its last (an empty one both at one key), counted per step in C,
-    and ``_histogram`` sums the marks of each residue class of a step.
+    keys, not in the points: a constant piece adds its length to its key
+    (one entry per distinct key, however many leaves share it), a piece of
+    slope B != 0 marks +1 at its first value and -1 one step |B| past its
+    last (an empty one both at one key), counted per step in C, and
+    ``_histogram`` sums the marks of each residue class of a step.
     Under the clamp the points outside the positive pieces count at the
     key 0.  ``jobs`` is accepted for compatibility; it has no effect.
     """
@@ -856,17 +858,23 @@ def value_histogram(p, m, branches, floor_mode=False, clamp=False, jobs=1):
         v = _origin(branches, clamp)
         return {v // D if floor_mode else v: 1}
     starts, ends = defaultdict(Counter), defaultdict(Counter)  # per step |B|
-    flat, lengths = [], []  # the constant pieces' keys and lengths
+    flat = defaultdict(int)  # the constant pieces' lengths per key
     zeros = 0
     for los, his, pieces in _piece_batches(p, m, branches, clamp):
         if clamp:
             zeros += _size(los, his) - sum(_size(ss, es) for _, _, ss, es in pieces)
         for B, A, ss, es in pieces:
             if B == 0:
-                flat += A
-                lengths += map(sub, es, map(sub, ss, repeat(1)))
+                lengths = list(map(sub, es, map(sub, ss, repeat(1))))
+                for k, c in compress(zip(A, lengths), lengths):
+                    flat[k] += c
                 continue
-            if len(pieces) > 1 or clamp:  # pieces may be empty: drop them if many are
+            if len(pieces) > 1 or clamp:  # pieces may be empty
+                # An empty piece's two events cancel at one key.  Dropping
+                # them costs three column copies: the event counting
+                # measured 13-33% slower at 1% empty pieces, even near
+                # 1/8-1/4 and 14-36% faster from 3/8 (half the pieces of
+                # the square ceiling slot are empty).
                 keep = list(map(le, ss, es))
                 if keep.count(False) * 4 > len(keep):
                     A, ss, es = (list(compress(col, keep)) for col in (A, ss, es))
@@ -876,23 +884,30 @@ def value_histogram(p, m, branches, floor_mode=False, clamp=False, jobs=1):
             starts[abs(B)].update(map(add, A, first))
             ends[abs(B)].update(map(add, A, past))
     if zeros:
-        flat.append(0)
-        lengths.append(zeros)
-    return _histogram(starts, ends, flat, lengths, D if floor_mode else 1)
+        flat[0] += zeros
+    return _histogram(starts, ends, flat, D if floor_mode else 1)
 
 
-DENSE = 16  # the widest key span, per event, that a histogram sums on a dense grid
+# The widest key span, per event, that a histogram sums on a dense grid.
+# The grid costs a few entries per key of the span, the sweep a sort of the
+# events and a Python step per covered key.  Every histogram of the
+# perfbench ops spans at most 9 keys per event, where the grid measured
+# 1.8-3.7x faster; on random progressions the sweep wins only when they are
+# few and short (from about 3 keys per event), and by at most 4x at 16.
+# Beyond it the sweep bounds the memory by the events and the output.
+DENSE = 16
 
 
-def _histogram(starts, ends, flat, lengths, fold):
+def _histogram(starts, ends, flat, fold):
     """{key // fold: count} over the keys that the progressions of each
     step b cover, from their endpoint events (``starts``, ``ends``: Counters
-    per b), plus lengths[i] at each key flat[i], without zero counts.
+    per b), plus flat[k] at each key k of ``flat``, without zero counts.
 
-    When the keys span at most ``DENSE`` times the number of events, the
-    events of each step fill a dense grid of the span, whose residue
-    classes mod b are running sums (``accumulate``), and ``fold`` > 1 sums
-    blocks of that many keys.  Otherwise each step's event keys are sorted
+    When the keys span at most ``DENSE`` times the number of events (the
+    distinct keys of each Counter and of ``flat``), they go on a dense grid
+    of the span: each residue class mod b where progressions of step b
+    start takes the running sum (``accumulate``) of their events along it,
+    and ``fold`` > 1 sums blocks of that many keys.  Otherwise each step's event keys are sorted
     by residue class and value, and the running count between consecutive
     keys covers their range of step b (``_sweep``)."""
     counters = [c for c in chain(starts.values(), ends.values(), [flat]) if c]
@@ -902,18 +917,18 @@ def _histogram(starts, ends, flat, lengths, fold):
     if hi - lo >= DENSE * sum(map(len, counters)):
         hist = Counter()
         for k, c in chain(*(_sweep(first, ends[b], b).items() for b, first in starts.items()),
-                          zip(flat, lengths)):
+                          flat.items()):
             hist[k // fold] += c
         return +hist
-    span = range(lo, hi + 1)
-    grid = [0] * len(span)
-    for i, c in zip(map(sub, flat, repeat(lo)), lengths):
-        grid[i] += c
+    grid = [0] * (hi - lo + 1)
+    for k, c in flat.items():
+        grid[k - lo] += c
     for b, first in starts.items():
-        marks = list(map(sub, map(first.get, span, repeat(0)), map(ends[b].get, span, repeat(0))))
-        for r in range(min(b, len(marks))):
-            marks[r::b] = accumulate(marks[r::b])
-        grid = list(map(add, grid, marks))
+        past = ends[b]
+        for i in set(map(b.__rmod__, map(sub, first, repeat(lo)))):  # classes with progressions
+            keys = range(lo + i, hi + 1, b)
+            counts = accumulate(map(sub, map(first.get, keys, repeat(0)), map(past.get, keys, repeat(0))))
+            grid[i::b] = map(add, grid[i::b], counts)
     if fold > 1:  # blocks [fold*k, fold*(k + 1)) of keys
         grid = [0] * (lo % fold) + grid + [0] * (-(hi + 1) % fold)
         lo //= fold

@@ -376,18 +376,24 @@ def test_batches_may_end_anywhere(case):
 
 
 def leaves_walked(monkeypatch, walk):
-    """The leaves that ``walk()`` visits, counted at ``PrefixBounds.batches``;
-    a walk that visits none fails, so no bound holds vacuously."""
+    """The leaves under the walks that ``walk()`` makes, counted at
+    ``PrefixBounds.nodes`` as the children of the nodes one level above
+    them, whether a reduction expands them or sums them per node; a walk
+    that visits none fails, so no bound holds vacuously."""
     walked = []
-    real = lattice.PrefixBounds.batches
+    real = lattice.PrefixBounds.nodes
 
-    def batches(self, groups=()):
-        for values, los, his in real(self, groups):
-            walked.append(len(los))
-            yield values, los, his
+    def counted(last, chunks):
+        for cols, los, his in chunks:
+            walked.append(len(los) if last is None else lattice._size(los, his))
+            yield cols, los, his
+
+    def nodes(self, groups=()):
+        last, chunks = real(self, groups)
+        return last, counted(last, chunks)
 
     with monkeypatch.context() as mp:
-        mp.setattr(lattice.PrefixBounds, "batches", batches)
+        mp.setattr(lattice.PrefixBounds, "nodes", nodes)
         walk()
     assert sum(walked) > 0
     return sum(walked)
@@ -399,18 +405,16 @@ def widest_walk(p, m, widest):
 
 def test_walks_take_the_widest_axis_innermost(orthant3, monkeypatch):
     """Two branches crossing along every axis, and no branches at all: either
-    way the cheapest innermost axis is the widest one, and the reductions
-    walk it (the one walk plan they keep).  The leaf counts are pinned:
-    batching the leaves does not change the walk."""
+    way the cheapest innermost axis is the widest one.  The leaf counts are
+    pinned: batching the leaves, or summing them per node, does not change
+    the walk."""
     g = GradedSetup(dual_cone(orthant3), (1, 2, 3), min_form((1, 0, 0), (0, 1, 1)))
-    s_m(g, 60)
-    assert list(g.q.walk_plans) == [tuple(innermost(3, 0))]
-    assert leaves_walked(monkeypatch, widest_walk(g.q, 60, 0)) == 331
+    walked = leaves_walked(monkeypatch, lambda: s_m(g, 60))
+    assert walked == leaves_walked(monkeypatch, widest_walk(g.q, 60, 0)) == 331
     q = _cone_q_p(CROSS4, (0, 0, 0, 1))[0]
     assert lattice._walk_order(q) == [0, 1, 3, 2]  # three widest axes tie: the highest wins
-    lattice.count_points(q, 16)
-    assert list(q.walk_plans) == [(0, 1, 3, 2)]
-    assert leaves_walked(monkeypatch, widest_walk(q, 16, 2)) == 6545
+    walked = leaves_walked(monkeypatch, lambda: lattice.count_points(q, 16))
+    assert walked == leaves_walked(monkeypatch, widest_walk(q, 16, 2)) == 6545
 
 
 def test_walk_memory_stays_flat_in_the_level():
@@ -428,6 +432,37 @@ def test_walk_memory_stays_flat_in_the_level():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.25 * peaks[0] and peaks[1] < 2 * 2**20
+
+
+def test_constant_histogram_pieces_stay_per_key(monkeypatch):
+    """A branch of slope 0 along the innermost axis makes every piece of a
+    histogram constant: their lengths are kept per distinct key, not per
+    leaf, so the peak memory stays flat in the level while the leaves grow
+    as m**2 (the values are above the small-int cache at both levels)."""
+    rows = [(_unit(3, i, s), b * (s > 0)) for i, b in enumerate((1, 1, 3)) for s in (1, -1)]
+    p = polytope_from_halfspaces(3, rows)
+    bd = lattice.BranchData([(1, 0, 0)], [0], 1)
+    assert lattice._groups(p, bd)[:2] == ([0, 1, 2], [0])
+    flats = []
+    real = lattice._histogram
+
+    def histogram(starts, ends, flat, fold):
+        flats.append(len(flat))
+        return real(starts, ends, flat, fold)
+
+    monkeypatch.setattr(lattice, "_histogram", histogram)
+    lattice.value_histogram(p, 1, bd)  # the walk plan is kept with p, outside the trace
+    peaks = []
+    for m in (150, 300):
+        tracemalloc.start()
+        try:
+            hist = lattice.value_histogram(p, m, bd)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert hist == {k: (m + 1) * (3 * m + 1) for k in range(m + 1)}
+    assert flats[1:] == [151, 301]
+    assert peaks[1] <= 1.5 * peaks[0] and peaks[1] < 2**20
 
 
 CUBE7 = [list(s) + [1] for s in itertools.product((-1, 1), repeat=6)]
@@ -674,8 +709,9 @@ def leaf_reductions(last, chunk, slopes, denom):
           12, [0, 1, 2], lattice.BranchData([(1, 2, -1), (0, 0, -1)], [0, 1], 1)), 3)
 def test_node_runs_match_the_leaves_and_brute_force(case, size):
     """Counting and summing each node's children in closed form equals the
-    leaves' reductions chunk by chunk, and with every chunk sent through
-    the node runs (``RUNS`` = 0) or none of them (``RUNS`` = 10**9), in
+    leaves' reductions chunk by chunk, and with ``_fold``'s gate sending
+    every chunk to the node sums or none, and the leaves expanded as
+    envelope runs (``RUNS`` = 0) or child by child (``RUNS`` = 10**9), in
     batches of 1-7 or more nodes, count_points and count_and_sum equal the
     bounding-box oracle."""
     p, m, order, bd = case
@@ -692,8 +728,12 @@ def test_node_runs_match_the_leaves_and_brute_force(case, size):
                 expected = leaf_reductions(last, chunk, slopes, bd.denom)
                 assert lattice._node_count(last[0], *chunk) == expected[0]
                 assert lattice._node_sums(slopes[0], last[0], *chunk) == expected
-        for runs in (0, 10**9):
-            with mock.patch.object(lattice, "RUNS", runs):
+        fold = lattice._fold
+        for gate, runs in itertools.product([(0, 0), (10**9, 10**9)], [0, 10**9]):
+            def forced(last, chunks, node, leaf, _=None, gate=gate):
+                return fold(last, chunks, node, leaf, gate)
+
+            with mock.patch.object(lattice, "_fold", forced), mock.patch.object(lattice, "RUNS", runs):
                 assert lattice.count_points(p, m) == len(points)
                 assert lattice.count_and_sum(p, m, bd) == (len(points), sum(values))
 
