@@ -50,16 +50,28 @@ A*(U - L + 1) + B*(U*(U + 1) - L*(L - 1))/2 sum in closed form, per
 residue class of x mod D for the sums (``_node_sums``) and by tables of
 the residues for the counts (``_floor_total``).  Counts take every chunk
 this way; sums take a chunk with at least D*(5 per node + 150) children,
-where the closed form measured faster than the leaves.  The other
-reductions reduce each leaf batch as columns: the groups are the lines of
-the same envelope over the leaves, which gives the piece of each leaf where
-a group is the minimum, and the clamp cuts each piece at its zero.  Sums
-are closed forms over the pieces, floored ones through the residue tables.
-A histogram counts, per step, two endpoint events per varying piece in C,
-adds each constant piece's length to its key, and sums each residue class
-of the step that holds progressions over a dense grid of the keys
-(``_histogram``), or sweeps the sorted keys when they span more than
-``DENSE`` times the distinct event keys.
+and histograms one with at least P*(2 per node + 250) (``HISTOGRAM_GATE``),
+where the node runs measured faster than the leaves.  For a histogram,
+every bound of a group's piece on such a run is a floor-line in x: L, U,
+the cuts floor((A_k - A_h)/(B_h - B_k)) between groups and, under the
+clamp, the zero of A + B*t.  On the x of one residue class mod P, the lcm
+of their periods, each is a line in the class index j, so a piece runs
+from the max of its start lines to the min of its end lines, each one line
+on an envelope run in j; where it is nonempty there, its first key and the
+key one step past its end are progressions in j, and a constant piece's
+length is linear in j (``_node_events``).  The other chunks, and the
+other reductions, reduce each leaf batch as columns: the groups are the
+lines of the same envelope over the leaves, which gives the piece of each
+leaf where a group is the minimum, and the clamp cuts each piece at its
+zero.  Sums are closed forms over the pieces, floored ones through the
+residue tables.  A histogram counts, per step, two endpoint events per
+varying piece of a leaf in C, or two second-order events per progression
+of them over a node run, and adds each constant piece's length to its key
+(``_Events``).  ``_histogram`` sums them over a dense grid of the keys,
+the second-order events along their steps first, then each residue class
+of a step that holds events, or sweeps the sorted keys when they span
+more than ``DENSE`` times the events, a progression counting as the leaf
+events it stands for.
 
 The weights of degree <u, xi> = t of an integral xi are t times the slice
 P at degree 1 in a unimodular frame (``degree_frame``) that puts <u, xi>/g
@@ -74,7 +86,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict, namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, chain, combinations, compress, repeat, starmap
+from itertools import accumulate, chain, combinations, compress, product, repeat, starmap
 from math import gcd, lcm
 from operator import add, floordiv, ge, itemgetter, le, lt, mod, mul, sub
 
@@ -841,14 +853,12 @@ def value_histogram(p, m, branches, floor_mode=False, clamp=False, jobs=1):
     """Exact multiplicity histogram of the branch minimum over m*p.
 
     Keys are scaled integers (value = key/denom), or already-floored integers
-    in floor_mode.  The work is in the ``_pieces`` columns and the distinct
-    keys, not in the points: a constant piece adds its length to its key
-    (one entry per distinct key, however many leaves share it), a piece of
-    slope B != 0 marks +1 at its first value and -1 one step |B| past its
-    last (an empty one both at one key), counted per step in C, and
-    ``_histogram`` sums the marks of each residue class of a step.
-    Under the clamp the points outside the positive pieces count at the
-    key 0.  ``jobs`` is accepted for compatibility; it has no effect.
+    in floor_mode.  The work is in the pieces and the distinct keys, not in
+    the points: a chunk of nodes past the gate below gives its pieces'
+    events per envelope run (``_node_events``), any other chunk per leaf
+    (``_leaf_events``), and ``_histogram`` sums them.  Under the clamp the
+    points outside the positive pieces count at the key 0.  ``jobs`` is
+    accepted for compatibility; it has no effect.
     """
     _check_level(m)
     if p.affine_dim < 0 or not p.integer_vertices[1]:
@@ -857,83 +867,404 @@ def value_histogram(p, m, branches, floor_mode=False, clamp=False, jobs=1):
     if m == 0:
         v = _origin(branches, clamp)
         return {v // D if floor_mode else v: 1}
-    starts, ends = defaultdict(Counter), defaultdict(Counter)  # per step |B|
-    flat = defaultdict(int)  # the constant pieces' lengths per key
-    zeros = 0
-    for los, his, pieces in _piece_batches(p, m, branches, clamp):
-        if clamp:
-            zeros += _size(los, his) - sum(_size(ss, es) for _, _, ss, es in pieces)
-        for B, A, ss, es in pieces:
-            if B == 0:
-                lengths = list(map(sub, es, map(sub, ss, repeat(1))))
-                for k, c in compress(zip(A, lengths), lengths):
-                    flat[k] += c
+    order, slopes, groups = _groups(p, branches)
+    last, chunks = _walker(p, m, order).nodes(groups)
+    events, (a, b), P = _Events(), HISTOGRAM_GATE, None
+    for chunk in chunks:
+        if last is None:
+            _leaf_events(slopes, clamp, events, *chunk)
+            continue
+        cols, los, his = chunk
+        size, least = _size(los, his), a * len(los) + b
+        if size >= least and not last[1]:  # the gate at P = 1 first: most walks never find P
+            P = P or _period(last[0], slopes, clamp)
+            if size >= P * least:
+                _node_events(slopes, clamp, events, last[0], cols, los, his)
                 continue
-            if len(pieces) > 1 or clamp:  # pieces may be empty
-                # An empty piece's two events cancel at one key.  Dropping
-                # them costs three column copies: the event counting
-                # measured 13-33% slower at 1% empty pieces, even near
-                # 1/8-1/4 and 14-36% faster from 3/8 (half the pieces of
-                # the square ceiling slot are empty).
-                keep = list(map(le, ss, es))
-                if keep.count(False) * 4 > len(keep):
-                    A, ss, es = (list(compress(col, keep)) for col in (A, ss, es))
-            first, past = (ss, map(add, es, repeat(1))) if B > 0 else (es, map(sub, ss, repeat(1)))
-            if B != 1:
-                first, past = map(mul, first, repeat(B)), map(mul, past, repeat(B))
-            starts[abs(B)].update(map(add, A, first))
-            ends[abs(B)].update(map(add, A, past))
-    if zeros:
-        flat[0] += zeros
-    return _histogram(starts, ends, flat, D if floor_mode else 1)
+        for leaves in _expand_all(last, [chunk]):
+            _leaf_events(slopes, clamp, events, *leaves)
+    return _histogram(events, D if floor_mode else 1)
 
 
-# The widest key span, per event, that a histogram sums on a dense grid.
-# The grid costs a few entries per key of the span, the sweep a sort of the
-# events and a Python step per covered key.  Every histogram of the
-# perfbench ops spans at most 9 keys per event, where the grid measured
-# 1.8-3.7x faster; on random progressions the sweep wins only when they are
-# few and short (from about 3 keys per event), and by at most 4x at 16.
-# Beyond it the sweep bounds the memory by the events and the output.
+# The fewest children a chunk of nodes needs, per node and per chunk, to
+# take its histogram events per node run, each times the period P of the
+# runs.  A node run costs about 1.5-3 us per node and 60-100 us per chunk,
+# a leaf about 0.4 us: on the perfbench and rank-5 walks the runs won from
+# about 2 children per node in chunks of 1024 nodes (x0.82 at 2, x1.3 at
+# 1) and from about 200 children in chunks of one node (at P = 2), and
+# lost 1.5-3x on the report walks, chunks of 1-85 nodes with up to 377
+# children.
+HISTOGRAM_GATE = (2, 250)
+
+
+def _period(specs, slopes, clamp):
+    """A common multiple of the periods P of ``_node_events``, over every
+    choice of one line per spec: the lcm of d/gcd(s, d) over each
+    floor-line (r + s*x) // d that some choice makes."""
+    G = len(slopes)
+    periods = [d // gcd(s, d) for _, d, lines, _ in specs[G:] for s in lines]
+    for h, k in combinations(range(G), 2):
+        d = slopes[h] - slopes[k]
+        periods += [d // gcd(a - b, d) for a in specs[k][2] for b in specs[h][2]]
+    if clamp:
+        periods += [abs(B) // gcd(a, B) for B, spec in zip(slopes, specs) if B for a in spec[2]]
+    return lcm(*periods)
+
+
+class _Events:
+    """The endpoint events of a histogram's pieces.  A piece of slope B != 0
+    covers a progression of keys of step b = |B|: ``starts[b]`` and
+    ``ends[b]`` count its first key and the key one step past its last.  A
+    constant piece adds its length to its key in ``flat``.  Over a node run
+    those keys, and the keys of the lengths, are progressions of some step
+    k, kept as second-order events ``waves[b, k]`` (up less down), whose
+    running sum along k gives events of step b, for lengths (b = k) their
+    first differences.  ``size`` counts the leaf events that they stand
+    for."""
+
+    def __init__(self):
+        self.starts, self.ends = defaultdict(Counter), defaultdict(Counter)
+        self.flat = defaultdict(int)
+        self.waves, self.size = {}, 0
+
+    def _wave(self, b, step):
+        pair = self.waves.get((b, step))
+        if pair is None:
+            pair = self.waves[b, step] = Counter(), Counter()
+        return pair
+
+    def progressions(self, b, step, keys, ns, past):
+        """First keys (past keys if ``past``) keys[i] + step*j, j < ns[i]."""
+        if step == 0:
+            (self.ends if past else self.starts)[b].update(_summed(keys, ns))
+            return
+        if step < 0:  # the same keys, ascending
+            keys = list(map(add, keys, map(mul, map(sub, ns, repeat(1)), repeat(step))))
+            step = -step
+        self.size += sum(ns)
+        up, down = self._wave(b, step)
+        (down if past else up).update(keys)
+        (up if past else down).update(map(add, keys, map(mul, ns, repeat(step))))
+
+    def lengths(self, step, keys, ns, w0s, w1):
+        """Lengths w0s[i] + w1*j at the keys keys[i] + step*j, j < ns[i]."""
+        if step == 0:
+            flat = self.flat
+            for k, n, w in zip(keys, ns, w0s):
+                flat[k] += n * w + w1 * (n * (n - 1) // 2)
+            return
+        if step < 0:  # the same lengths, keys ascending
+            last = list(map(sub, ns, repeat(1)))
+            keys = list(map(add, keys, map(mul, last, repeat(step))))
+            w0s = list(map(add, w0s, map(mul, last, repeat(w1))))
+            step, w1 = -step, -w1
+        self.size += sum(ns)
+        # w + w1*j, j < n, has the differences w at j = 0, w1 at 0 < j < n
+        # and -(w + w1*(n - 1)) at n: two events of step b = k and, |w1|
+        # times, a progression of unit events of step k
+        pasts = list(map(add, keys, map(mul, ns, repeat(step))))
+        self.starts[step].update(_summed(keys, w0s))
+        self.ends[step].update(_summed(pasts, map(add, w0s, map(mul, map(sub, ns, repeat(1)),
+                                                                 repeat(w1)))))
+        if w1:
+            up, down = self._wave(step, step)
+            seconds = list(map(add, keys, repeat(step)))
+            for _ in range(abs(w1)):
+                (up if w1 > 0 else down).update(seconds)
+                (down if w1 > 0 else up).update(pasts)
+
+
+def _summed(keys, weights):
+    """{key: the sum of its weights}, in a dict that adds without a Python
+    call per missing key, for one ``Counter.update`` per distinct key."""
+    out = defaultdict(int)
+    for k, w in zip(keys, weights):
+        out[k] += w
+    return out
+
+
+def _leaf_events(slopes, clamp, events, cols, los, his):
+    """Adds the events of the ``_pieces`` of a batch of leaves: a piece of
+    slope B != 0 marks its first key and the key one step |B| past its last
+    (an empty one both at one key), counted per step in C, and a constant
+    piece adds its length to its key."""
+    pieces = _pieces(slopes, cols, los, his, clamp)
+    flat = events.flat
+    if clamp:
+        flat[0] += _size(los, his) - sum(_size(ss, es) for _, _, ss, es in pieces)
+    for B, A, ss, es in pieces:
+        if B == 0:
+            lengths = list(map(sub, es, map(sub, ss, repeat(1))))
+            for k, c in compress(zip(A, lengths), lengths):
+                flat[k] += c
+            continue
+        if len(pieces) > 1 or clamp:  # pieces may be empty
+            # An empty piece's two events cancel at one key.  Dropping
+            # them costs three column copies: the event counting
+            # measured 13-33% slower at 1% empty pieces, even near
+            # 1/8-1/4 and 14-36% faster from 3/8 (half the pieces of
+            # the square ceiling slot are empty).
+            keep = list(map(le, ss, es))
+            if keep.count(False) * 4 > len(keep):
+                A, ss, es = (list(compress(col, keep)) for col in (A, ss, es))
+        first, past = (ss, map(add, es, repeat(1))) if B > 0 else (es, map(sub, ss, repeat(1)))
+        if B != 1:
+            first, past = map(mul, first, repeat(B)), map(mul, past, repeat(B))
+        events.starts[abs(B)].update(map(add, A, first))
+        events.ends[abs(B)].update(map(add, A, past))
+
+
+def _node_events(slopes, clamp, events, specs, cols, los, his):
+    """Adds the events of the pieces of the leaves under the nodes (cols,
+    los, his), per run of a node where each spec is one line: a product of
+    the specs' ``_runs``.  There each group's minimum A is a line in the
+    child x, and the bounds L, U of the last coordinate, the cuts between
+    groups h < k, floor((A_k - A_h)/(B_h - B_k)), and under the clamp the
+    zeros of A + B*t are floor-lines.  On the x = x0 + P*j of one residue
+    class mod P, the lcm of their periods, each one is a line in j.  A
+    group's piece runs from the max of its start lines (L, the cuts past
+    the groups before it, the zero for B > 0) to the min of its end lines,
+    each one line on a run in j (``_envelope``), so on the part of such a
+    run where the piece is nonempty its first and past keys are
+    progressions in j, and a constant piece's length is linear in j
+    (``_piece_events``)."""
+    tops = list(map(add, his, repeat(1)))
+    G = len(slopes)
+    if clamp:  # the zero piece: every point less the positive pieces' lengths
+        events.flat[0] += _node_count(specs, cols, los, his)
+    divs = [spec[1] for spec in specs]
+    for run in product(*(_runs(spec, cols, los, his, tops)[1] for spec in specs)):
+        # the runs of a spec of one line are the nodes' ranges
+        xs = [firsts for _, _, firsts, _ in run if firsts is not los] or [los]
+        ends = [stops for *_, stops in run if stops is not tops] or [tops]
+        xs = list(map(max, *xs)) if len(xs) > 1 else xs[0]
+        ends = list(map(min, *ends)) if len(ends) > 1 else ends[0]
+        rs = [r for _, r, _, _ in run]
+        keep = list(map(lt, xs, ends)) if xs is not los or ends is not tops else ()
+        if not all(keep):
+            if not any(keep):
+                continue
+            xs, ends, *rs = (list(compress(col, keep)) for col in (xs, ends, *rs))
+        # the floor-lines (r + s*x) // d + k as (r, s, d, k): the groups, L, U
+        lines = [(r, a, d, 0) for (a, *_), r, d in zip(run, rs, divs)]
+        for h, k in combinations(range(G), 2):
+            lines.append((list(map(sub, rs[k], rs[h])), run[k][0] - run[h][0],
+                          slopes[h] - slopes[k], 0))
+        if clamp:  # A + B*t > 0 from t = -A // B + 1 on (B > 0), up to (A - 1) // -B (B < 0)
+            lines += [([-r for r in rs[g]], -run[g][0], B, 1) if B > 0
+                      else (list(map(sub, rs[g], repeat(1))), run[g][0], -B, 0)
+                      for g, B in enumerate(slopes) if B]
+        P = lcm(*(d // gcd(s, d) for _, s, d, _ in lines))
+        for c in range(P):
+            if P == 1:
+                x0s, ns = xs, list(map(sub, ends, xs))
+            else:
+                x0s = list(map(add, xs, map(mod, map(sub, repeat(c), xs), repeat(P))))
+                ns = list(map(floordiv, map(add, map(sub, ends, x0s), repeat(P - 1)), repeat(P)))
+            offsets = [_line_at(r, s, d, k, x0s) for r, s, d, k in lines]
+            keep = list(map(lt, repeat(0), ns)) if P > 1 else ()
+            if not all(keep):
+                if not any(keep):
+                    continue
+                ns, *offsets = (list(compress(col, keep)) for col in (ns, *offsets))
+            js = [(o, s * P // d) for o, (_, s, d, _) in zip(offsets, lines)]
+            _group_events(slopes, clamp, events, js, ns)
+
+
+def _line_at(r, s, d, k, xs):
+    """The column (r + s*x) // d + k over x in ``xs``."""
+    col = map(add, r, map(mul, xs, repeat(s))) if s else r
+    if d > 1:
+        col = map(floordiv, col, repeat(d))
+    return list(map(add, col, repeat(k))) if k else list(col)
+
+
+def _group_events(slopes, clamp, events, js, ns):
+    """The events of each group's pieces over j < ns[i], from the lines in j
+    (offsets, slope) of ``js``: the groups, L, U, the cuts of the pairs of
+    groups in ``combinations`` order and, under the clamp, the zeros of the
+    groups of slope B != 0."""
+    G = len(slopes)
+    cuts = dict(zip(combinations(range(G), 2), js[G + 2:]))
+    zeros = iter(js[G + 2 + len(cuts):])
+    check = G > 1 or clamp  # else L <= U + 1, and an empty piece adds nothing
+    for g, B in enumerate(slopes):
+        alpha, beta = js[g]
+        starts = [js[G]] + [(list(map(add, cuts[h, g][0], repeat(1))), cuts[h, g][1])
+                            for h in range(g)]
+        stops = [js[G + 1]] + [cuts[g, k] for k in range(g + 1, G)]
+        j0s, j1s = [0] * len(ns), ns
+        if clamp and B:
+            (starts if B > 0 else stops).append(next(zeros))
+        elif clamp:  # the piece where A = alpha + beta*j > 0
+            if beta > 0:
+                j0s = [0 if v > 0 else min(n, -v // beta + 1) for v, n in zip(alpha, ns)]
+            elif beta < 0:
+                j1s = [max(0, min(n, (v - 1) // -beta + 1)) for v, n in zip(alpha, ns)]
+            else:
+                j1s = [n if v > 0 else 0 for v, n in zip(alpha, ns)]
+        for sigma, so, sf, st in _envelope(max, starts, j0s, j1s):
+            for eps, eo, ef, et in _envelope(min, stops, j0s, j1s):
+                _piece_events(events, B, js[g], (sigma, so), (eps, eo),
+                              list(map(max, sf, ef)) if sf is not ef else sf,
+                              list(map(min, st, et)) if st is not et else st, check, clamp)
+
+
+def _envelope(pick, lines, los, tops):
+    """The runs of the ``pick`` of the lines (offsets, slope) in j over
+    los[i] <= j < tops[i], as ``_runs`` gives them: (slope, offsets,
+    firsts, stops) per line, lines of one slope merged."""
+    merged = {}
+    for offsets, slope in lines:
+        merged[slope] = offsets if slope not in merged else list(map(pick, merged[slope], offsets))
+    slopes = sorted(merged, reverse=pick is min)
+    values = [merged[s] for s in slopes]
+    if len(slopes) == 1:
+        return [(slopes[0], values[0], los, tops)]
+    his = list(map(sub, tops, repeat(1)))
+    cuts = [los, *_cuts(pick, slopes, values, los, his), tops]
+    return list(zip(slopes, values, cuts, cuts[1:]))
+
+
+def _piece_events(events, B, group, start, stop, j0s, j1s, check, clamp):
+    """The events of a group's pieces t = s(j)..e(j) on j0s[i] <= j <
+    j1s[i], where its minimum A, s and e are the lines in j ``group``,
+    ``start`` and ``stop`` (slope, offsets), kept where s <= e if
+    ``check``."""
+    (alpha, beta), (sigma, so), (eps, eo) = group, start, stop
+    if check:  # e - s = gap + delta*j >= 0
+        delta, gaps = eps - sigma, list(map(sub, eo, so))
+        if delta > 0:  # from the least j >= -gap/delta
+            firsts = map(floordiv, map(sub, repeat(delta - 1), gaps), repeat(delta))
+            j0s = list(map(max, j0s, firsts))
+        elif delta < 0:  # up to the greatest j <= gap/-delta
+            j1s = list(map(min, j1s, map(add, map(floordiv, gaps, repeat(-delta)), repeat(1))))
+        elif min(gaps) < 0:
+            j1s = [j if v >= 0 else 0 for j, v in zip(j1s, gaps)]
+    keep = list(map(lt, j0s, j1s))
+    if not all(keep):
+        if not any(keep):
+            return
+        alpha, so, eo, j0s, j1s = (list(compress(col, keep)) for col in (alpha, so, eo, j0s, j1s))
+    ns = list(map(sub, j1s, j0s))
+    if any(j0s):  # the lines' values at j0
+        alpha = list(map(add, alpha, map(mul, j0s, repeat(beta))))
+        so = list(map(add, so, map(mul, j0s, repeat(sigma))))
+        eo = list(map(add, eo, map(mul, j0s, repeat(eps))))
+    if B > 0:
+        events.progressions(B, beta + B * sigma, list(map(add, alpha, map(mul, so, repeat(B)))),
+                            ns, False)
+        events.progressions(B, beta + B * eps, list(map(add, alpha, map(
+            mul, map(add, eo, repeat(1)), repeat(B)))), ns, True)
+    elif B < 0:
+        events.progressions(-B, beta + B * eps, list(map(add, alpha, map(mul, eo, repeat(B)))),
+                            ns, False)
+        events.progressions(-B, beta + B * sigma, list(map(add, alpha, map(
+            mul, map(sub, so, repeat(1)), repeat(B)))), ns, True)
+    if B == 0 or clamp:  # the lengths e - s + 1 + (eps - sigma)*j
+        w0s, w1 = list(map(sub, eo, map(sub, so, repeat(1)))), eps - sigma
+        if B == 0:
+            events.lengths(beta, alpha, ns, w0s, w1)
+        if clamp:
+            events.flat[0] -= sum(map(mul, ns, w0s)) + w1 * ((sum(map(mul, ns, ns)) - sum(ns)) // 2)
+
+
+# The widest key span, per event, that a histogram sums on a dense grid,
+# a progression of events over a node run counting as the leaf events it
+# stands for, so that the grid stays within 16 entries per leaf event, as
+# on leaves alone.  The grid costs a few entries per key of the span and
+# per step that holds events, the sweep a sort of the events and a Python
+# step per covered key.  On leaves alone the grid measured 1.8-3.7x faster
+# up to 9 keys per event; on random progressions the sweep won only when
+# they were few and short (from about 3 keys per event), and by at most 4x
+# at 16.  Every histogram of the perfbench ops spans at most 1.7 keys per
+# event counted so.  Beyond it the sweep bounds the memory by the events
+# and the output.
 DENSE = 16
+# Second-order events of one step take one slice per run between their
+# keys when they are fewer than the span over this, a running sum per
+# residue class otherwise (``_histogram``): on random progressions over
+# spans of 500-8000 keys the slices measured 2-10x faster at 8 events and
+# even at about one event per 5 keys.
+RUNS_PER_KEY = 6
 
 
-def _histogram(starts, ends, flat, fold):
-    """{key // fold: count} over the keys that the progressions of each
-    step b cover, from their endpoint events (``starts``, ``ends``: Counters
-    per b), plus flat[k] at each key k of ``flat``, without zero counts.
+def _histogram(events, fold):
+    """{key // fold: count} over the keys that the pieces of ``events``
+    (``_Events``) cover, without zero counts.
 
     When the keys span at most ``DENSE`` times the number of events (the
-    distinct keys of each Counter and of ``flat``), they go on a dense grid
-    of the span: each residue class mod b where progressions of step b
-    start takes the running sum (``accumulate``) of their events along it,
-    and ``fold`` > 1 sums blocks of that many keys.  Otherwise each step's event keys are sorted
-    by residue class and value, and the running count between consecutive
-    keys covers their range of step b (``_sweep``)."""
-    counters = [c for c in chain(starts.values(), ends.values(), [flat]) if c]
+    distinct keys of each Counter, and the leaf events that the waves stand
+    for), they go on a dense grid of the span.  The second-order events of
+    ``waves[b, k]`` take their running sum along each residue class mod k
+    (``accumulate``, or one slice per run when they are few: ``_add_runs``)
+    into the events of step b, whose running sum along each class mod b
+    (or, without waves, of the classes where progressions start) gives the
+    counts; ``fold`` > 1 sums blocks of that many keys.  Otherwise each
+    step's keys are swept sorted by residue class and value (``_sweep``)."""
+    starts, ends, flat = events.starts, events.ends, events.flat
+    counters = [c for c in chain(starts.values(), ends.values(), [flat], *events.waves.values())
+                if c]
     if not counters:
         return {}
     lo, hi = min(map(min, counters)), max(map(max, counters))
-    if hi - lo >= DENSE * sum(map(len, counters)):
+    if hi - lo >= DENSE * (sum(map(len, counters)) + events.size):
+        for (b, step), (up, down) in events.waves.items():
+            for k, c in _sweep(up, down, step).items():
+                starts[b][k] += c
         hist = Counter()
-        for k, c in chain(*(_sweep(first, ends[b], b).items() for b, first in starts.items()),
-                          flat.items()):
+        for k, c in chain(*(_sweep(starts[b], ends[b], b).items()
+                            for b in starts.keys() | ends.keys()), flat.items()):
             hist[k // fold] += c
         return +hist
     grid = [0] * (hi - lo + 1)
     for k, c in flat.items():
         grid[k - lo] += c
-    for b, first in starts.items():
-        past = ends[b]
-        for i in set(map(b.__rmod__, map(sub, first, repeat(lo)))):  # classes with progressions
-            keys = range(lo + i, hi + 1, b)
-            counts = accumulate(map(sub, map(first.get, keys, repeat(0)), map(past.get, keys, repeat(0))))
-            grid[i::b] = map(add, grid[i::b], counts)
+    waves = {}
+    for (b, step), pair in events.waves.items():
+        waves.setdefault(b, []).append((step, pair))
+    for b in starts.keys() | waves.keys() if waves else starts:  # with ends[b] when no waves
+        first, past = starts.get(b, {}), ends.get(b, {})
+        if b not in waves:
+            for i in set(map(b.__rmod__, map(sub, first, repeat(lo)))):  # where pieces start
+                keys = range(lo + i, hi + 1, b)
+                grid[i::b] = map(add, grid[i::b], accumulate(
+                    map(sub, map(first.get, keys, repeat(0)), map(past.get, keys, repeat(0)))))
+            continue
+        marks = [0] * len(grid)
+        for step, (up, down) in waves[b]:
+            if (len(up) + len(down)) * RUNS_PER_KEY < len(grid):
+                _add_runs(marks, lo, up, down, step)
+                continue
+            for i in set(map(step.__rmod__, map(sub, up.keys() | down.keys(), repeat(lo)))):
+                keys = range(lo + i, hi + 1, step)
+                marks[i::step] = map(add, marks[i::step], accumulate(
+                    map(sub, map(up.get, keys, repeat(0)), map(down.get, keys, repeat(0)))))
+        for k, c in first.items():
+            marks[k - lo] += c
+        for k, c in past.items():
+            marks[k - lo] -= c
+        for i in range(min(b, len(grid))):
+            grid[i::b] = map(add, grid[i::b], accumulate(marks[i::b]))
     if fold > 1:  # blocks [fold*k, fold*(k + 1)) of keys
         grid = [0] * (lo % fold) + grid + [0] * (-(hi + 1) % fold)
         lo //= fold
         grid = list(map(sum, zip(*[iter(grid)] * fold)))
     return dict(compress(zip(range(lo, lo + len(grid)), grid), grid))
+
+
+def _add_runs(grid, lo, up, down, step):
+    """Adds to grid (keys from lo) the running sum of the events up - down
+    along each residue class mod ``step``: one slice per run between two
+    event keys of a class, where the sum is constant."""
+    keys = sorted(up.keys() | down.keys())
+    if step > 1:
+        keys.sort(key=step.__rmod__)  # stable: by residue, then by value
+    counts = accumulate(map(sub, map(up.get, keys, repeat(0)), map(down.get, keys, repeat(0))))
+    for k, stop, c in zip(keys, keys[1:], counts):
+        if c:
+            part = slice(k - lo, stop - lo, step)
+            grid[part] = map(add, grid[part], repeat(c))
 
 
 def _sweep(first, past, b):

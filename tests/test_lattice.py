@@ -438,7 +438,10 @@ def test_constant_histogram_pieces_stay_per_key(monkeypatch):
     """A branch of slope 0 along the innermost axis makes every piece of a
     histogram constant: their lengths are kept per distinct key, not per
     leaf, so the peak memory stays flat in the level while the leaves grow
-    as m**2 (the values are above the small-int cache at both levels)."""
+    as m**2 (the values are above the small-int cache at both levels).
+    The gate keeps every chunk on its leaves, whose batches are full at
+    both levels, where the node runs would hold one entry per node."""
+    monkeypatch.setattr(lattice, "HISTOGRAM_GATE", (10**9, 10**9))
     rows = [(_unit(3, i, s), b * (s > 0)) for i, b in enumerate((1, 1, 3)) for s in (1, -1)]
     p = polytope_from_halfspaces(3, rows)
     bd = lattice.BranchData([(1, 0, 0)], [0], 1)
@@ -446,9 +449,9 @@ def test_constant_histogram_pieces_stay_per_key(monkeypatch):
     flats = []
     real = lattice._histogram
 
-    def histogram(starts, ends, flat, fold):
-        flats.append(len(flat))
-        return real(starts, ends, flat, fold)
+    def histogram(events, fold):
+        flats.append(len(events.flat))
+        return real(events, fold)
 
     monkeypatch.setattr(lattice, "_histogram", histogram)
     lattice.value_histogram(p, 1, bd)  # the walk plan is kept with p, outside the trace
@@ -462,6 +465,30 @@ def test_constant_histogram_pieces_stay_per_key(monkeypatch):
             tracemalloc.stop()
         assert hist == {k: (m + 1) * (3 * m + 1) for k in range(m + 1)}
     assert flats[1:] == [151, 301]
+    assert peaks[1] <= 1.5 * peaks[0] and peaks[1] < 2**20
+
+
+def test_constant_histogram_node_runs_stay_per_key(monkeypatch):
+    """Over node runs, the lengths of constant pieces are kept per distinct
+    key, not per node: on the box [0, 1]^3 x [0, 3] with the branch x_1,
+    whose walk has (m + 1)**2 nodes in full chunks at m = 40 and 80, the
+    node runs add every length at its key and the peak memory stays flat
+    in the level, while the nodes grow 4-fold and the points 8-fold."""
+    rows = [(_unit(4, i, s), b * (s > 0)) for i, b in enumerate((1, 1, 1, 3)) for s in (1, -1)]
+    p = polytope_from_halfspaces(4, rows)
+    bd = lattice.BranchData([(1, 0, 0, 0)], [0], 1)
+    assert lattice._groups(p, bd)[:2] == ([0, 1, 2, 3], [0])
+    monkeypatch.setattr(lattice, "HISTOGRAM_GATE", (0, 0))
+    lattice.value_histogram(p, 1, bd)  # the walk plan is kept with p, outside the trace
+    peaks = []
+    for m in (40, 80):
+        tracemalloc.start()
+        try:
+            hist = lattice.value_histogram(p, m, bd)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert hist == {k: (m + 1) ** 2 * (3 * m + 1) for k in range(m + 1)}
     assert peaks[1] <= 1.5 * peaks[0] and peaks[1] < 2**20
 
 
@@ -772,3 +799,76 @@ def test_floor_tables_match_floor_sum(progressions, d, b):
     expected = sum(lattice.floor_sum(n, d, v, b) for v, n in progressions)
     assert expected == sum((v + b * j) // d for v, n in progressions for j in range(n))
     assert lattice._floor_total(b, d, v0s, ns) == expected
+
+
+# -- histograms per node run ---------------------------------------------------
+
+
+@st.composite
+def histogram_bodies(draw):
+    """A body of rank 1-5 cut from a box by up to three rows with
+    coefficients -4..4, so that the walk's divisors run 1-4, each row
+    possibly with a twin of its slope over another divisor; a level 0-40
+    at ranks 1-2 (fewer above), a walk order, and 1-3 groups of branches
+    along its last coordinate, of distinct slopes -3..3, each of one or
+    two branches, with constants that may be negative (so the clamp cuts
+    leaves at their start, middle or end) and a denominator 1-12."""
+    n = draw(st.integers(1, 5))
+    rows = []
+    for i in range(n):
+        lo, hi = draw(st.integers(-2, 1)), draw(st.integers(0, 3 if n <= 3 else 2))
+        rows += [(_unit(n, i, 1), hi), (_unit(n, i, -1), -min(lo, hi))]
+    for _ in range(draw(st.integers(0, 3))):
+        a = tuple(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+        assume(any(a))
+        b = draw(st.integers(-2, 8))
+        rows.append((a, b))
+        if draw(st.booleans()):
+            k = draw(st.integers(2, 3))
+            rows.append((tuple(k * x for x in a), k * b + draw(st.integers(0, k - 1))))
+    p = polytope_from_halfspaces(n, rows)
+    assume(p.affine_dim >= 0)
+    order = draw(st.permutations(range(n)))
+    m = draw(st.integers(0, NODE_LEVELS[n]))
+    linears = []
+    for slope in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True)):
+        for _ in range(draw(st.integers(1, 2))):
+            linear = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+            linear[order[-1]] = slope
+            linears.append(tuple(linear))
+    consts = draw(st.lists(st.integers(-4 * m - 4, 4), min_size=len(linears),
+                           max_size=len(linears)))
+    return p, m, order, lattice.BranchData(linears, consts, draw(st.integers(1, 12)))
+
+
+BOX2 = polytope_from_halfspaces(2, [((1, 0), 3), ((-1, 0), 0), ((0, 1), 3), ((0, -1), 0)])
+
+
+@seed(20261022)
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(histogram_bodies())
+# three groups whose middle one, x + 2, is the minimum only on the children
+# x <= 1: the outer ones, t + 2x and 8 - t - 2x, cross at 4
+@example((BOX2, 5, [0, 1], lattice.BranchData([(2, 1), (1, 0), (-2, -1)], [0, 2, 8], 1)))
+# the clamp's zeros at the start, the middle and the end of the leaves
+@example((BOX2, 7, [0, 1], lattice.BranchData([(1, 2), (1, -2)], [-9, 20], 3)))
+# floor mode over D = 12 with twin branches of one slope
+@example((BOX2, 9, [1, 0], lattice.BranchData([(5, 3), (-1, 3), (2, -7)], [-4, 2, 30], 12)))
+def test_node_histograms_match_the_leaves_and_brute_force(case):
+    """Histograms per node run equal the leaf events (``sweep_histogram``)
+    and the bounding-box oracle in all four modes, with the gate sending
+    every chunk of nodes to the node runs or none, and the keys on a dense
+    grid (``DENSE`` = 10**9) or swept (``DENSE`` = 0)."""
+    p, m, order, bd = case
+    points = brute_lattice_points(p, m)
+    with mock.patch.object(lattice, "_walk_order", lambda *_: list(order)):
+        for floor_mode, clamp in itertools.product((False, True), repeat=2):
+            values = Counter(oracle_value(bd, u, floor_mode, clamp) for u in points)
+            leaves = sweep_histogram(p, m, bd, floor_mode, clamp)
+            scale = 1 if floor_mode else bd.denom
+            assert Counter({F(k, scale): c for k, c in leaves.items()}) == values
+            for gate, dense in itertools.product([(0, 0), (10**9, 10**9)], [0, 10**9]):
+                with mock.patch.object(lattice, "HISTOGRAM_GATE", gate), \
+                        mock.patch.object(lattice, "DENSE", dense):
+                    assert lattice.value_histogram(p, m, bd, floor_mode, clamp) == leaves
