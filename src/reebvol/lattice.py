@@ -877,7 +877,8 @@ def value_histogram(p, m, branches, floor_mode=False, clamp=False, jobs=1):
         cols, los, his = chunk
         size, least = _size(los, his), a * len(los) + b
         if size >= least and not last[1]:  # the gate at P = 1 first: most walks never find P
-            P = P or _period(last[0], slopes, clamp)
+            P = P or _period(_run_lines(slopes, clamp, [spec[1] for spec in last[0]],
+                                        [[(a, ()) for a in spec[2]] for spec in last[0]]))
             if size >= P * least:
                 _node_events(slopes, clamp, events, last[0], cols, los, his)
                 continue
@@ -897,18 +898,28 @@ def value_histogram(p, m, branches, floor_mode=False, clamp=False, jobs=1):
 HISTOGRAM_GATE = (2, 250)
 
 
-def _period(specs, slopes, clamp):
-    """A common multiple of the periods P of ``_node_events``, over every
-    choice of one line per spec: the lcm of d/gcd(s, d) over each
-    floor-line (r + s*x) // d that some choice makes."""
-    G = len(slopes)
-    periods = [d // gcd(s, d) for _, d, lines, _ in specs[G:] for s in lines]
-    for h, k in combinations(range(G), 2):
-        d = slopes[h] - slopes[k]
-        periods += [d // gcd(a - b, d) for a in specs[k][2] for b in specs[h][2]]
+def _run_lines(slopes, clamp, divs, picks):
+    """The floor-lines (r + s*x) // d + k, as (r, s, d, k), of the node runs
+    where spec i is one of the lines picks[i], each (slope, offsets) over
+    the divisor divs[i]: the groups' minima, L, U, the cuts
+    floor((A_k - A_h)/(B_h - B_k)) of the pairs of groups h < k and, under
+    the clamp, the zeros of A + B*t of the groups of slope B != 0 (A + B*t
+    > 0 from t = -A // B + 1 on for B > 0, up to (A - 1) // -B for B < 0).
+    On one run each spec is one line (``_node_events``); with every line
+    of each spec they are the lines of all the runs (``_period``)."""
+    lines = [(r, a, d, 0) for d, pick in zip(divs, picks) for a, r in pick]
+    for h, k in combinations(range(len(slopes)), 2):
+        lines += [(list(map(sub, rk, rh)), ak - ah, slopes[h] - slopes[k], 0)
+                  for ah, rh in picks[h] for ak, rk in picks[k]]
     if clamp:
-        periods += [abs(B) // gcd(a, B) for B, spec in zip(slopes, specs) if B for a in spec[2]]
-    return lcm(*periods)
+        lines += [([-x for x in r], -a, B, 1) if B > 0 else (list(map(sub, r, repeat(1))), a, -B, 0)
+                  for B, pick in zip(slopes, picks) if B for a, r in pick]
+    return lines
+
+
+def _period(lines):
+    """The lcm of the periods d/gcd(s, d) of the floor-lines (r, s, d, k)."""
+    return lcm(*(d // gcd(s, d) for _, s, d, _ in lines))
 
 
 class _Events:
@@ -1029,7 +1040,6 @@ def _node_events(slopes, clamp, events, specs, cols, los, his):
     progressions in j, and a constant piece's length is linear in j
     (``_piece_events``)."""
     tops = list(map(add, his, repeat(1)))
-    G = len(slopes)
     if clamp:  # the zero piece: every point less the positive pieces' lengths
         events.flat[0] += _node_count(specs, cols, los, his)
     divs = [spec[1] for spec in specs]
@@ -1045,16 +1055,8 @@ def _node_events(slopes, clamp, events, specs, cols, los, his):
             if not any(keep):
                 continue
             xs, ends, *rs = (list(compress(col, keep)) for col in (xs, ends, *rs))
-        # the floor-lines (r + s*x) // d + k as (r, s, d, k): the groups, L, U
-        lines = [(r, a, d, 0) for (a, *_), r, d in zip(run, rs, divs)]
-        for h, k in combinations(range(G), 2):
-            lines.append((list(map(sub, rs[k], rs[h])), run[k][0] - run[h][0],
-                          slopes[h] - slopes[k], 0))
-        if clamp:  # A + B*t > 0 from t = -A // B + 1 on (B > 0), up to (A - 1) // -B (B < 0)
-            lines += [([-r for r in rs[g]], -run[g][0], B, 1) if B > 0
-                      else (list(map(sub, rs[g], repeat(1))), run[g][0], -B, 0)
-                      for g, B in enumerate(slopes) if B]
-        P = lcm(*(d // gcd(s, d) for _, s, d, _ in lines))
+        lines = _run_lines(slopes, clamp, divs, [[(a, r)] for (a, *_), r in zip(run, rs)])
+        P = _period(lines)
         for c in range(P):
             if P == 1:
                 x0s, ns = xs, list(map(sub, ends, xs))
@@ -1182,11 +1184,13 @@ def _piece_events(events, B, group, start, stop, j0s, j1s, check, clamp):
 # and the output.
 DENSE = 16
 # Second-order events of one step take one slice per run between their
-# keys when they are fewer than the span over this, a running sum per
-# residue class otherwise (``_histogram``): on random progressions over
-# spans of 500-8000 keys the slices measured 2-10x faster at 8 events and
-# even at about one event per 5 keys.
-RUNS_PER_KEY = 6
+# keys when they are fewer than the keys of the residue classes that hold
+# them over this, a running sum per class otherwise (``_histogram``).  Per
+# wave of the perfbench spectra and rank-5 jumping histograms, the slices
+# took x1.8-3.2 the running sums' time at 0.5-1.1 such keys per event (44
+# waves) and x0.06-0.58 from 4.5 on (39 waves); on random progressions
+# over spans of 400-4000 keys, every class occupied, x0.6-1.1 at 6.
+RUNS_PER_KEY = 4
 
 
 def _histogram(events, fold):
@@ -1197,7 +1201,7 @@ def _histogram(events, fold):
     distinct keys of each Counter, and the leaf events that the waves stand
     for), they go on a dense grid of the span.  The second-order events of
     ``waves[b, k]`` take their running sum along each residue class mod k
-    (``accumulate``, or one slice per run when they are few: ``_add_runs``)
+    (``accumulate``, or one slice per run when they are few: ``_class_runs``)
     into the events of step b, whose running sum along each class mod b
     (or, without waves, of the classes where progressions start) gives the
     counts; ``fold`` > 1 sums blocks of that many keys.  Otherwise each
@@ -1233,10 +1237,13 @@ def _histogram(events, fold):
             continue
         marks = [0] * len(grid)
         for step, (up, down) in waves[b]:
-            if (len(up) + len(down)) * RUNS_PER_KEY < len(grid):
-                _add_runs(marks, lo, up, down, step)
+            classes = set(map(step.__rmod__, map(sub, up.keys() | down.keys(), repeat(lo))))
+            if (len(up) + len(down)) * RUNS_PER_KEY < len(classes) * ((hi - lo) // step + 1):
+                for k, stop, c in zip(*_class_runs(up, down, step)):
+                    part = slice(k - lo, stop - lo, step)
+                    marks[part] = map(add, marks[part], repeat(c))
                 continue
-            for i in set(map(step.__rmod__, map(sub, up.keys() | down.keys(), repeat(lo)))):
+            for i in classes:
                 keys = range(lo + i, hi + 1, step)
                 marks[i::step] = map(add, marks[i::step], accumulate(
                     map(sub, map(up.get, keys, repeat(0)), map(down.get, keys, repeat(0)))))
@@ -1253,33 +1260,26 @@ def _histogram(events, fold):
     return dict(compress(zip(range(lo, lo + len(grid)), grid), grid))
 
 
-def _add_runs(grid, lo, up, down, step):
-    """Adds to grid (keys from lo) the running sum of the events up - down
-    along each residue class mod ``step``: one slice per run between two
-    event keys of a class, where the sum is constant."""
-    keys = sorted(up.keys() | down.keys())
-    if step > 1:
-        keys.sort(key=step.__rmod__)  # stable: by residue, then by value
-    counts = accumulate(map(sub, map(up.get, keys, repeat(0)), map(down.get, keys, repeat(0))))
-    for k, stop, c in zip(keys, keys[1:], counts):
-        if c:
-            part = slice(k - lo, stop - lo, step)
-            grid[part] = map(add, grid[part], repeat(c))
-
-
-def _sweep(first, past, b):
-    """{value: count} of the values that progressions of step b cover, from
-    their events: ``first`` counts the first values, ``past`` the values one
-    step past the last ones.  The keys are swept per residue class mod b in
+def _class_runs(first, past, b):
+    """The runs of the values that progressions of step b cover, from their
+    events: ``first`` counts the first values, ``past`` the values one step
+    past the last ones.  The keys are swept per residue class mod b in
     ascending order, where the running count returns to 0 at each class's
-    end."""
+    end: (starts, stops, counts), one per run of a nonzero count from one
+    key to the next of its class."""
     keys = sorted(first.keys() | past.keys())
     if b > 1:
         keys.sort(key=b.__rmod__)  # stable: by residue, then by value
     counts = list(accumulate(map(sub, map(first.get, keys, repeat(0)), map(past.get, keys, repeat(0)))))
-    runs = list(map(range, compress(keys, counts), compress(keys[1:], counts), repeat(b)))
-    return dict(zip(chain.from_iterable(runs),
-                    chain.from_iterable(map(repeat, compress(counts, counts), map(len, runs)))))
+    return compress(keys, counts), compress(keys[1:], counts), compress(counts, counts)
+
+
+def _sweep(first, past, b):
+    """{value: count} of the values that progressions of step b cover, from
+    their events (``_class_runs``)."""
+    starts, stops, counts = _class_runs(first, past, b)
+    runs = list(map(range, starts, stops, repeat(b)))
+    return dict(zip(chain.from_iterable(runs), chain.from_iterable(map(repeat, counts, map(len, runs)))))
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ subcones from its ray-facet incidences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import factorial, gcd, lcm
@@ -176,29 +176,16 @@ def _extreme(zeros, count):
 
 def _facets_and_extreme(generators, n, flat_error, wide_error):
     """For distinct primitive generators of a cone in n-space: its primitive
-    inward facet normals, the generators that span extreme rays and, per
-    facet, the bitmask of the extreme ones on it, from one double
-    description of the dual cone.  The cone holds a line exactly when some
-    generator g is tight on every dual ray (-g is then in the cone)."""
+    inward facet normals and the generators that span extreme rays, from
+    one double description of the dual cone.  The cone holds a line exactly
+    when some generator g is tight on every dual ray (-g is then in the cone)."""
     dd = _double_description(generators, n)
     if dd is None:
         raise UnsupportedGeometryError(flat_error)
     facets, zeros = dd
     if reduce(and_, zeros, (1 << len(generators)) - 1):
         raise UnsupportedGeometryError(wide_error)
-    extreme = _extreme(zeros, len(generators))
-    if len(extreme) < len(generators):
-        zeros = [sum(1 << j for j, i in enumerate(extreme) if z >> i & 1) for z in zeros]
-    return tuple(facets), tuple(generators[i] for i in extreme), tuple(zeros)
-
-
-def _transposed(masks, count):
-    """Bitmasks over the rows, one per column < count, of the rows' masks."""
-    out = [0] * count
-    for i, z in enumerate(masks):
-        for j in _bits(z):
-            out[j] |= 1 << i
-    return tuple(out)
+    return tuple(facets), tuple(generators[i] for i in _extreme(zeros, len(generators)))
 
 
 @dataclass(frozen=True)
@@ -208,25 +195,12 @@ class Cone:
     ``rays`` are the primitive extreme-ray generators and ``halfspaces`` the
     primitive inward facet normals; facet normals of a cone are exactly the
     extreme rays of its dual, so duality is an exchange of the two fields.
-    ``masks`` keeps the ray-facet incidences of the double description
-    that built the cone, if any, as (bitmasks, whether they are per
-    halfspace over the rays or per ray over the halfspaces); they take no
-    part in equality.
     """
 
     rank: int
     rays: tuple
     halfspaces: tuple
     lattice: str = "N"
-    masks: tuple = field(default=None, compare=False, repr=False)
-
-    @cached_property
-    def incidence(self):
-        """Per halfspace, the bitmask of the rays on it, when known."""
-        if self.masks is None:
-            return None
-        masks, per_halfspace = self.masks
-        return masks if per_halfspace else _transposed(masks, len(self.halfspaces))
 
     @staticmethod
     def from_rays(rays, rank=None, lattice="N") -> "Cone":
@@ -237,10 +211,10 @@ class Cone:
         _check_rank(n)
         if any(len(r) != n for r in rays):
             raise DimensionMismatchError("ray length does not match rank")
-        halfspaces, canonical, masks = _facets_and_extreme(
+        halfspaces, canonical = _facets_and_extreme(
             sorted(set(rays)), n, "cone is not full-dimensional", "cone is not pointed"
         )
-        return Cone(n, canonical, halfspaces, lattice, (masks, True))
+        return Cone(n, canonical, halfspaces, lattice)
 
     @staticmethod
     def from_halfspaces(halfspaces, rank=None, lattice="N") -> "Cone":
@@ -249,11 +223,11 @@ class Cone:
             raise UnsupportedGeometryError("a cone needs at least one halfspace")
         n = rank if rank is not None else len(normals[0])
         _check_rank(n)
-        rays, canonical_normals, masks = _facets_and_extreme(
+        rays, canonical_normals = _facets_and_extreme(
             sorted(set(normals)), n,
             "cone is not pointed (facet normals do not span)", "cone is not full-dimensional",
         )
-        return Cone(n, rays, canonical_normals, lattice, (masks, False))
+        return Cone(n, rays, canonical_normals, lattice)
 
     def contains(self, v) -> bool:
         v = vec(v)
@@ -280,8 +254,7 @@ class Cone:
 def dual_cone(c: Cone) -> Cone:
     """The dual cone; rays and facet normals swap roles exactly."""
     other = "M" if c.lattice == "N" else "N"
-    masks = c.masks and (c.masks[0], not c.masks[1])
-    return Cone(c.rank, c.halfspaces, c.rays, other, masks)
+    return Cone(c.rank, c.halfspaces, c.rays, other)
 
 
 # ---------------------------------------------------------------------------
@@ -395,16 +368,7 @@ class Polytope:
 
     @cached_property
     def incidence(self) -> tuple:
-        """For each halfspace, the bitmask of the vertices on its hyperplane:
-        renumbered from the masks that a constructor knew for its unsorted
-        vertices and halfspaces (``_sorted_polytope``), else by dot products."""
-        known = self.__dict__.pop("_incidence", None)
-        if known is not None:
-            points, halfspaces, masks = known
-            place = {x: 1 << j for j, x in enumerate(self.integer_vertices[1])}
-            bits = [place[x] for x in points]
-            rows = dict(zip(halfspaces, masks()))
-            return tuple(sum(bits[i] for i in _bits(rows[h])) for h in self.halfspaces)
+        """For each halfspace, the bitmask of the vertices on its hyperplane."""
         d, points = self.integer_vertices
         masks = []
         for a, b in self.halfspaces:  # <a, x/d> = b: compare <a, x>*den with num*d
@@ -685,31 +649,16 @@ def reeb_slice(dual: Cone, xi):
     xi, d, pairings = _reeb_pairings(dual, xi)
     n = dual.rank
     big = lcm(*(pr // gcd(d, pr) for pr in pairings))
-    points = [tuple(x * (d * big // pr) for x in r) for r, pr in zip(dual.rays, pairings)]
+    scaled = sorted(tuple(x * (d * big // pr) for x in r) for r, pr in zip(dual.rays, pairings))
     cap_normal, cap_offset = _normalize_halfspace(xi, 1)
     q_halfspaces = [(tuple(-x for x in h), 0) for h in dual.halfspaces]
     q_halfspaces.append((cap_normal, cap_offset))
+    q = Polytope.from_integer(n, (big, tuple(sorted([(0,) * n] + scaled))),
+                              tuple(sorted(q_halfspaces)), n)
     p_halfspaces = q_halfspaces + [(tuple(-x for x in cap_normal), -cap_offset)]
-    # the incidences from the weight cone's, when read: the apex 0 of Q
-    # lies on every facet of the cone, each ray point on the cap
-    known, cap = dual.masks is not None, (1 << len(points)) - 1
-    q = _sorted_polytope(n, big, [(0,) * n] + points, q_halfspaces, n, known and (
-        lambda: [1 | z << 1 for z in dual.incidence] + [cap << 1]))
-    p = _sorted_polytope(n, big, points, p_halfspaces, n - 1 if n > 1 else 0,
-                         known and (lambda: [*dual.incidence, cap, cap]))
+    p = Polytope.from_integer(n, (big, tuple(scaled)), tuple(sorted(p_halfspaces)),
+                              n - 1 if n > 1 else 0)
     return q, p
-
-
-def _sorted_polytope(rank, d, points, halfspaces, affine_dim, masks=None):
-    """The polytope of the integer points / d (in lowest terms) and the
-    halfspaces, each sorted; ``masks``, if given, returns the incidences of
-    the unsorted ones (per halfspace, over the points), which its
-    ``incidence`` renumbers when first read."""
-    p = Polytope.from_integer(rank, (d, tuple(sorted(points))), tuple(sorted(halfspaces)),
-                              affine_dim)
-    if masks:
-        p.__dict__["_incidence"] = points, halfspaces, masks
-    return p
 
 
 def unimodular_image(p: Polytope, v, w) -> Polytope:
@@ -717,10 +666,10 @@ def unimodular_image(p: Polytope, v, w) -> Polytope:
     vertices W x / D over p's integer vertices x / D, and the halfspaces
     <V^T a, y> <= b, whose normals stay primitive."""
     d, points = p.integer_vertices
-    images = [tuple(sum(map(mul, row, x)) for row in w) for x in points]
+    images = sorted(tuple(sum(map(mul, row, x)) for row in w) for x in points)
     normals = [tuple(sum(map(mul, a, c)) for c in zip(*v)) for a, _ in p.halfspaces]
-    return _sorted_polytope(p.rank, d, images, list(zip(normals, (b for _, b in p.halfspaces))),
-                            p.affine_dim, lambda: p.incidence)
+    return Polytope.from_integer(p.rank, (d, tuple(images)),
+                                 tuple(zip(normals, (b for _, b in p.halfspaces))), p.affine_dim)
 
 
 def okounkov_body(dual: Cone, xi, basis) -> Polytope:
@@ -736,10 +685,10 @@ def okounkov_body(dual: Cone, xi, basis) -> Polytope:
         if not all(dot(u, e) >= 0 for u in dual.rays):
             raise InvalidBasisError(f"basis vector {i} lies outside the cone")
     q, _ = reeb_slice(dual, xi)
+    vertices = tuple(sorted(mat_vec(rows, v) for v in q.vertices))
     inv_t = transpose(inverse(rows))
-    halfspaces = [_normalize_halfspace(mat_vec(inv_t, a), b) for a, b in q.halfspaces]
-    return _sorted_polytope(n, *_vertex_form(mat_vec(rows, v) for v in q.vertices), halfspaces,
-                            n, lambda: q.incidence)
+    halfspaces = sorted(_normalize_halfspace(mat_vec(inv_t, a), b) for a, b in q.halfspaces)
+    return Polytope(n, vertices, halfspaces, n)
 
 
 # ---------------------------------------------------------------------------

@@ -438,9 +438,14 @@ def test_constant_histogram_pieces_stay_per_key(monkeypatch):
     """A branch of slope 0 along the innermost axis makes every piece of a
     histogram constant: their lengths are kept per distinct key, not per
     leaf, so the peak memory stays flat in the level while the leaves grow
-    as m**2 (the values are above the small-int cache at both levels).
-    The gate keeps every chunk on its leaves, whose batches are full at
-    both levels, where the node runs would hold one entry per node."""
+    as m**2 (the values are above the small-int cache at both levels),
+    here pinned to the leaves, whose batches are full at both levels.
+    At the default gate every chunk, of up to m + 1 nodes, takes
+    the node runs, which hold a few columns per node of a chunk: their
+    peak stays under 1 MiB and within 512 bytes per node of a chunk (at
+    most ``BATCH``) of the peak with 16 nodes per chunk, which is the
+    keys' share."""
+    gate = lattice.HISTOGRAM_GATE
     monkeypatch.setattr(lattice, "HISTOGRAM_GATE", (10**9, 10**9))
     rows = [(_unit(3, i, s), b * (s > 0)) for i, b in enumerate((1, 1, 3)) for s in (1, -1)]
     p = polytope_from_halfspaces(3, rows)
@@ -466,6 +471,31 @@ def test_constant_histogram_pieces_stay_per_key(monkeypatch):
         assert hist == {k: (m + 1) * (3 * m + 1) for k in range(m + 1)}
     assert flats[1:] == [151, 301]
     assert peaks[1] <= 1.5 * peaks[0] and peaks[1] < 2**20
+
+    monkeypatch.setattr(lattice, "HISTOGRAM_GATE", gate)
+    nodes = []
+    real_nodes = lattice._node_events
+
+    def node_events(*args):
+        nodes.append(len(args[-2]))
+        return real_nodes(*args)
+
+    monkeypatch.setattr(lattice, "_node_events", node_events)
+    big = lattice.BATCH
+    for m in (300, 600):
+        peaks = {}
+        for batch in (big, 16):
+            del flats[:], nodes[:]
+            with mock.patch.object(lattice, "BATCH", batch):
+                tracemalloc.start()
+                try:
+                    hist = lattice.value_histogram(p, m, bd)
+                    peaks[batch] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert hist == {k: (m + 1) * (3 * m + 1) for k in range(m + 1)}
+            assert flats == [m + 1] and sum(nodes) == m + 1 and max(nodes) == min(batch, m + 1)
+        assert peaks[big] < 2**20 and peaks[big] <= peaks[16] + 512 * min(big, m + 1)
 
 
 def test_constant_histogram_node_runs_stay_per_key(monkeypatch):
@@ -859,7 +889,9 @@ def test_node_histograms_match_the_leaves_and_brute_force(case):
     """Histograms per node run equal the leaf events (``sweep_histogram``)
     and the bounding-box oracle in all four modes, with the gate sending
     every chunk of nodes to the node runs or none, and the keys on a dense
-    grid (``DENSE`` = 10**9) or swept (``DENSE`` = 0)."""
+    grid (``DENSE`` = 10**9) or swept (``DENSE`` = 0); on the grid, the
+    node runs' second-order events take either one slice per run or the
+    running sums (``RUNS_PER_KEY`` = 0 and 10**9)."""
     p, m, order, bd = case
     points = brute_lattice_points(p, m)
     with mock.patch.object(lattice, "_walk_order", lambda *_: list(order)):
@@ -868,7 +900,9 @@ def test_node_histograms_match_the_leaves_and_brute_force(case):
             leaves = sweep_histogram(p, m, bd, floor_mode, clamp)
             scale = 1 if floor_mode else bd.denom
             assert Counter({F(k, scale): c for k, c in leaves.items()}) == values
-            for gate, dense in itertools.product([(0, 0), (10**9, 10**9)], [0, 10**9]):
+            for gate, dense, runs in [((0, 0), 10**9, 0), ((0, 0), 10**9, 10**9), ((0, 0), 0, 4),
+                                      ((10**9, 10**9), 10**9, 4), ((10**9, 10**9), 0, 4)]:
                 with mock.patch.object(lattice, "HISTOGRAM_GATE", gate), \
-                        mock.patch.object(lattice, "DENSE", dense):
+                        mock.patch.object(lattice, "DENSE", dense), \
+                        mock.patch.object(lattice, "RUNS_PER_KEY", runs):
                     assert lattice.value_histogram(p, m, bd, floor_mode, clamp) == leaves

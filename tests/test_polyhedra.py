@@ -157,36 +157,6 @@ def test_reeb_slice_rejects_boundary(orthant2):
         reeb_slice(d, (1, 0))
 
 
-@pytest.mark.parametrize("rays, xi, basis", [
-    ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], (1, 2, 3), [(1, 0, 0), (1, 1, 0), (0, 0, 1)]),
-    ([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)], (1, 1, 2), [(0, 0, 1), (1, 0, 1), (0, 1, 1)]),
-    ([(a, b, 1) for a in (-1, 1) for b in (-1, 1)], (0, 0, 3), None),
-    ([(-1, 1), (1, 1)], (0, 1), None),
-])
-def test_derived_incidences_match_the_dot_products(rays, xi, basis):
-    """The vertex-facet incidences that a cone keeps from its double
-    description, and that reeb_slice, unimodular_image (through the degree
-    frame) and okounkov_body derive from them, equal one dot product per
-    halfspace and vertex; a cone's incidences take no part in its
-    equality, and its dual and its facet form carry them too."""
-    cone = Cone.from_rays(rays)
-    for c in (cone, dual_cone(cone), Cone.from_halfspaces(cone.halfspaces)):
-        assert c.incidence == tuple(sum(1 << i for i, r in enumerate(c.rays) if dot(h, r) == 0)
-                                    for h in c.halfspaces)
-    assert Cone(cone.rank, cone.rays, cone.halfspaces, cone.lattice) == cone
-    assert Cone.from_halfspaces(cone.halfspaces) == cone
-    d = dual_cone(cone)
-    q, p = reeb_slice(d, xi)
-    bodies = [q, p, lattice.degree_frame(p, xi).body]
-    if basis is not None:  # a unimodular basis in the cone
-        bodies.append(okounkov_body(d, xi, basis))
-    for body in bodies:
-        assert "_incidence" in body.__dict__  # known to the constructor, renumbered when read
-        plain = Polytope.from_integer(body.rank, body.integer_vertices, body.halfspaces,
-                                      body.affine_dim)
-        assert body.incidence == plain.incidence
-
-
 # -- Okounkov body -----------------------------------------------------------
 
 
