@@ -42,28 +42,32 @@ without visiting points.  The branches of one slope along the last
 coordinate form a group, whose least offset at each leaf is one of the
 walk's form values.
 
-Counts, and sums of one group without floor or clamp, stop the walk one
-level early (``PrefixBounds.nodes``): on a run of a node's envelope the
-children's bounds L, U of the last coordinate and the group's minimum A
-are each one line, floor((R + a*x)/D), so the children's U - L + 1 and
-A*(U - L + 1) + B*(U*(U + 1) - L*(L - 1))/2 sum in closed form, per
-residue class of x mod D for the sums (``_node_sums``) and by tables of
-the residues for the counts (``_floor_total``).  Counts take every chunk
-this way; sums take a chunk with at least D*(5 per node + 150) children,
-and histograms one with at least P*(2 per node + 250) (``HISTOGRAM_GATE``),
-where the node runs measured faster than the leaves.  For a histogram,
-every bound of a group's piece on such a run is a floor-line in x: L, U,
+Counts, sums and histograms stop the walk one level early
+(``PrefixBounds.nodes``).  On a cell of a node's children where each
+column spec is one line of its envelope (``_cells``), every bound of a
+group's piece is a floor-line in the child x, floor((r + s*x)/d): L, U,
 the cuts floor((A_k - A_h)/(B_h - B_k)) between groups and, under the
-clamp, the zero of A + B*t.  On the x of one residue class mod P, the lcm
-of their periods, each is a line in the class index j, so a piece runs
-from the max of its start lines to the min of its end lines, each one line
-on an envelope run in j; where it is nonempty there, its first key and the
-key one step past its end are progressions in j, and a constant piece's
-length is linear in j (``_node_events``).  The other chunks, and the
-other reductions, reduce each leaf batch as columns: the groups are the
-lines of the same envelope over the leaves, which gives the piece of each
-leaf where a group is the minimum, and the clamp cuts each piece at its
-zero.  Sums are closed forms over the pieces, floored ones through the
+clamp, the zero of A + B*t; a piece runs from the max of its start lines
+to the min of its end lines.  Counts sum U - L + 1 by tables of the
+residues (``_floor_total``) and take every chunk this way.  Sums put each
+bound on one common divisor, whose envelope runs make it one floor-line,
+and add H(e) - H(s - 1), H(T) = A*T + B*T*(T + 1)/2, over the part of a
+pair of runs where the piece is nonempty, in closed form from the number
+of children and a table of the floor-line's steps (``_pair_sum``);
+floored values are these sums less their residues, per residue class of x
+where a line is not exact in x (``_node_sums``).  Sums take a chunk with
+at least W*(nodes + 80) children (``SUM_GATE``), W the pairs of runs per
+node, and histograms one with at least P*(2 per node + 250)
+(``HISTOGRAM_GATE``), where the node runs measured faster than the
+leaves.  For a histogram, on the x of one residue class mod P, the lcm of
+the bounds' periods, each is a line in the class index j, so each bound
+is one line on an envelope run in j; where a piece is nonempty there, its
+first key and the key one step past its end are progressions in j, and a
+constant piece's length is linear in j (``_node_events``).  The other
+chunks, and the other reductions, reduce each leaf batch as columns: the
+groups are the lines of the same envelope over the leaves, which gives the
+piece of each leaf where a group is the minimum, and the clamp cuts each
+piece at its zero.  Sums are closed forms over the pieces, floored ones through the
 residue tables.  A histogram counts, per step, two endpoint events per
 varying piece of a leaf in C, or two second-order events per progression
 of them over a node run, and adds each constant piece's length to its key
@@ -87,7 +91,7 @@ from collections import Counter, defaultdict, namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate, chain, combinations, compress, product, repeat, starmap
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, floordiv, ge, itemgetter, le, lt, mod, mul, sub
 
 from .arith import unimodular_completion
@@ -489,9 +493,7 @@ def _floor_total(b, d, v0s, ns):
         return sum(floor_sum(n, d, v, b) for v, n in zip(v0s, ns))
     p, pre = _residue_table(b % d, d)
     w = p + 1
-    for v, (q, r) in zip(v0s, map(divmod, ns, repeat(p))):
-        i = v % d * w
-        total -= q * pre[i + p] + pre[i + r]
+    total -= sum([n // p * pre[i + p] + pre[i + n % p] for v, n in zip(v0s, ns) for i in (v % d * w,)])
     return total // d
 
 
@@ -510,63 +512,197 @@ def _node_count(specs, cols, los, his):
     return total
 
 
-def _node_sums(B, specs, cols, los, his):
-    """(count, sum) of A + B*t over the points (x, t) under the nodes, A
-    the one group's column (the first spec, D = 1): over the children x,
-    U - L + 1 and A*(U - L + 1) + B*(U*(U + 1) - L*(L - 1))/2, L and U the
-    last two specs' columns.  On a piece of a node where L (or U) and A are
-    one line each, the x of one residue class mod D make L = (R + u*x)//D
-    a progression of step u, so the piece's sums are power sums
-    (``_power_sums``)."""
-    tops = list(map(add, his, repeat(1)))
-    _, group = _runs(specs[0], cols, los, his, tops)
-    count, total = _size(los, his), 0
-    for sign, spec in ((1, specs[-1]), (-1, specs[-2])):
-        denom, lines = _runs(spec, cols, los, his, tops)
-        for u, r, firsts, stops in lines:
-            for a, ra, gfirsts, gstops in group:
-                fs, ss, rs, ras = firsts, stops, r, ra
-                if len(group) > 1:  # the part of the run where this line is A, if any
-                    fs, ss = list(map(max, fs, gfirsts)), list(map(min, ss, gstops))
-                    keep = list(map(lt, fs, ss))
-                    if not all(keep):
-                        fs, ss, rs, ras = (list(compress(col, keep)) for col in (fs, ss, rs, ras))
-                for c in range(denom):  # x0 the first x = c mod D of the piece
-                    if denom == 1:
-                        x0s, ns = fs, list(map(sub, ss, fs))
-                        vs = list(map(add, rs, map(mul, fs, repeat(u)))) if u else rs
-                    else:
-                        x0s = list(map(add, fs, map(mod, map(sub, repeat(c), fs), repeat(denom))))
-                        ns = list(map(floordiv, map(add, map(sub, ss, x0s), repeat(denom - 1)),
-                                      repeat(denom)))
-                        vs = list(map(floordiv, map(add, rs, map(mul, x0s, repeat(u))), repeat(denom)))
-                    ws = list(map(add, ras, map(mul, x0s, repeat(a)))) if a else ras
-                    s1, q = _power_sums(ns, vs, u, ws, a * denom, B, sign)
-                    count += sign * s1
-                    total += sign * q
-    for a, r, firsts, stops in group:
-        ns = list(map(sub, stops, firsts))
-        ws = list(map(add, r, map(mul, firsts, repeat(a)))) if a else r
-        total += 2 * sum(map(mul, ns, ws)) + a * (sum(map(mul, ns, ns)) - sum(ns))
-    return count, total // 2
+def _node_sums(slopes, denom, floor_mode, clamp, specs, cols, los, his):
+    """(count, sum) of the branch minimum over the points (x, t) under the
+    nodes (cols, los, his), as integers: of the values scaled by ``denom``,
+    or in floor_mode of the floored ones.
+
+    On a cell of the nodes where each spec is one line (``_cells``), a
+    group's piece of a child x runs from t = s(x) to e(x), s - 1 the max of
+    its start floor-lines (L - 1, the cuts past the groups before it, under
+    the clamp the zero of A + B*t less one for B > 0) and e the min of its
+    end floor-lines (U, the cuts before the groups after it, the zero for B
+    < 0), as ``_run_lines`` lists them; under the clamp a constant group
+    keeps the x where A > 0.  Each bound is put on one common divisor, whose
+    envelope runs make it one floor-line, and the piece adds H(e) - H(s -
+    1), H(T) = A*T + B*T*(T + 1)/2, where e >= s - 1: on a pair of runs
+    that is where the end line's numerator is at least the start line's, as
+    floor division is monotone (where it is less, e <= s - 1 and the piece
+    is empty).  A run of H is a closed form in the child index and a table
+    of the floor-line's steps (``_pair_sum``).  The floored values
+    floor((A + B*t)/denom) are floor((A // g + B/g*t)/p), g = gcd(B, denom)
+    and p = denom/g: the terms less their residues mod p, on the x of one
+    residue class mod P, the lcm of the lines' periods and of those of A //
+    g, where every line is exact in the class index (P = 1 when the lines
+    are exact in x)."""
+    G, tops = len(slopes), list(map(add, his, repeat(1)))
+    gs = [gcd(B, denom) if floor_mode else 1 for B in slopes]
+    divs, count, total = [spec[1] for spec in specs], 0, 0
+    for run, xs, ends, rs in _cells(specs, cols, los, his, tops):
+        lines = _run_lines(slopes, clamp, divs, [[(a, r)] for (a, *_), r in zip(run, rs)])
+        if not floor_mode:
+            c, t = _class_sums(slopes, clamp, None, lines, xs, ends)
+            count, total = count + c, total + t
+            continue
+        lines += [(r, a, g, 0) for (r, a, _, _), g in zip(lines, gs)]  # A // g
+        P = _period(lines)
+        for c in range(P):  # x = x0 + P*j
+            x0s = list(map(add, xs, map(mod, map(sub, repeat(c), xs), repeat(P)))) if P > 1 else xs
+            ns = list(map(floordiv, map(add, map(sub, ends, x0s), repeat(P - 1)), repeat(P)))
+            offsets = [_line_at(r, s, d, k, x0s) for r, s, d, k in lines]
+            if min(ns) <= 0:
+                keep = list(map(lt, repeat(0), ns))
+                if not any(keep):
+                    continue
+                ns, *offsets = (list(compress(col, keep)) for col in (ns, *offsets))
+            js = [(o, s * P // d, 1, 0) for o, (_, s, d, _) in zip(offsets, lines)]
+            floors = [(B // g, denom // g, js[-G + i][:2]) for i, (B, g) in enumerate(zip(slopes, gs))]
+            c, t = _class_sums(slopes, clamp, floors, js[:-G], [0] * len(ns), ns)
+            count, total = count + c, total + t
+    return (_node_count(specs, cols, los, his) if clamp else count), total
 
 
-def _power_sums(ns, vs, u, ws, a, B, sign):
-    """(S, 2*P + B*(Q + sign*S)) for the progressions X_j = v + u*j and
-    A_j = w + a*j, j < n, n >= 0, per entry of ns, vs, ws: S, Q and P the
-    sums of X, X**2 and A*X, from the power sums of j: n, n(n - 1)/2 and
-    n(n - 1)(2n - 1)/6, as columns in C."""
-    es = list(map(mul, ns, map(sub, ns, repeat(1))))  # 2*T1 = n(n - 1), even
-    nvs = list(map(mul, ns, vs))
-    s = sum(nvs) + u * sum(es) // 2
-    # 2*(n*w*v + (w*u + a*v)*T1 + a*u*T2) + B*(n*v**2 + 2*u*v*T1 + u**2*T2)
-    q = 2 * sum(map(mul, nvs, ws)) + B * sum(map(mul, nvs, vs)) + sign * B * s
-    if a + B * u:
-        q += (a + B * u) * sum(map(mul, vs, es))
-    if u:  # 6*T2 = n(n - 1)(2n - 1)
-        t2 = sum(map(mul, es, map(sub, map(add, ns, ns), repeat(1)))) // 6
-        q += u * (sum(map(mul, ws, es)) + (2 * a + B * u) * t2)
-    return s, q
+def _class_sums(slopes, clamp, floors, lines, xs, ends):
+    """(count, sum) over x in xs[i]..ends[i] - 1 of each group's piece of
+    the children, from the floor-lines (r, s, d, k) in x of one cell (the
+    groups, L, U, the cuts and the zeros, as ``_run_lines`` lists them).
+    In floor mode ``floors`` gives per group (B', p, (A', slope)) of the
+    values floor((A' + B'*t)/p), on lines of divisor 1."""
+    G = len(slopes)
+    cuts = dict(zip(combinations(range(G), 2), lines[G + 2:]))
+    zeros = iter(lines[G + 2 + len(cuts):])
+    r, s, d, k = lines[G]
+    lower, upper = (r, s, d, k - 1), lines[G + 1]
+    count = total = 0
+    for g, B in enumerate(slopes):
+        R, a, _, _ = lines[g]
+        starts = [lower] + [cuts[h, g] for h in range(g)]
+        stops = [upper] + [cuts[g, k] for k in range(g + 1, G)]
+        firsts, lasts = xs, ends
+        if clamp and B > 0:
+            r, s, d, k = next(zeros)
+            starts.append((r, s, d, k - 1))
+        elif clamp and B < 0:
+            stops.append(next(zeros))
+        elif clamp:  # the part where A = R + a*x > 0
+            firsts, lasts = _nonnegative(list(map(sub, R, repeat(1))), a, firsts, lasts)
+        value = (B, R, a, 1) if floors is None else (floors[g][0], *floors[g][2], floors[g][1])
+        (Ds, sruns, low), (De, eruns, up) = (_bound_runs(max, starts, firsts, lasts),
+                                             _bound_runs(min, stops, firsts, lasts))
+        part = 0
+        for sigma, so, sf, st in sruns:
+            for eps, eo, ef, et in eruns:
+                fs = sf if ef is sf else list(map(max, sf, ef))
+                es = st if et is st else list(map(min, st, et))
+                if so is not low or eo is not up:  # else U >= L - 1
+                    D = lcm(Ds, De)  # e >= s - 1 where e*D >= (s - 1)*D
+                    gaps = list(map(sub, _scaled_col(eo, D // De), _scaled_col(so, D // Ds)))
+                    fs, es = _nonnegative(gaps, eps * (D // De) - sigma * (D // Ds), fs, es)
+                h, c = _pair_sum(value, fs, es, (eo, eps, De), (so, sigma, Ds))
+                part, count = part + h, count + c
+        total += part // (2 * value[3])
+    return count, total
+
+
+def _scaled_col(col, k):
+    return col if k == 1 else list(map(mul, col, repeat(k)))
+
+
+def _bound_runs(pick, lines, firsts, stops):
+    """(D, runs, first): the ``pick`` of the floor-lines (r, s, d, k), (r +
+    s*x) // d + k, on their common divisor D, as the envelope runs (slope,
+    offsets, firsts, stops) of its numerators over x in firsts[i]..
+    stops[i] - 1, and the offsets of the first line, which a run keeps
+    where that line alone is the pick."""
+    D = lcm(*(d for _, _, d, _ in lines))
+    scaled = [(r if d == D else list(map(mul, r, repeat(D // d))), s * (D // d)) for r, s, d, k in
+              ((r if k == 0 else list(map(add, r, repeat(k * d))), s, d, k) for r, s, d, k in lines)]
+    return D, _envelope(pick, scaled, firsts, stops), scaled[0][0]
+
+
+def _pair_sum(value, firsts, stops, end, start):
+    """(twice the sum, the count) of the values (B, R, a, p), floor((R + a*x
+    + B*t)/p), over t = s..e of the children x = firsts[i]..stops[i] - 1,
+    e and s - 1 the floor-lines (r, s, d) ``end`` and ``start``, (r +
+    s*x) // d, e >= s - 1.  At x = first + i, A = alpha + a*i, and a
+    floor-line is T + y_u(i), y_u(i) = (u + s*i) // d for its first
+    numerator v = d*T + u (after dividing out gcd(s, d)), so twice the sum
+    of H(T) = A*T + B*T*(T + 1)/2 over i < n is
+
+        T*(n*(2alpha + B*T + B) + N) + 2alpha*Y + W
+
+    and the sum of T is n*T + Y, with Y the sum of y_u(i), N = a*n(n - 1)
+    + 2B*Y and W = 2a*sum i*y_u(i) + B*sum y_u(i)*(y_u(i) + 1) read at (n,
+    u) from ``_line_tables``.  For floored values (p > 1, d = 1) the sum
+    is less the residues of A + B*t (``_residue_sums``)."""
+    B, R, a, p = value
+    (re, se, de), (rs, ss, ds) = [(list(map(floordiv, r, repeat(g))) if g > 1 else r, s // g, d // g)
+                                  for r, s, d in (end, start) for g in (gcd(s, d),)]
+    ns, cap = list(map(sub, stops, firsts)), max(TABLE // max(de, ds), 1)
+    if max(ns, default=0) >= cap:  # blocks of at most cap children, as a table holds
+        rows = [(i, x) for i, (f, e) in enumerate(zip(firsts, stops)) for x in range(f, e, cap)]
+        R, re, rs = ([col[i] for i, _ in rows] for col in (R, re, rs))
+        firsts, ns = [x for _, x in rows], [min(cap, stops[i] - x) for i, x in rows]
+    elif min(ns, default=0) < 0:
+        ns = [n if n > 0 else 0 for n in ns]
+    alphas = list(map(add, R, map(mul, firsts, repeat(a)))) if a else R
+    size, cols = 1 << max(ns, default=0).bit_length(), []
+    for r, s, d in ((re, se, de), (rs, ss, ds)):  # v, T and the row n*d + u: for d = 1 v and n
+        vs = list(map(add, r, map(mul, firsts, repeat(s)))) if s else r
+        at = (vs, ns) if d == 1 else (list(map(floordiv, vs, repeat(d))),
+                                      list(map(add, map(mul, ns, repeat(d)), map(mod, vs, repeat(d)))))
+        cols.append((vs, *at, _line_tables(s, d, a, B, size)))
+    (ve, te, je, (Ye, Ne, We)), (vs, ts, js, (Ys, Ns, Ws)) = cols
+    total = count = 0
+    for n, al, t, j, u, k in zip(ns, alphas, te, je, ts, js):
+        y, z, w, c = Ye[j], Ys[k], al + al, n * (t - u)
+        total += c * (w + B * (t + u + 1)) + t * Ne[j] - u * Ns[k] + w * (y - z) + We[j] - Ws[k]
+        count += c + y - z
+    if p > 1:
+        total -= 2 * (_residue_sums(B, p, a, ns, alphas, list(map(add, ve, repeat(1))), se)
+                      - _residue_sums(B, p, a, ns, alphas, list(map(add, vs, repeat(1))), ss))
+    return total, count
+
+
+@lru_cache(maxsize=256)
+def _line_tables(s, d, a, B, size):
+    """(Y, N, W) of ``_pair_sum`` at n*d + u, n < size and u < d, for y_u(i)
+    = (u + s*i) // d, gcd(s, d) = 1, from the prefix sums over i < n."""
+    Y, W = [0] * (size * d), [0] * (size * d)
+    for u in range(d):
+        ys = [(u + s * i) // d for i in range(size - 1)]
+        Y[u::d] = accumulate(ys, initial=0)
+        W[u::d] = accumulate(map(add, map(mul, ys, range(0, 2 * a * size, 2 * a) if a else repeat(0)),
+                                 map(mul, map(mul, ys, map(add, ys, repeat(1))), repeat(B))), initial=0)
+    return Y, [a * (j // d) * (j // d - 1) + 2 * B * y for j, y in enumerate(Y)], W
+
+
+def _residue_sums(B, p, a, ns, alphas, vs, s):
+    """The sum over a piece of the residues of A + B*t mod p, A = alpha +
+    a*i, over t < N = v + s*i, gcd(B, p) = 1: full periods, p(p - 1)/2 per
+    N // p, and the table ``_phase_table`` of the rest."""
+    total = p * (p - 1) // 2 * _floor_total(s, p, vs, ns)
+    tab = _phase_table(B % p, p, a % p, s % p)
+    ks = list(map(mul, map(add, map(mul, map(mod, alphas, repeat(p)), repeat(p)),
+                           map(mod, vs, repeat(p))), repeat(p + 1)))
+    qs, rs = list(map(floordiv, ns, repeat(p))), list(map(mod, ns, repeat(p)))
+    return (total + sum(map(mul, qs, map(tab.__getitem__, map(add, ks, repeat(p)))))
+            + sum(map(tab.__getitem__, map(add, ks, rs))))
+
+
+@lru_cache(maxsize=64)
+def _phase_table(b, p, a, c):
+    """For the residue prefix sums pre of ``_residue_table(b, p)``, the
+    prefix sums over i <= p of pre[(u + a*i) mod p][(w + c*i) mod p] per
+    first phases (u, w), at (u*p + w)*(p + 1) + i: the residues of the
+    first (w + c*i) mod p values of A + B*t for A = u + a*i."""
+    _, pre = _residue_table(b, p)
+    out = []
+    for u in range(p):
+        for w in range(p):
+            out += accumulate([pre[(u + a * i) % p * (p + 1) + (w + c * i) % p] for i in range(p)],
+                              initial=0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -796,6 +932,16 @@ def _total(pieces, denom, floor_mode):
     return total
 
 
+# The fewest children a chunk of nodes needs, per node and per chunk, to
+# take its sums per node run, each times W (``_sum_gate``).  Over the 511
+# chunks of the perfbench spectra and cli-report walks and the rank-5
+# converge walks at m = 8 and 16 in all modes, W*(nodes + 80) took none
+# where the node sums lost by more than 5% (worst x1.04) and left on the
+# leaves 8 where they ran under x0.8; they cost x2-10 the leaves on chunks
+# of one child per node and on the report walks' chunks of 1-9 nodes.
+SUM_GATE = (1, 80)
+
+
 def count_and_sum(p, m, branches, floor_mode=False, clamp=False):
     """The number of points of m*p and the exact sum of the branch minimum
     over them, from one walk."""
@@ -806,20 +952,34 @@ def count_and_sum(p, m, branches, floor_mode=False, clamp=False):
         return 1, _scaled(_origin(branches, clamp), branches.denom, floor_mode)
     order, slopes, groups = _groups(p, branches)
     last, chunks = _walker(p, m, order).nodes(groups)
-    node = gate = None
-    if len(slopes) == 1 and not (floor_mode or clamp or last is None):
-        # A node costs a few column entries per piece and residue class mod
-        # D, a leaf about one per child: over the chunks of the perfbench and
-        # rank-5 walks the node sums won from about D*(5 per node + 150)
-        # children, and lost up to 3x on smaller single-node chunks.
-        d = max(last[0][-1][1], last[0][-2][1])
-        node, gate = partial(_node_sums, slopes[0]), (5 * d, 150 * d)
+    gate = _sum_gate(slopes, branches.denom, floor_mode, clamp, last[0]) if last is not None else None
+    node = partial(_node_sums, slopes, branches.denom, floor_mode, clamp) if gate else None
     count = total = 0
     for c, t in _fold(last, chunks, node, partial(_leaf_sums, slopes, branches.denom, floor_mode,
                                                    clamp), gate):
         count += c
         total += t
     return count, (Fraction(total) if floor_mode else Fraction(total, branches.denom))
+
+
+def _sum_gate(slopes, denom, floor_mode, clamp, specs):
+    """The gate (a, b) of ``_node_sums``, which a chunk of nodes passes
+    from a*nodes + b children, or None where its residue tables would pass
+    ``TABLE``: (a, b) = W*``SUM_GATE``, the node sums costing about one
+    pass of ``_pair_sum`` over the nodes, and one per chunk, for each of W
+    pairs of bound runs, the product of the specs' lines times the pairs of
+    start and end lines of each group, times the period P in floor mode."""
+    G = len(slopes)
+    w = prod(len(spec[2]) for spec in specs) * sum(
+        (1 + g + (clamp and B > 0)) * (G - g + (clamp and B < 0)) for g, B in enumerate(slopes))
+    if floor_mode:
+        if any(p * p * (p + 1) > TABLE for p in (denom // gcd(B, denom) for B in slopes)):
+            return None
+        lines = _run_lines(slopes, clamp, [spec[1] for spec in specs],
+                           [[(a, ()) for a in spec[2]] for spec in specs])
+        w *= _period(lines + [((), a, gcd(B, denom), 0)  # A // g
+                              for B, spec in zip(slopes, specs) for a in spec[2]])
+    return SUM_GATE[0] * w, SUM_GATE[1] * w
 
 
 def _leaf_sums(slopes, denom, floor_mode, clamp, cols, los, his):
@@ -1043,18 +1203,7 @@ def _node_events(slopes, clamp, events, specs, cols, los, his):
     if clamp:  # the zero piece: every point less the positive pieces' lengths
         events.flat[0] += _node_count(specs, cols, los, his)
     divs = [spec[1] for spec in specs]
-    for run in product(*(_runs(spec, cols, los, his, tops)[1] for spec in specs)):
-        # the runs of a spec of one line are the nodes' ranges
-        xs = [firsts for _, _, firsts, _ in run if firsts is not los] or [los]
-        ends = [stops for *_, stops in run if stops is not tops] or [tops]
-        xs = list(map(max, *xs)) if len(xs) > 1 else xs[0]
-        ends = list(map(min, *ends)) if len(ends) > 1 else ends[0]
-        rs = [r for _, r, _, _ in run]
-        keep = list(map(lt, xs, ends)) if xs is not los or ends is not tops else ()
-        if not all(keep):
-            if not any(keep):
-                continue
-            xs, ends, *rs = (list(compress(col, keep)) for col in (xs, ends, *rs))
+    for run, xs, ends, rs in _cells(specs, cols, los, his, tops):
         lines = _run_lines(slopes, clamp, divs, [[(a, r)] for (a, *_), r in zip(run, rs)])
         P = _period(lines)
         for c in range(P):
@@ -1071,6 +1220,27 @@ def _node_events(slopes, clamp, events, specs, cols, los, his):
                 ns, *offsets = (list(compress(col, keep)) for col in (ns, *offsets))
             js = [(o, s * P // d) for o, (_, s, d, _) in zip(offsets, lines)]
             _group_events(slopes, clamp, events, js, ns)
+
+
+def _cells(specs, cols, los, his, tops):
+    """The cells of the nodes (cols, los, his) where each spec is one line,
+    a product of the specs' ``_runs``: per cell (run, xs, ends, rs), its
+    line per spec (slope, offsets, firsts, stops), the children xs[i]..
+    ends[i] - 1 of the nodes where it holds, without the empty ones, and
+    the lines' offsets on those nodes; ``tops`` is his + 1."""
+    for run in product(*(_runs(spec, cols, los, his, tops)[1] for spec in specs)):
+        # the runs of a spec of one line are the nodes' ranges
+        xs = [firsts for _, _, firsts, _ in run if firsts is not los] or [los]
+        ends = [stops for *_, stops in run if stops is not tops] or [tops]
+        xs = list(map(max, *xs)) if len(xs) > 1 else xs[0]
+        ends = list(map(min, *ends)) if len(ends) > 1 else ends[0]
+        rs = [r for _, r, _, _ in run]
+        keep = list(map(lt, xs, ends)) if xs is not los or ends is not tops else ()
+        if not all(keep):
+            if not any(keep):
+                continue
+            xs, ends, *rs = (list(compress(col, keep)) for col in (xs, ends, *rs))
+        yield run, xs, ends, rs
 
 
 def _line_at(r, s, d, k, xs):
@@ -1128,6 +1298,19 @@ def _envelope(pick, lines, los, tops):
     return list(zip(slopes, values, cuts, cuts[1:]))
 
 
+def _nonnegative(gaps, delta, firsts, stops):
+    """The parts of the ranges firsts[i]..stops[i] - 1 where gaps[i] +
+    delta*x >= 0, possibly empty."""
+    if delta > 0:  # from the least x >= -gap/delta
+        return list(map(max, firsts, map(floordiv, map(sub, repeat(delta - 1), gaps),
+                                         repeat(delta)))), stops
+    if delta < 0:  # up to the greatest x <= gap/-delta
+        return firsts, list(map(min, stops, map(add, map(floordiv, gaps, repeat(-delta)), repeat(1))))
+    if min(gaps, default=0) < 0:
+        return firsts, [s if v >= 0 else f for f, s, v in zip(firsts, stops, gaps)]
+    return firsts, stops
+
+
 def _piece_events(events, B, group, start, stop, j0s, j1s, check, clamp):
     """The events of a group's pieces t = s(j)..e(j) on j0s[i] <= j <
     j1s[i], where its minimum A, s and e are the lines in j ``group``,
@@ -1135,14 +1318,7 @@ def _piece_events(events, B, group, start, stop, j0s, j1s, check, clamp):
     ``check``."""
     (alpha, beta), (sigma, so), (eps, eo) = group, start, stop
     if check:  # e - s = gap + delta*j >= 0
-        delta, gaps = eps - sigma, list(map(sub, eo, so))
-        if delta > 0:  # from the least j >= -gap/delta
-            firsts = map(floordiv, map(sub, repeat(delta - 1), gaps), repeat(delta))
-            j0s = list(map(max, j0s, firsts))
-        elif delta < 0:  # up to the greatest j <= gap/-delta
-            j1s = list(map(min, j1s, map(add, map(floordiv, gaps, repeat(-delta)), repeat(1))))
-        elif min(gaps) < 0:
-            j1s = [j if v >= 0 else 0 for j, v in zip(j1s, gaps)]
+        j0s, j1s = _nonnegative(list(map(sub, eo, so)), eps - sigma, j0s, j1s)
     keep = list(map(lt, j0s, j1s))
     if not all(keep):
         if not any(keep):

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
@@ -8,7 +9,7 @@ from conftest import min_form
 from reebvol import lattice
 from reebvol.arith import dot, det
 from reebvol.errors import InvalidDirectionError, NotReebFieldError, QuasiRegularRequiredError
-from reebvol.grading import mu_m_cdf, s_m
+from reebvol.grading import degree_slice, mu_m_cdf, s_m
 from reebvol.invariants import (
     PolarizedToricSetup,
     cdf_sup_distance,
@@ -405,18 +406,20 @@ def test_rank_one_identities():
         energy_pxi(setup, linear_form((1,)))
 
 
+def random_unimodular(rng, n, steps=6):
+    """A random product of elementary integer matrices of rank n."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for k in range(n):
+            rows[i][k] += c * rows[j][k]
+    return tuple(tuple(r) for r in rows)
+
+
 def test_transport_random_unimodular_fuzz():
     # random products of elementary integer matrices, both ranks
     rng = random.Random(271)
-
-    def random_unimodular(n, steps=6):
-        rows = [[int(i == j) for j in range(n)] for i in range(n)]
-        for _ in range(steps):
-            i, j = rng.sample(range(n), 2)
-            c = rng.choice((-2, -1, 1, 2))
-            for k in range(n):
-                rows[i][k] += c * rows[j][k]
-        return tuple(tuple(r) for r in rows)
 
     base2 = PolarizedToricSetup(
         Cone.from_rays([[1, 0], [1, 2]]), (1, 1), eta=(2, 1),
@@ -430,12 +433,45 @@ def test_transport_random_unimodular_fuzz():
         vol0, s0, e0 = vol_xi(base), s_exact(base), energy_tc(base)
         pxi0 = energy_pxi(base)
         for _ in range(4):
-            a = random_unimodular(base.n)
+            a = random_unimodular(rng, base.n)
             moved = transform_setup(base, a)
             assert vol_xi(moved) == vol0
             assert s_exact(moved) == s0
             assert energy_tc(moved) == e0
             assert energy_pxi(moved) == pxi0
+
+
+@pytest.mark.parametrize("mode", ["plain", "ceiling", "clamp"])
+def test_transport_leaves_the_lattice_sums_and_exact_invariants_unchanged(mode):
+    """Seeded random unimodular matrices at ranks 2-4 leave s_m, the degree
+    slices, s_exact, energy_pxi and vol_xi exactly unchanged, plain, with
+    ``ceiling`` and with ``clamp``.  Transport changes the lattice walk's
+    order and its groups of branches, so the sums of one walk check those of
+    another; the moved setups sum every chunk of nodes in closed form
+    (``lattice.SUM_GATE`` = (0, 0))."""
+    rng = random.Random(24)
+    flags = {"ceiling": mode == "ceiling", "clamp": mode == "clamp"}
+    low = -3 if mode == "clamp" else 0  # the clamp admits negative values
+    bases = [
+        (Cone.from_rays([[1, 0], [1, 2]]), (1, 1), [((1, 0), F(1, 2) + low), ((1, 2), F(1, 3))]),
+        (Cone.from_rays([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), (1, 2, 3),
+         [((1, 0, 0), low), ((0, 1, 1), F(1, 2)), ((2, 1, 0), F(2, 3) + low)]),
+        (Cone.from_rays([[int(i == j) for j in range(4)] for i in range(4)]), (1, 1, 2, 3),
+         [((1, 1, 1, 0), F(1, 3) + low), ((0, 0, 1, 0), F(1, 2))]),
+    ]
+
+    def signature(setup):
+        g = setup.graded()
+        return ([s_m(g, m) for m in (7, 30)], [degree_slice(g, t) for t in (9, 24)],
+                s_exact(setup), energy_pxi(setup), vol_xi(setup))
+
+    for sigma, xi, branches in bases:
+        base = PolarizedToricSetup(sigma, xi, psi=PLConcave.make(branches), **flags)
+        expected = signature(base)
+        for _ in range(3):
+            moved = transform_setup(base, random_unimodular(rng, base.n))
+            with mock.patch.object(lattice, "SUM_GATE", (0, 0)):
+                assert signature(moved) == expected
 
 
 # -- report ------------------------------------------------------------------------

@@ -784,7 +784,7 @@ def test_node_runs_match_the_leaves_and_brute_force(case, size):
             for chunk in chunks:
                 expected = leaf_reductions(last, chunk, slopes, bd.denom)
                 assert lattice._node_count(last[0], *chunk) == expected[0]
-                assert lattice._node_sums(slopes[0], last[0], *chunk) == expected
+                assert lattice._node_sums(slopes, bd.denom, False, False, last[0], *chunk) == expected
         fold = lattice._fold
         for gate, runs in itertools.product([(0, 0), (10**9, 10**9)], [0, 10**9]):
             def forced(last, chunks, node, leaf, _=None, gate=gate):
@@ -793,6 +793,70 @@ def test_node_runs_match_the_leaves_and_brute_force(case, size):
             with mock.patch.object(lattice, "_fold", forced), mock.patch.object(lattice, "RUNS", runs):
                 assert lattice.count_points(p, m) == len(points)
                 assert lattice.count_and_sum(p, m, bd) == (len(points), sum(values))
+
+
+BOX2 = polytope_from_halfspaces(2, [((1, 0), 3), ((-1, 0), 0), ((0, 1), 3), ((0, -1), 0)])
+
+
+@st.composite
+def summed_bodies(draw):
+    """A body of rank 1-5 from ``envelope_bodies`` with its walk order and
+    batch size, a level 0-40 at ranks 1-2 (fewer above) and 1-3 groups of
+    branches along the last walk coordinate, of distinct slopes -3..3, each
+    of one or two branches, with constants down to -4m - 4 and a
+    denominator 1-12."""
+    size, _, p, _, _, order = draw(envelope_bodies())
+    n = p.rank
+    m = draw(st.integers(0, NODE_LEVELS[n]))
+    linears = []
+    for slope in draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True)):
+        for _ in range(draw(st.integers(1, 2))):
+            linear = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+            linear[order[-1]] = slope
+            linears.append(tuple(linear))
+    consts = draw(st.lists(st.integers(-4 * m - 4, 4), min_size=len(linears),
+                           max_size=len(linears)))
+    return size, p, m, order, lattice.BranchData(linears, consts, draw(st.integers(1, 12)))
+
+
+@seed(20261024)
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(summed_bodies())
+# two groups whose cut floor((A_1 - A_0)/2) is a floor-line of divisor 2
+@example((3, BOX2, 9, [0, 1], lattice.BranchData([(1, 1), (2, -1)], [0, 5], 1)))
+# a clamped group of slope 0 and floor mode over p = 12
+@example((7, BOX2, 11, [1, 0], lattice.BranchData([(2, 0), (-1, 5)], [-20, 9], 12)))
+def test_node_sums_match_the_leaves_and_brute_force_in_every_mode(case):
+    """In all four ceiling/clamp modes the node sums of each chunk of nodes
+    equal its leaves' sums (``_leaf_sums``), also with the tables cut to
+    ``TABLE`` = 16 entries, and count_and_sum equals the bounding-box oracle
+    with ``_fold``'s gate sending every chunk to the node sums or none and
+    the leaves expanded as envelope runs (``RUNS`` = 0) or child by child
+    (``RUNS`` = 10**9)."""
+    size, p, m, order, bd = case
+    points = brute_lattice_points(p, m)
+    fold = lattice._fold
+    with mock.patch.object(lattice, "_walk_order", lambda *_: list(order)), \
+            mock.patch.object(lattice, "BATCH", size):
+        _, slopes, groups = lattice._groups(p, bd)
+        for floor_mode, clamp in itertools.product((False, True), repeat=2):
+            values = [oracle_value(bd, u, floor_mode, clamp) for u in points]
+            if m and p.rank > 1 and points:
+                last, chunks = lattice._walker(p, m, order).nodes(groups)
+                for chunk, table in itertools.product(chunks, (16, lattice.TABLE)):
+                    leaves = [lattice._leaf_sums(slopes, bd.denom, floor_mode, clamp, *leaf)
+                              for leaf in lattice._expand_all(last, [chunk])]
+                    with mock.patch.object(lattice, "TABLE", table):
+                        assert (lattice._node_sums(slopes, bd.denom, floor_mode, clamp, last[0], *chunk)
+                                == (sum(c for c, _ in leaves), sum(t for _, t in leaves)))
+            for gate, runs in itertools.product([(0, 0), (10**9, 10**9)], [0, 10**9]):
+                def forced(last, chunks, node, leaf, _=None, gate=gate):
+                    return fold(last, chunks, node, leaf, gate)
+
+                with mock.patch.object(lattice, "_fold", forced), mock.patch.object(lattice, "RUNS", runs):
+                    assert (lattice.count_and_sum(p, m, bd, floor_mode, clamp)
+                            == (len(values), sum(values)))
 
 
 @seed(20261021)
@@ -869,9 +933,6 @@ def histogram_bodies(draw):
     consts = draw(st.lists(st.integers(-4 * m - 4, 4), min_size=len(linears),
                            max_size=len(linears)))
     return p, m, order, lattice.BranchData(linears, consts, draw(st.integers(1, 12)))
-
-
-BOX2 = polytope_from_halfspaces(2, [((1, 0), 3), ((-1, 0), 0), ((0, 1), 3), ((0, -1), 0)])
 
 
 @seed(20261022)
