@@ -43,32 +43,35 @@ coordinate form a group, whose least offset at each leaf is one of the
 walk's form values.
 
 Counts, sums and histograms stop the walk one level early
-(``PrefixBounds.nodes``).  On a cell of a node's children where each
-column spec is one line of its envelope (``_cells``), every bound of a
-group's piece is a floor-line in the child x, floor((r + s*x)/d): L, U,
-the cuts floor((A_k - A_h)/(B_h - B_k)) between groups and, under the
-clamp, the zero of A + B*t; a piece runs from the max of its start lines
-to the min of its end lines.  Counts sum U - L + 1 by tables of the
-residues (``_floor_total``) and take every chunk this way.  Sums put each
-bound on one common divisor, whose envelope runs make it one floor-line,
-and add H(e) - H(s - 1), H(T) = A*T + B*T*(T + 1)/2, over the part of a
-pair of runs where the piece is nonempty, in closed form from the number
-of children and a table of the floor-line's steps (``_pair_sum``);
-floored values are these sums less their residues, per residue class of x
-where a line is not exact in x (``_node_sums``).  Sums take a chunk with
-at least W*(nodes + 80) children (``SUM_GATE``), W the pairs of runs per
-node, and histograms one with at least P*(2 per node + 250)
-(``HISTOGRAM_GATE``), where the node runs measured faster than the
-leaves.  For a histogram, on the x of one residue class mod P, the lcm of
-the bounds' periods, each is a line in the class index j, so each bound
-is one line on an envelope run in j; where a piece is nonempty there, its
-first key and the key one step past its end are progressions in j, and a
-constant piece's length is linear in j (``_node_events``).  The other
-chunks, and the other reductions, reduce each leaf batch as columns: the
-groups are the lines of the same envelope over the leaves, which gives the
-piece of each leaf where a group is the minimum, and the clamp cuts each
-piece at its zero.  Sums are closed forms over the pieces, floored ones through the
-residue tables.  A histogram counts, per step, two endpoint events per
+(``PrefixBounds.nodes``), and ``_fold`` sends each chunk of nodes to a
+node reducer or to its leaves.  Counts sum U - L + 1 over the children by
+tables of the residues (``_floor_total``) and take every chunk this way.
+Sums and histograms share one decomposition into pieces with two sinks.
+On a cell of a node's children where each column spec is one line of its
+envelope (``_cells``), every bound of a group's piece is a floor-line in
+the child x, floor((r + s*x)/d): L, U, the cuts floor((A_k - A_h)/(B_h -
+B_k)) between groups and, under the clamp, the zero of A + B*t.  A piece
+runs from t = s to e, s - 1 the max of its start lines and e the min of
+its end lines; each bound, put on one common divisor, is one floor-line on
+each of its envelope runs, and a pair of a start and an end run is kept
+where e >= s - 1 (``_piece_runs``).  Histograms, and sums of floored
+values, take it on the x of one residue class mod P, the lcm of the
+lines' periods, where every line is exact in the class index j
+(``_classes``); plain sums take it in x.  The sums' sink adds H(e) - H(s -
+1), H(T) = A*T + B*T*(T + 1)/2, per pair of runs in closed form from the
+number of children and a table of the floor-line's steps (``_pair_sum``),
+floored values less their residues (``_node_sums``).  The histograms'
+sink takes a piece's first key and the key one step past its end as
+progressions in j, and a constant piece's length as linear in j
+(``_piece_events``).  Sums take a chunk with at least W*(nodes + 80)
+children (``SUM_GATE``), W the pairs of runs per node, and histograms one
+with at least P*(2 per node + 250) (``HISTOGRAM_GATE``), where the node
+runs measured faster than the leaves.  The other chunks, and the other
+reductions, reduce each leaf batch as columns: the groups are the lines of
+the same envelope over the leaves, which gives the piece of each leaf
+where a group is the minimum, and the clamp cuts each piece at its zero.
+Sums are closed forms over the pieces, floored ones through the residue
+tables.  A histogram counts, per step, two endpoint events per
 varying piece of a leaf in C, or two second-order events per progression
 of them over a node run, and adds each constant piece's length to its key
 (``_Events``).  ``_histogram`` sums them over a dense grid of the keys,
@@ -402,7 +405,7 @@ def _expand_runs(specs, cols, los, his):
     tops = list(map(add, his, repeat(1)))
     out = []
     for spec in specs:
-        denom, lines = _runs(spec, cols, los, his, tops)
+        denom, lines = _runs(spec, cols, los, tops)
         runs = []
         for a, r, firsts, stops in lines:
             if a == 0:
@@ -417,29 +420,35 @@ def _expand_runs(specs, cols, los, his):
     return _children(out)
 
 
-def _runs(spec, cols, los, his, tops):
-    """The envelope runs of a column spec on the nodes (cols, los, his):
-    (D, lines), one (A, R, firsts, stops) per line R + A*x, which is the
-    spec's ``pick`` on firsts[i]..stops[i] - 1 of node i, an empty run when
-    stops[i] == firsts[i]; ``tops`` is his + 1.  The lines' offsets R come
-    from the nodes' columns, and their crossings from one floor division
-    per pair of lines (``_cuts``)."""
+def _runs(spec, cols, los, tops):
+    """The envelope runs of a column spec on the nodes (cols, los, tops),
+    tops[i] one past node i's last child: (D, ``_envelope`` of its lines),
+    the lines' offsets R read from the nodes' columns."""
     pick, denom, slopes, offsets = spec
-    values = [_offsets(pick, i, cols) for i in offsets]
-    cuts = [los, *(_cuts(pick, slopes, values, los, his) if len(slopes) > 1 else ()), tops]
-    return denom, list(zip(slopes, values, cuts, cuts[1:]))
+    return denom, _envelope(pick, slopes, [_offsets(pick, i, cols) for i in offsets], los, tops)
 
 
-def _cuts(pick, slopes, values, los, his):
-    """Where each line but the first starts its run on nodes lo..hi: line g
-    of the lines R + A*x (slopes A, offset columns R), sorted as ``_lines``
-    sorts them, is the ``pick`` on x in cuts[g - 1]..cuts[g] - 1, cuts[-1]
-    being lo and cuts[G - 1] hi + 1, a tie going to the lower line.
+def _envelope(pick, slopes, values, los, tops):
+    """The runs of the ``pick`` of the lines R + A*x (slopes A, sorted as
+    ``_lines`` sorts them, offset columns R) over los[i] <= x < tops[i]: one
+    (A, R, firsts, stops) per line, the ``pick`` on firsts[i]..stops[i] - 1
+    of node i, an empty run where stops[i] <= firsts[i].  The lines'
+    crossings take one floor division per pair of lines (``_cuts``)."""
+    cuts = [los, *(_cuts(pick, slopes, values, los, tops) if len(slopes) > 1 else ()), tops]
+    return list(zip(slopes, values, cuts, cuts[1:]))
+
+
+def _cuts(pick, slopes, values, los, tops):
+    """Where each line but the first starts its run on x in los[i] <= x <
+    tops[i]: line g of the lines R + A*x (slopes A, offset columns R),
+    sorted as ``_lines`` sorts them, is the ``pick`` on x in cuts[g - 1]..
+    cuts[g] - 1, cuts[-1] being lo and cuts[G - 1] the top, a tie going to
+    the lower line.
 
     Line h is the ``pick`` over line k > h exactly for x <= q_hk, one floor
     division.  So some line h <= g is the ``pick`` over every line k > g
     exactly for x <= max_h min_k q_hk, and line g + 1 starts one past it,
-    clamped to the previous cut and to hi + 1."""
+    clamped to the previous cut and to the top."""
     sign = 1 if pick is min else -1
     firsts = {}
     for h, k in combinations(range(len(slopes)), 2):
@@ -454,7 +463,7 @@ def _cuts(pick, slopes, values, los, his):
             for k in range(g + 1, len(slopes)):
                 col = [u if u < v else v for u, v in zip(col, firsts[h, k])]
             best = col if best is None else [u if u > v else v for u, v in zip(best, col)]
-        prev = [p if b < p else (hi + 1 if b > hi else b) for b, p, hi in zip(best, prev, his)]
+        prev = [p if b < p else (top if b > top else b) for b, p, top in zip(best, prev, tops)]
         cuts.append(prev)
     return cuts
 
@@ -505,103 +514,131 @@ def _node_count(specs, cols, los, his):
     tops = list(map(add, his, repeat(1)))
     total = _size(los, his)
     for sign, spec in ((1, specs[-1]), (-1, specs[-2])):
-        denom, lines = _runs(spec, cols, los, his, tops)
+        denom, lines = _runs(spec, cols, los, tops)
         for a, r, firsts, stops in lines:
             v0s = list(map(add, r, map(mul, firsts, repeat(a)))) if a else r
             total += sign * _floor_total(a, denom, v0s, list(map(sub, stops, firsts)))
     return total
 
 
-def _node_sums(slopes, denom, floor_mode, clamp, specs, cols, los, his):
-    """(count, sum) of the branch minimum over the points (x, t) under the
-    nodes (cols, los, his), as integers: of the values scaled by ``denom``,
-    or in floor_mode of the floored ones.
+def _cells(slopes, clamp, specs, cols, los, his):
+    """The cells of the nodes (cols, los, his) where each spec is one line,
+    a product of the specs' ``_runs``: per cell (lines, xs, ends), the
+    floor-lines of ``_run_lines`` in the child x over xs[i] <= x < ends[i]
+    on the nodes where the cell has children."""
+    tops = list(map(add, his, repeat(1)))
+    for run in product(*(_runs(spec, cols, los, tops)[1] for spec in specs)):
+        # the runs of a spec of one line are the nodes' ranges
+        xs = [firsts for _, _, firsts, _ in run if firsts is not los] or [los]
+        ends = [stops for *_, stops in run if stops is not tops] or [tops]
+        xs = list(map(max, *xs)) if len(xs) > 1 else xs[0]
+        ends = list(map(min, *ends)) if len(ends) > 1 else ends[0]
+        rs = [r for _, r, _, _ in run]
+        keep = list(map(lt, xs, ends)) if xs is not los or ends is not tops else ()
+        if not all(keep):
+            if not any(keep):
+                continue
+            xs, ends, *rs = (list(compress(col, keep)) for col in (xs, ends, *rs))
+        yield _run_lines(slopes, clamp, specs, [[(a, r)] for (a, *_), r in zip(run, rs)]), xs, ends
 
-    On a cell of the nodes where each spec is one line (``_cells``), a
-    group's piece of a child x runs from t = s(x) to e(x), s - 1 the max of
-    its start floor-lines (L - 1, the cuts past the groups before it, under
-    the clamp the zero of A + B*t less one for B > 0) and e the min of its
-    end floor-lines (U, the cuts before the groups after it, the zero for B
-    < 0), as ``_run_lines`` lists them; under the clamp a constant group
-    keeps the x where A > 0.  Each bound is put on one common divisor, whose
-    envelope runs make it one floor-line, and the piece adds H(e) - H(s -
-    1), H(T) = A*T + B*T*(T + 1)/2, where e >= s - 1: on a pair of runs
-    that is where the end line's numerator is at least the start line's, as
-    floor division is monotone (where it is less, e <= s - 1 and the piece
-    is empty).  A run of H is a closed form in the child index and a table
-    of the floor-line's steps (``_pair_sum``).  The floored values
-    floor((A + B*t)/denom) are floor((A // g + B/g*t)/p), g = gcd(B, denom)
-    and p = denom/g: the terms less their residues mod p, on the x of one
-    residue class mod P, the lcm of the lines' periods and of those of A //
-    g, where every line is exact in the class index (P = 1 when the lines
-    are exact in x)."""
-    G, tops = len(slopes), list(map(add, his, repeat(1)))
-    gs = [gcd(B, denom) if floor_mode else 1 for B in slopes]
-    divs, count, total = [spec[1] for spec in specs], 0, 0
-    for run, xs, ends, rs in _cells(specs, cols, los, his, tops):
-        lines = _run_lines(slopes, clamp, divs, [[(a, r)] for (a, *_), r in zip(run, rs)])
-        if not floor_mode:
-            c, t = _class_sums(slopes, clamp, None, lines, xs, ends)
-            count, total = count + c, total + t
-            continue
-        lines += [(r, a, g, 0) for (r, a, _, _), g in zip(lines, gs)]  # A // g
-        P = _period(lines)
-        for c in range(P):  # x = x0 + P*j
-            x0s = list(map(add, xs, map(mod, map(sub, repeat(c), xs), repeat(P)))) if P > 1 else xs
+
+def _run_lines(slopes, clamp, specs, picks):
+    """The floor-lines (r + s*x) // d, as (r, s, d), of the node runs where
+    spec i is one of the lines picks[i], each (slope, offsets) over the
+    spec's divisor: the groups' minima, L - 1, U, the cuts
+    floor((A_k - A_h)/(B_h - B_k)) of the pairs of groups h < k and, under
+    the clamp, the zeros of the groups of slope B != 0: A + B*t > 0 from t
+    = -A // B + 1 on for B > 0, whose line is -A // B, and up to (A - 1) //
+    -B for B < 0, whose line is that.  On one cell each spec is one line (``_cells``); with every line of each
+    spec, offsets left out, they are the lines whose periods all the cells
+    have."""
+    lower = len(specs) - 2  # L - 1 = (r - d + a*x) // d
+    lines = [(list(map(sub, r, repeat(spec[1]))) if i == lower else r, a, spec[1])
+             for i, (spec, pick) in enumerate(zip(specs, picks)) for a, r in pick]
+    for h, k in combinations(range(len(slopes)), 2):
+        lines += [(list(map(sub, rk, rh)), ak - ah, slopes[h] - slopes[k])
+                  for ah, rh in picks[h] for ak, rk in picks[k]]
+    if clamp:
+        lines += [([-x for x in r], -a, B) if B > 0 else (list(map(sub, r, repeat(1))), a, -B)
+                  for B, pick in zip(slopes, picks) if B for a, r in pick]
+    return lines
+
+
+def _period(lines):
+    """The lcm of the periods d/gcd(s, d) of the floor-lines (r, s, d)."""
+    return lcm(*(d // gcd(s, d) for _, s, d in lines))
+
+
+def _classes(lines, xs, ends):
+    """The floor-lines (r, s, d) in x, over xs[i] <= x < ends[i], as lines
+    in the index j of x = x0 + P*j on each residue class of x mod P, the lcm
+    of their periods, where each is exact: per class, (lines (o, s*P // d,
+    1), o the line at x0, ns), j < ns[i], without the nodes that
+    have no child in the class.  For P = 1 that is the one class x = xs[i]
+    + j."""
+    P = _period(lines)
+    for c in range(P):
+        if P == 1:
+            x0s, ns = xs, list(map(sub, ends, xs))
+        else:
+            x0s = list(map(add, xs, map(mod, map(sub, repeat(c), xs), repeat(P))))
             ns = list(map(floordiv, map(add, map(sub, ends, x0s), repeat(P - 1)), repeat(P)))
-            offsets = [_line_at(r, s, d, k, x0s) for r, s, d, k in lines]
-            if min(ns) <= 0:
-                keep = list(map(lt, repeat(0), ns))
-                if not any(keep):
-                    continue
-                ns, *offsets = (list(compress(col, keep)) for col in (ns, *offsets))
-            js = [(o, s * P // d, 1, 0) for o, (_, s, d, _) in zip(offsets, lines)]
-            floors = [(B // g, denom // g, js[-G + i][:2]) for i, (B, g) in enumerate(zip(slopes, gs))]
-            c, t = _class_sums(slopes, clamp, floors, js[:-G], [0] * len(ns), ns)
-            count, total = count + c, total + t
-    return (_node_count(specs, cols, los, his) if clamp else count), total
+        offsets = [_line_at(r, s, d, x0s) for r, s, d in lines]
+        if P > 1 and min(ns) <= 0:
+            keep = list(map(lt, repeat(0), ns))
+            if not any(keep):
+                continue
+            ns, *offsets = (list(compress(col, keep)) for col in (ns, *offsets))
+        yield [(o, s * P // d, 1) for o, (_, s, d) in zip(offsets, lines)], ns
 
 
-def _class_sums(slopes, clamp, floors, lines, xs, ends):
-    """(count, sum) over x in xs[i]..ends[i] - 1 of each group's piece of
-    the children, from the floor-lines (r, s, d, k) in x of one cell (the
-    groups, L, U, the cuts and the zeros, as ``_run_lines`` lists them).
-    In floor mode ``floors`` gives per group (B', p, (A', slope)) of the
-    values floor((A' + B'*t)/p), on lines of divisor 1."""
+def _line_at(r, s, d, xs):
+    """The column (r + s*x) // d over x in ``xs``."""
+    col = map(add, r, map(mul, xs, repeat(s))) if s else r
+    return list(map(floordiv, col, repeat(d)) if d > 1 else col)
+
+
+def _piece_runs(slopes, clamp, lines, firsts, stops):
+    """The pieces of each group over firsts[i] <= x < stops[i], from the
+    floor-lines (r, s, d) of one cell (the groups, L - 1, U, the cuts and
+    the zeros, as ``_run_lines`` lists them), in x or in a class index.
+
+    A group's piece of a child x runs from t = s(x) to e(x): s - 1 is the
+    max of its start lines (L - 1, the cuts past the groups before it, under
+    the clamp the zero for B > 0) and e the min of its end lines
+    (U, the cuts before the groups after it, the zero for B < 0); under the
+    clamp a constant group keeps the x where A > 0.  Each bound is put on
+    one common divisor, whose envelope runs make it one floor-line
+    (``_bound_runs``).  Per group and pair of those runs: (g, B, start, end,
+    fs, es), start and end the floor-lines (offsets, slope, D) of s - 1 and
+    e, kept on the part fs[i] <= x < es[i] of the pair where e >= s - 1: the
+    end numerator at least the start's, as floor division is monotone
+    (where it is less the piece is empty).  An empty piece there has e = s
+    - 1."""
     G = len(slopes)
     cuts = dict(zip(combinations(range(G), 2), lines[G + 2:]))
     zeros = iter(lines[G + 2 + len(cuts):])
-    r, s, d, k = lines[G]
-    lower, upper = (r, s, d, k - 1), lines[G + 1]
-    count = total = 0
+    lower, upper = lines[G], lines[G + 1]
     for g, B in enumerate(slopes):
-        R, a, _, _ = lines[g]
         starts = [lower] + [cuts[h, g] for h in range(g)]
-        stops = [upper] + [cuts[g, k] for k in range(g + 1, G)]
-        firsts, lasts = xs, ends
-        if clamp and B > 0:
-            r, s, d, k = next(zeros)
-            starts.append((r, s, d, k - 1))
-        elif clamp and B < 0:
-            stops.append(next(zeros))
+        ends = [upper] + [cuts[g, k] for k in range(g + 1, G)]
+        fs, es = firsts, stops
+        if clamp and B:  # s - 1 = -A // B for B > 0, e = (A - 1) // -B for B < 0
+            (starts if B > 0 else ends).append(next(zeros))
         elif clamp:  # the part where A = R + a*x > 0
-            firsts, lasts = _nonnegative(list(map(sub, R, repeat(1))), a, firsts, lasts)
-        value = (B, R, a, 1) if floors is None else (floors[g][0], *floors[g][2], floors[g][1])
-        (Ds, sruns, low), (De, eruns, up) = (_bound_runs(max, starts, firsts, lasts),
-                                             _bound_runs(min, stops, firsts, lasts))
-        part = 0
+            R, a, _ = lines[g]
+            fs, es = _nonnegative(list(map(sub, R, repeat(1))), a, fs, es)
+        Ds, sruns, low = _bound_runs(max, starts, fs, es)
+        De, eruns, up = _bound_runs(min, ends, fs, es)
         for sigma, so, sf, st in sruns:
             for eps, eo, ef, et in eruns:
-                fs = sf if ef is sf else list(map(max, sf, ef))
-                es = st if et is st else list(map(min, st, et))
+                f = sf if ef is sf else list(map(max, sf, ef))
+                e = st if et is st else list(map(min, st, et))
                 if so is not low or eo is not up:  # else U >= L - 1
                     D = lcm(Ds, De)  # e >= s - 1 where e*D >= (s - 1)*D
                     gaps = list(map(sub, _scaled_col(eo, D // De), _scaled_col(so, D // Ds)))
-                    fs, es = _nonnegative(gaps, eps * (D // De) - sigma * (D // Ds), fs, es)
-                h, c = _pair_sum(value, fs, es, (eo, eps, De), (so, sigma, Ds))
-                part, count = part + h, count + c
-        total += part // (2 * value[3])
-    return count, total
+                    f, e = _nonnegative(gaps, eps * (D // De) - sigma * (D // Ds), f, e)
+                yield g, B, (so, sigma, Ds), (eo, eps, De), f, e
 
 
 def _scaled_col(col, k):
@@ -609,15 +646,64 @@ def _scaled_col(col, k):
 
 
 def _bound_runs(pick, lines, firsts, stops):
-    """(D, runs, first): the ``pick`` of the floor-lines (r, s, d, k), (r +
-    s*x) // d + k, on their common divisor D, as the envelope runs (slope,
+    """(D, runs, first): the ``pick`` of the floor-lines (r, s, d), (r +
+    s*x) // d, on their common divisor D, as the envelope runs (slope,
     offsets, firsts, stops) of its numerators over x in firsts[i]..
-    stops[i] - 1, and the offsets of the first line, which a run keeps
-    where that line alone is the pick."""
-    D = lcm(*(d for _, _, d, _ in lines))
-    scaled = [(r if d == D else list(map(mul, r, repeat(D // d))), s * (D // d)) for r, s, d, k in
-              ((r if k == 0 else list(map(add, r, repeat(k * d))), s, d, k) for r, s, d, k in lines)]
-    return D, _envelope(pick, scaled, firsts, stops), scaled[0][0]
+    stops[i] - 1, lines of one slope merged, and the offsets of the first
+    line, which a run keeps where that line alone is the pick."""
+    if len(lines) == 1:
+        return lines[0][2], [(lines[0][1], lines[0][0], firsts, stops)], lines[0][0]
+    D = lcm(*map(itemgetter(2), lines))
+    scaled = [(list(map(mul, r, repeat(D // d))) if d < D else r, s * (D // d)) for r, s, d in lines]
+    merged = {}
+    for offsets, slope in scaled:
+        merged[slope] = offsets if slope not in merged else list(map(pick, merged[slope], offsets))
+    slopes = sorted(merged, reverse=pick is min)
+    return D, _envelope(pick, slopes, [merged[s] for s in slopes], firsts, stops), scaled[0][0]
+
+
+def _nonnegative(gaps, delta, firsts, stops):
+    """The parts of the ranges firsts[i]..stops[i] - 1 where gaps[i] +
+    delta*x >= 0, possibly empty."""
+    if delta > 0:  # from the least x >= -gap/delta
+        return list(map(max, firsts, map(floordiv, map(sub, repeat(delta - 1), gaps),
+                                         repeat(delta)))), stops
+    if delta < 0:  # up to the greatest x <= gap/-delta
+        return firsts, list(map(min, stops, map(add, map(floordiv, gaps, repeat(-delta)), repeat(1))))
+    if min(gaps, default=0) < 0:
+        return firsts, [s if v >= 0 else f for f, s, v in zip(firsts, stops, gaps)]
+    return firsts, stops
+
+
+def _node_sums(slopes, denom, floor_mode, clamp, specs, cols, los, his):
+    """(count, sum) of the branch minimum over the points (x, t) under the
+    nodes (cols, los, his), as integers: of the values scaled by ``denom``,
+    or in floor_mode of the floored ones.
+
+    Each group's piece on a pair of bound runs of a cell (``_piece_runs``)
+    adds H(e) - H(s - 1), H(T) = A*T + B*T*(T + 1)/2, a closed form in the
+    child index and a table of the floor-line's steps (``_pair_sum``).  The
+    floored values floor((A + B*t)/denom) are floor((A // g + B/g*t)/p), g =
+    gcd(B, denom) and p = denom/g: the terms less their residues mod p, on
+    the x of one residue class mod P, the lcm of the lines' periods and of
+    those of A // g, where every line is exact in the class index
+    (``_classes``).  Plain values take the floor-lines in x."""
+    G = len(slopes)
+    gs = [gcd(B, denom) for B in slopes]
+    count = total = 0
+    for lines, xs, ends in _cells(slopes, clamp, specs, cols, los, his):
+        if floor_mode:  # the values floor((A' + B'*t)/p) of A' = A // g, lines in j
+            lines += [(r, a, g) for (r, a, _), g in zip(lines, gs)]
+            parts = [(js[:-G], [(B // g, o, s, denom // g) for B, g, (o, s, _) in zip(slopes, gs, js[-G:])],
+                      [0] * len(ns), ns)
+                     for js, ns in _classes(lines, xs, ends)]
+        else:
+            parts = [(lines, [(B, r, a, 1) for B, (r, a, _) in zip(slopes, lines)], xs, ends)]
+        for lines, values, firsts, stops in parts:
+            for g, _, start, end, fs, es in _piece_runs(slopes, clamp, lines, firsts, stops):
+                h, c = _pair_sum(values[g], fs, es, end, start)
+                count, total = count + c, total + h // (2 * values[g][3])
+    return (_node_count(specs, cols, los, his) if clamp else count), total
 
 
 def _pair_sum(value, firsts, stops, end, start):
@@ -752,9 +838,13 @@ def _walk_order(p, branches=None):
     nonempty pieces, while the number of leaves falls as the innermost
     range widens.  So the innermost coordinate is the one that minimizes
     (2 * those groups + the crossing pairs of distinct slopes along it) /
-    (the width of p along it), ties going to the highest index.  A
-    coordinate along which p is flat is never innermost.  The order
-    depends on p and the branches only."""
+    (the width of p along it), ties going to the highest index.  The
+    coordinates along which p is flat, as along the last coordinate of a
+    frame body, come first: fixed once at the root, they leave the
+    innermost place and the node level (the next-to-last) to coordinates
+    along which p is wide, so that its nodes have several children.  The
+    others keep their index order.  The order depends on p and the
+    branches only."""
     n = p.rank
     points = p.integer_vertices[1]  # D times p: the same ranking
     linears = branches.linears if branches is not None else [(0,) * n]
@@ -768,7 +858,7 @@ def _walk_order(p, branches=None):
     inner = min((i for i in range(n) if widths[i]), default=n - 1, key=lambda i: (
         (2 * len({l[i] for l in linears}) + sum(a[i] != b[i] for a, b in crossing))
         * (scale // widths[i]), -i))
-    return [i for i in range(n) if i != inner] + [inner]
+    return sorted(range(n), key=lambda i: (i == inner, widths[i] > 0))
 
 
 def _walker(p, m, order):
@@ -885,7 +975,7 @@ def _pieces(slopes, cols, los, his, clamp):
     where A + B*t > 0, and the rest of a leaf, where the minimum is <= 0,
     is its zero piece."""
     if len(slopes) > 1:
-        cuts = _cuts(min, slopes, cols, los, his)
+        cuts = _cuts(min, slopes, cols, los, list(map(add, his, repeat(1))))
         bounds = zip([los, *cuts], [*([c - 1 for c in cut] for cut in cuts), his])
     else:
         bounds = [(los, his)]
@@ -975,9 +1065,8 @@ def _sum_gate(slopes, denom, floor_mode, clamp, specs):
     if floor_mode:
         if any(p * p * (p + 1) > TABLE for p in (denom // gcd(B, denom) for B in slopes)):
             return None
-        lines = _run_lines(slopes, clamp, [spec[1] for spec in specs],
-                           [[(a, ()) for a in spec[2]] for spec in specs])
-        w *= _period(lines + [((), a, gcd(B, denom), 0)  # A // g
+        lines = _run_lines(slopes, clamp, specs, [[(a, ()) for a in spec[2]] for spec in specs])
+        w *= _period(lines + [((), a, gcd(B, denom))  # A // g
                               for B, spec in zip(slopes, specs) for a in spec[2]])
     return SUM_GATE[0] * w, SUM_GATE[1] * w
 
@@ -1029,21 +1118,20 @@ def value_histogram(p, m, branches, floor_mode=False, clamp=False, jobs=1):
         return {v // D if floor_mode else v: 1}
     order, slopes, groups = _groups(p, branches)
     last, chunks = _walker(p, m, order).nodes(groups)
-    events, (a, b), P = _Events(), HISTOGRAM_GATE, None
-    for chunk in chunks:
-        if last is None:
-            _leaf_events(slopes, clamp, events, *chunk)
-            continue
-        cols, los, his = chunk
-        size, least = _size(los, his), a * len(los) + b
-        if size >= least and not last[1]:  # the gate at P = 1 first: most walks never find P
-            P = P or _period(_run_lines(slopes, clamp, [spec[1] for spec in last[0]],
-                                        [[(a, ()) for a in spec[2]] for spec in last[0]]))
-            if size >= P * least:
-                _node_events(slopes, clamp, events, last[0], cols, los, his)
-                continue
-        for leaves in _expand_all(last, [chunk]):
-            _leaf_events(slopes, clamp, events, *leaves)
+    events, (a, b), P = _Events(), HISTOGRAM_GATE, 0
+    leaf = partial(_leaf_events, slopes, clamp, events)
+
+    def node(specs, cols, los, his):  # past the gate at P = 1: most walks never find P
+        nonlocal P
+        P = P or _period(_run_lines(slopes, clamp, specs,
+                                    [[(s, ()) for s in spec[2]] for spec in specs]))
+        if _size(los, his) >= P * (a * len(los) + b):
+            return _node_events(slopes, clamp, events, specs, cols, los, his)
+        for leaves in _expand_all(last, [(cols, los, his)]):
+            leaf(*leaves)
+
+    for _ in _fold(last, chunks, node, leaf, (a, b)):
+        pass
     return _histogram(events, D if floor_mode else 1)
 
 
@@ -1056,30 +1144,6 @@ def value_histogram(p, m, branches, floor_mode=False, clamp=False, jobs=1):
 # lost 1.5-3x on the report walks, chunks of 1-85 nodes with up to 377
 # children.
 HISTOGRAM_GATE = (2, 250)
-
-
-def _run_lines(slopes, clamp, divs, picks):
-    """The floor-lines (r + s*x) // d + k, as (r, s, d, k), of the node runs
-    where spec i is one of the lines picks[i], each (slope, offsets) over
-    the divisor divs[i]: the groups' minima, L, U, the cuts
-    floor((A_k - A_h)/(B_h - B_k)) of the pairs of groups h < k and, under
-    the clamp, the zeros of A + B*t of the groups of slope B != 0 (A + B*t
-    > 0 from t = -A // B + 1 on for B > 0, up to (A - 1) // -B for B < 0).
-    On one run each spec is one line (``_node_events``); with every line
-    of each spec they are the lines of all the runs (``_period``)."""
-    lines = [(r, a, d, 0) for d, pick in zip(divs, picks) for a, r in pick]
-    for h, k in combinations(range(len(slopes)), 2):
-        lines += [(list(map(sub, rk, rh)), ak - ah, slopes[h] - slopes[k], 0)
-                  for ah, rh in picks[h] for ak, rk in picks[k]]
-    if clamp:
-        lines += [([-x for x in r], -a, B, 1) if B > 0 else (list(map(sub, r, repeat(1))), a, -B, 0)
-                  for B, pick in zip(slopes, picks) if B for a, r in pick]
-    return lines
-
-
-def _period(lines):
-    """The lcm of the periods d/gcd(s, d) of the floor-lines (r, s, d, k)."""
-    return lcm(*(d // gcd(s, d) for _, s, d, _ in lines))
 
 
 class _Events:
@@ -1187,160 +1251,45 @@ def _leaf_events(slopes, clamp, events, cols, los, his):
 
 def _node_events(slopes, clamp, events, specs, cols, los, his):
     """Adds the events of the pieces of the leaves under the nodes (cols,
-    los, his), per run of a node where each spec is one line: a product of
-    the specs' ``_runs``.  There each group's minimum A is a line in the
-    child x, and the bounds L, U of the last coordinate, the cuts between
-    groups h < k, floor((A_k - A_h)/(B_h - B_k)), and under the clamp the
-    zeros of A + B*t are floor-lines.  On the x = x0 + P*j of one residue
-    class mod P, the lcm of their periods, each one is a line in j.  A
-    group's piece runs from the max of its start lines (L, the cuts past
-    the groups before it, the zero for B > 0) to the min of its end lines,
-    each one line on a run in j (``_envelope``), so on the part of such a
-    run where the piece is nonempty its first and past keys are
-    progressions in j, and a constant piece's length is linear in j
-    (``_piece_events``)."""
-    tops = list(map(add, his, repeat(1)))
+    los, his).  On the x of one residue class of a cell (``_cells``,
+    ``_classes``) every bound of a piece is a line in the class index j,
+    so on each pair of bound runs (``_piece_runs``) a piece's first and
+    past keys are progressions in j, and a constant piece's length is
+    linear in j (``_piece_events``)."""
     if clamp:  # the zero piece: every point less the positive pieces' lengths
         events.flat[0] += _node_count(specs, cols, los, his)
-    divs = [spec[1] for spec in specs]
-    for run, xs, ends, rs in _cells(specs, cols, los, his, tops):
-        lines = _run_lines(slopes, clamp, divs, [[(a, r)] for (a, *_), r in zip(run, rs)])
-        P = _period(lines)
-        for c in range(P):
-            if P == 1:
-                x0s, ns = xs, list(map(sub, ends, xs))
-            else:
-                x0s = list(map(add, xs, map(mod, map(sub, repeat(c), xs), repeat(P))))
-                ns = list(map(floordiv, map(add, map(sub, ends, x0s), repeat(P - 1)), repeat(P)))
-            offsets = [_line_at(r, s, d, k, x0s) for r, s, d, k in lines]
-            keep = list(map(lt, repeat(0), ns)) if P > 1 else ()
-            if not all(keep):
-                if not any(keep):
-                    continue
-                ns, *offsets = (list(compress(col, keep)) for col in (ns, *offsets))
-            js = [(o, s * P // d) for o, (_, s, d, _) in zip(offsets, lines)]
-            _group_events(slopes, clamp, events, js, ns)
+    for lines, xs, ends in _cells(slopes, clamp, specs, cols, los, his):
+        for js, ns in _classes(lines, xs, ends):
+            for g, B, start, end, firsts, stops in _piece_runs(slopes, clamp, js, [0] * len(ns), ns):
+                _piece_events(events, B, js[g], start, end, firsts, stops, clamp)
 
 
-def _cells(specs, cols, los, his, tops):
-    """The cells of the nodes (cols, los, his) where each spec is one line,
-    a product of the specs' ``_runs``: per cell (run, xs, ends, rs), its
-    line per spec (slope, offsets, firsts, stops), the children xs[i]..
-    ends[i] - 1 of the nodes where it holds, without the empty ones, and
-    the lines' offsets on those nodes; ``tops`` is his + 1."""
-    for run in product(*(_runs(spec, cols, los, his, tops)[1] for spec in specs)):
-        # the runs of a spec of one line are the nodes' ranges
-        xs = [firsts for _, _, firsts, _ in run if firsts is not los] or [los]
-        ends = [stops for *_, stops in run if stops is not tops] or [tops]
-        xs = list(map(max, *xs)) if len(xs) > 1 else xs[0]
-        ends = list(map(min, *ends)) if len(ends) > 1 else ends[0]
-        rs = [r for _, r, _, _ in run]
-        keep = list(map(lt, xs, ends)) if xs is not los or ends is not tops else ()
-        if not all(keep):
-            if not any(keep):
-                continue
-            xs, ends, *rs = (list(compress(col, keep)) for col in (xs, ends, *rs))
-        yield run, xs, ends, rs
-
-
-def _line_at(r, s, d, k, xs):
-    """The column (r + s*x) // d + k over x in ``xs``."""
-    col = map(add, r, map(mul, xs, repeat(s))) if s else r
-    if d > 1:
-        col = map(floordiv, col, repeat(d))
-    return list(map(add, col, repeat(k))) if k else list(col)
-
-
-def _group_events(slopes, clamp, events, js, ns):
-    """The events of each group's pieces over j < ns[i], from the lines in j
-    (offsets, slope) of ``js``: the groups, L, U, the cuts of the pairs of
-    groups in ``combinations`` order and, under the clamp, the zeros of the
-    groups of slope B != 0."""
-    G = len(slopes)
-    cuts = dict(zip(combinations(range(G), 2), js[G + 2:]))
-    zeros = iter(js[G + 2 + len(cuts):])
-    check = G > 1 or clamp  # else L <= U + 1, and an empty piece adds nothing
-    for g, B in enumerate(slopes):
-        alpha, beta = js[g]
-        starts = [js[G]] + [(list(map(add, cuts[h, g][0], repeat(1))), cuts[h, g][1])
-                            for h in range(g)]
-        stops = [js[G + 1]] + [cuts[g, k] for k in range(g + 1, G)]
-        j0s, j1s = [0] * len(ns), ns
-        if clamp and B:
-            (starts if B > 0 else stops).append(next(zeros))
-        elif clamp:  # the piece where A = alpha + beta*j > 0
-            if beta > 0:
-                j0s = [0 if v > 0 else min(n, -v // beta + 1) for v, n in zip(alpha, ns)]
-            elif beta < 0:
-                j1s = [max(0, min(n, (v - 1) // -beta + 1)) for v, n in zip(alpha, ns)]
-            else:
-                j1s = [n if v > 0 else 0 for v, n in zip(alpha, ns)]
-        for sigma, so, sf, st in _envelope(max, starts, j0s, j1s):
-            for eps, eo, ef, et in _envelope(min, stops, j0s, j1s):
-                _piece_events(events, B, js[g], (sigma, so), (eps, eo),
-                              list(map(max, sf, ef)) if sf is not ef else sf,
-                              list(map(min, st, et)) if st is not et else st, check, clamp)
-
-
-def _envelope(pick, lines, los, tops):
-    """The runs of the ``pick`` of the lines (offsets, slope) in j over
-    los[i] <= j < tops[i], as ``_runs`` gives them: (slope, offsets,
-    firsts, stops) per line, lines of one slope merged."""
-    merged = {}
-    for offsets, slope in lines:
-        merged[slope] = offsets if slope not in merged else list(map(pick, merged[slope], offsets))
-    slopes = sorted(merged, reverse=pick is min)
-    values = [merged[s] for s in slopes]
-    if len(slopes) == 1:
-        return [(slopes[0], values[0], los, tops)]
-    his = list(map(sub, tops, repeat(1)))
-    cuts = [los, *_cuts(pick, slopes, values, los, his), tops]
-    return list(zip(slopes, values, cuts, cuts[1:]))
-
-
-def _nonnegative(gaps, delta, firsts, stops):
-    """The parts of the ranges firsts[i]..stops[i] - 1 where gaps[i] +
-    delta*x >= 0, possibly empty."""
-    if delta > 0:  # from the least x >= -gap/delta
-        return list(map(max, firsts, map(floordiv, map(sub, repeat(delta - 1), gaps),
-                                         repeat(delta)))), stops
-    if delta < 0:  # up to the greatest x <= gap/-delta
-        return firsts, list(map(min, stops, map(add, map(floordiv, gaps, repeat(-delta)), repeat(1))))
-    if min(gaps, default=0) < 0:
-        return firsts, [s if v >= 0 else f for f, s, v in zip(firsts, stops, gaps)]
-    return firsts, stops
-
-
-def _piece_events(events, B, group, start, stop, j0s, j1s, check, clamp):
-    """The events of a group's pieces t = s(j)..e(j) on j0s[i] <= j <
-    j1s[i], where its minimum A, s and e are the lines in j ``group``,
-    ``start`` and ``stop`` (slope, offsets), kept where s <= e if
-    ``check``."""
-    (alpha, beta), (sigma, so), (eps, eo) = group, start, stop
-    if check:  # e - s = gap + delta*j >= 0
-        j0s, j1s = _nonnegative(list(map(sub, eo, so)), eps - sigma, j0s, j1s)
-    keep = list(map(lt, j0s, j1s))
+def _piece_events(events, B, group, start, end, firsts, stops, clamp):
+    """The events of a group's pieces t = s(j)..e(j), e >= s - 1, on
+    firsts[i] <= j < stops[i], where its minimum A, s - 1 and e are the
+    lines in j ``group`` (offsets, slope, 1), ``start`` and ``end``
+    (offsets, slope, 1).  For B != 0 the first and past keys A + B*t, at t =
+    s and e + 1 for B > 0 and at t = e and s - 1 for B < 0, are
+    progressions in j; a constant piece adds its length e - (s - 1), linear
+    in j, at its key A.  An empty piece's two events cancel at one key."""
+    (alpha, beta, _), (so, sigma, _), (eo, eps, _) = group, start, end
+    keep = list(map(lt, firsts, stops))
     if not all(keep):
         if not any(keep):
             return
-        alpha, so, eo, j0s, j1s = (list(compress(col, keep)) for col in (alpha, so, eo, j0s, j1s))
-    ns = list(map(sub, j1s, j0s))
-    if any(j0s):  # the lines' values at j0
-        alpha = list(map(add, alpha, map(mul, j0s, repeat(beta))))
-        so = list(map(add, so, map(mul, j0s, repeat(sigma))))
-        eo = list(map(add, eo, map(mul, j0s, repeat(eps))))
-    if B > 0:
-        events.progressions(B, beta + B * sigma, list(map(add, alpha, map(mul, so, repeat(B)))),
-                            ns, False)
-        events.progressions(B, beta + B * eps, list(map(add, alpha, map(
-            mul, map(add, eo, repeat(1)), repeat(B)))), ns, True)
-    elif B < 0:
-        events.progressions(-B, beta + B * eps, list(map(add, alpha, map(mul, eo, repeat(B)))),
-                            ns, False)
-        events.progressions(-B, beta + B * sigma, list(map(add, alpha, map(
-            mul, map(sub, so, repeat(1)), repeat(B)))), ns, True)
-    if B == 0 or clamp:  # the lengths e - s + 1 + (eps - sigma)*j
-        w0s, w1 = list(map(sub, eo, map(sub, so, repeat(1)))), eps - sigma
+        alpha, so, eo, firsts, stops = (list(compress(col, keep)) for col in (alpha, so, eo, firsts, stops))
+    ns = list(map(sub, stops, firsts))
+    if any(firsts):  # the lines' values at the first j
+        alpha = list(map(add, alpha, map(mul, firsts, repeat(beta))))
+        so = list(map(add, so, map(mul, firsts, repeat(sigma))))
+        eo = list(map(add, eo, map(mul, firsts, repeat(eps))))
+    if B:  # the keys A + B*t at t = s, e + 1 for B > 0 and at t = e, s - 1 for B < 0
+        base = list(map(add, alpha, repeat(B))) if B > 0 else alpha  # A + B*(s - 1 + 1)
+        for past, (o, slope) in enumerate(((so, sigma), (eo, eps)) if B > 0 else ((eo, eps), (so, sigma))):
+            events.progressions(abs(B), beta + B * slope, list(map(add, base, map(mul, o, repeat(B)))),
+                                ns, past)
+    if B == 0 or clamp:  # the lengths e - (s - 1) + (eps - sigma)*j
+        w0s, w1 = list(map(sub, eo, so)), eps - sigma
         if B == 0:
             events.lengths(beta, alpha, ns, w0s, w1)
         if clamp:

@@ -330,6 +330,48 @@ def test_reductions_on_degenerate_and_rank_one_bodies(body, bd, m):
     assert_reductions_match(body, m, bd, brute_lattice_points(body, m))
 
 
+@st.composite
+def flat_bodies(draw):
+    """A body of rank 2-5 flat along some coordinates, with 1-3 branches:
+    the frame body of the slice of a random cone at the sum of its rays
+    (``degree_frame``), flat along its last coordinate, or the hull of
+    random points with one to n - 1 coordinates held at constants."""
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        rays = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * (n - 1)).map(lambda r: r + (1,)),
+                             min_size=n, max_size=n + 1))
+        assume(rank_of(rays) == n)
+        xi = tuple(sum(r[i] for r in rays) for i in range(n))
+        body = lattice.degree_frame(_cone_q_p(rays, xi)[1], xi).body
+    else:
+        coord = st.integers(-2, 2).map(lambda k: F(k, 2))
+        pts = draw(st.lists(st.tuples(*[coord] * n), min_size=2, max_size=n + 2))
+        flat = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))
+        const = draw(coord)
+        body = polytope_from_vertices([tuple(const if i in flat else x for i, x in enumerate(v))
+                                       for v in pts])
+    linears = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=3))
+    return body, lattice.BranchData(linears, [0] * len(linears), 1)
+
+
+@seed(20261026)
+@settings(max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(flat_bodies())
+def test_walks_keep_flat_coordinates_off_the_node_and_leaf_levels(case):
+    """On frame bodies and bodies flat along some coordinates, no flat
+    coordinate is innermost or at the node level (the next-to-last) while
+    the body is wide along enough others, so a degree slice's nodes have
+    several children."""
+    body, bd = case
+    widths = [max(v[i] for v in body.vertices) - min(v[i] for v in body.vertices)
+              for i in range(body.rank)]
+    order = lattice._walk_order(body, bd)
+    assert sorted(order) == list(range(body.rank))
+    wide = sum(w > 0 for w in widths)
+    assert all(widths[i] > 0 for i in order[len(order) - min(wide, 2):])
+
+
 LEVELS = {1: 30, 2: 16, 3: 6, 4: 3, 5: 2}  # the bounding-box oracle stays small
 
 

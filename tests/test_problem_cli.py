@@ -460,6 +460,27 @@ def test_cli_deterministic_within_process(tmp_path):
     assert runs[0] == runs[1]
 
 
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.mark.parametrize("spec, argv, flag, code", [
+    ("cube5-frac", ["converge", "--m-grid", "16,32"], "ceiling", 0),
+    ("cube5-frac", ["jumping", "--m", "32"], "ceiling", 0),
+    ("cube5-neg", ["converge", "--m-grid", "16,32"], "clamp", 4),
+    ("cube5-neg", ["jumping", "--m", "32"], "clamp", 0),
+])
+def test_rank5_flagged_runs_print_the_recorded_bytes(spec, argv, flag, code):
+    """On the rank-5 cube cone with fractional branches under --ceiling and
+    with negative constants under --clamp, whose walks take the node sums
+    and node events, stdout equals the recorded bytes, and the flag acts:
+    the plain run prints other bytes or rejects the spec."""
+    cmd = [argv[0], os.path.join(DATA, f"{spec}.json"), *argv[1:]]
+    got = invoke(cmd + [f"--{flag}"])
+    with open(os.path.join(DATA, f"{spec}-{argv[0]}-{flag}.out"), "rb") as fh:
+        assert (got[0], got[1].encode()) == (code, fh.read())
+    assert invoke(cmd)[:2] != got[:2]
+
+
 def test_cli_jobs_flag_does_not_change_output(tmp_path):
     path = spec_file(tmp_path, NONLINEAR)
     base = invoke(["report", path, "--format", "json", "--jobs", "1"])[1]
