@@ -421,21 +421,16 @@ def _expand_runs(specs, cols, los, his):
 
 
 def _runs(spec, cols, los, tops):
-    """The envelope runs of a column spec on the nodes (cols, los, tops),
-    tops[i] one past node i's last child: (D, ``_envelope`` of its lines),
-    the lines' offsets R read from the nodes' columns."""
+    """The envelope runs of a column spec (pick, D, slopes, offsets) on the
+    nodes (cols, los, tops), tops[i] one past node i's last child: (D,
+    runs), one (A, R, firsts, stops) per line R + A*x, its offsets R read
+    from the columns ``cols``, the ``pick`` on firsts[i]..stops[i] - 1 of
+    node i, an empty run where stops[i] <= firsts[i].  The lines' crossings
+    take one floor division per pair of lines (``_cuts``)."""
     pick, denom, slopes, offsets = spec
-    return denom, _envelope(pick, slopes, [_offsets(pick, i, cols) for i in offsets], los, tops)
-
-
-def _envelope(pick, slopes, values, los, tops):
-    """The runs of the ``pick`` of the lines R + A*x (slopes A, sorted as
-    ``_lines`` sorts them, offset columns R) over los[i] <= x < tops[i]: one
-    (A, R, firsts, stops) per line, the ``pick`` on firsts[i]..stops[i] - 1
-    of node i, an empty run where stops[i] <= firsts[i].  The lines'
-    crossings take one floor division per pair of lines (``_cuts``)."""
+    values = [_offsets(pick, i, cols) for i in offsets]
     cuts = [los, *(_cuts(pick, slopes, values, los, tops) if len(slopes) > 1 else ()), tops]
-    return list(zip(slopes, values, cuts, cuts[1:]))
+    return denom, list(zip(slopes, values, cuts, cuts[1:]))
 
 
 def _cuts(pick, slopes, values, los, tops):
@@ -549,9 +544,9 @@ def _run_lines(slopes, clamp, specs, picks):
     floor((A_k - A_h)/(B_h - B_k)) of the pairs of groups h < k and, under
     the clamp, the zeros of the groups of slope B != 0: A + B*t > 0 from t
     = -A // B + 1 on for B > 0, whose line is -A // B, and up to (A - 1) //
-    -B for B < 0, whose line is that.  On one cell each spec is one line (``_cells``); with every line of each
-    spec, offsets left out, they are the lines whose periods all the cells
-    have."""
+    -B for B < 0, whose line is that.  On one cell each spec is one line
+    (``_cells``); with every line of each spec, offsets left out, they are
+    the lines whose periods all the cells have."""
     lower = len(specs) - 2  # L - 1 = (r - d + a*x) // d
     lines = [(list(map(sub, r, repeat(spec[1]))) if i == lower else r, a, spec[1])
              for i, (spec, pick) in enumerate(zip(specs, picks)) for a, r in pick]
@@ -658,8 +653,9 @@ def _bound_runs(pick, lines, firsts, stops):
     merged = {}
     for offsets, slope in scaled:
         merged[slope] = offsets if slope not in merged else list(map(pick, merged[slope], offsets))
-    slopes = sorted(merged, reverse=pick is min)
-    return D, _envelope(pick, slopes, [merged[s] for s in slopes], firsts, stops), scaled[0][0]
+    slopes = sorted(merged, reverse=pick is min)  # a spec whose column i is line i's offsets
+    return (*_runs((pick, D, slopes, range(len(slopes))), [merged[s] for s in slopes], firsts, stops),
+            scaled[0][0])
 
 
 def _nonnegative(gaps, delta, firsts, stops):
