@@ -50,13 +50,13 @@ Sums and histograms share one decomposition into pieces with two sinks.
 On a cell of a node's children where each column spec is one line of its
 envelope (``_cells``), every bound of a group's piece is a floor-line in
 the child x, floor((r + s*x)/d): L, U, the cuts floor((A_k - A_h)/(B_h -
-B_k)) between groups and, under the clamp, the zero of A + B*t.  A piece
-runs from t = s to e, s - 1 the max of its start lines and e the min of
-its end lines; each bound, put on one common divisor, is one floor-line on
-each of its envelope runs, and a pair of a start and an end run is kept
-where e >= s - 1 (``_piece_runs``).  Histograms, and sums of floored
-values, take it on the x of one residue class mod P, the lcm of the
-lines' periods, where every line is exact in the class index j
+B_k)) between groups and, for sums under the clamp, the zero of A + B*t.
+A piece runs from t = s to e, s - 1 the max of its start lines and e the
+min of its end lines; each bound, put on one common divisor, is one
+floor-line on each of its envelope runs, and a pair of a start and an end
+run is kept where e >= s - 1 (``_piece_runs``).  Histograms, and sums of
+floored values, take it on the x of one residue class mod P, the lcm of
+the lines' periods, where every line is exact in the class index j
 (``_classes``); plain sums take it in x.  The sums' sink adds H(e) - H(s -
 1), H(T) = A*T + B*T*(T + 1)/2, per pair of runs in closed form from the
 number of children and a table of the floor-line's steps (``_pair_sum``),
@@ -69,16 +69,19 @@ with at least P*(2 per node + 250) (``HISTOGRAM_GATE``), where the node
 runs measured faster than the leaves.  The other chunks, and the other
 reductions, reduce each leaf batch as columns: the groups are the lines of
 the same envelope over the leaves, which gives the piece of each leaf
-where a group is the minimum, and the clamp cuts each piece at its zero.
-Sums are closed forms over the pieces, floored ones through the residue
-tables.  A histogram counts, per step, two endpoint events per
+where a group is the minimum, and for sums the clamp cuts each piece at
+its zero.  Sums are closed forms over the pieces, floored ones through the
+residue tables.  A histogram takes the pieces of the exact minimum in
+every mode, as floor mode and the clamp only move keys: floor(max(v,
+0)/D) = max(floor(v/D), 0).  It counts, per step, two endpoint events per
 varying piece of a leaf in C, or two second-order events per progression
 of them over a node run, and adds each constant piece's length to its key
 (``_Events``).  ``_histogram`` sums them over a dense grid of the keys,
 the second-order events along their steps first, then each residue class
-of a step that holds events, or sweeps the sorted keys when they span
-more than ``DENSE`` times the events, a progression counting as the leaf
-events it stands for.
+of a step, or sweeps the sorted keys when they span more than ``DENSE``
+times the events, a progression counting as the leaf events it stands
+for; it then folds blocks of D keys in floor mode and, under the clamp,
+every key <= 0 into key 0.
 
 The weights of degree <u, xi> = t of an integral xi are t times the slice
 P at degree 1 in a unimodular frame (``degree_frame``) that puts <u, xi>/g
@@ -1101,34 +1104,36 @@ def value_histogram(p, m, branches, floor_mode=False, clamp=False, jobs=1):
     in floor_mode.  The work is in the pieces and the distinct keys, not in
     the points: a chunk of nodes past the gate below gives its pieces'
     events per envelope run (``_node_events``), any other chunk per leaf
-    (``_leaf_events``), and ``_histogram`` sums them.  Under the clamp the
-    points outside the positive pieces count at the key 0.  ``jobs`` is
-    accepted for compatibility; it has no effect.
+    (``_leaf_events``), and ``_histogram`` sums them.  The events are
+    those of the exact minimum in every mode: floor mode and the clamp only
+    move keys, as floor(max(v, 0)/D) = max(floor(v/D), 0), and
+    ``_histogram`` folds them.  ``jobs`` is accepted for compatibility; it
+    has no effect.
     """
     _check_level(m)
     if p.affine_dim < 0 or not p.integer_vertices[1]:
         return {}
-    D = branches.denom
+    events, fold = _Events(), branches.denom if floor_mode else 1
     if m == 0:
-        v = _origin(branches, clamp)
-        return {v // D if floor_mode else v: 1}
+        events.flat[min(branches.consts)] = 1
+        return _histogram(events, fold, clamp)
     order, slopes, groups = _groups(p, branches)
     last, chunks = _walker(p, m, order).nodes(groups)
-    events, (a, b), P = _Events(), HISTOGRAM_GATE, 0
-    leaf = partial(_leaf_events, slopes, clamp, events)
+    (a, b), P = HISTOGRAM_GATE, 0
+    leaf = partial(_leaf_events, slopes, events)
 
     def node(specs, cols, los, his):  # past the gate at P = 1: most walks never find P
         nonlocal P
-        P = P or _period(_run_lines(slopes, clamp, specs,
+        P = P or _period(_run_lines(slopes, False, specs,
                                     [[(s, ()) for s in spec[2]] for spec in specs]))
         if _size(los, his) >= P * (a * len(los) + b):
-            return _node_events(slopes, clamp, events, specs, cols, los, his)
+            return _node_events(slopes, events, specs, cols, los, his)
         for leaves in _expand_all(last, [(cols, los, his)]):
             leaf(*leaves)
 
     for _ in _fold(last, chunks, node, leaf, (a, b)):
         pass
-    return _histogram(events, D if floor_mode else 1)
+    return _histogram(events, fold, clamp)
 
 
 # The fewest children a chunk of nodes needs, per node and per chunk, to
@@ -1214,30 +1219,18 @@ def _summed(keys, weights):
     return out
 
 
-def _leaf_events(slopes, clamp, events, cols, los, his):
+def _leaf_events(slopes, events, cols, los, his):
     """Adds the events of the ``_pieces`` of a batch of leaves: a piece of
     slope B != 0 marks its first key and the key one step |B| past its last
-    (an empty one both at one key), counted per step in C, and a constant
-    piece adds its length to its key."""
-    pieces = _pieces(slopes, cols, los, his, clamp)
+    (an empty one both at one key, where they cancel), counted per step in
+    C, and a constant piece adds its length to its key."""
     flat = events.flat
-    if clamp:
-        flat[0] += _size(los, his) - sum(_size(ss, es) for _, _, ss, es in pieces)
-    for B, A, ss, es in pieces:
+    for B, A, ss, es in _pieces(slopes, cols, los, his, False):
         if B == 0:
             lengths = list(map(sub, es, map(sub, ss, repeat(1))))
             for k, c in compress(zip(A, lengths), lengths):
                 flat[k] += c
             continue
-        if len(pieces) > 1 or clamp:  # pieces may be empty
-            # An empty piece's two events cancel at one key.  Dropping
-            # them costs three column copies: the event counting
-            # measured 13-33% slower at 1% empty pieces, even near
-            # 1/8-1/4 and 14-36% faster from 3/8 (half the pieces of
-            # the square ceiling slot are empty).
-            keep = list(map(le, ss, es))
-            if keep.count(False) * 4 > len(keep):
-                A, ss, es = (list(compress(col, keep)) for col in (A, ss, es))
         first, past = (ss, map(add, es, repeat(1))) if B > 0 else (es, map(sub, ss, repeat(1)))
         if B != 1:
             first, past = map(mul, first, repeat(B)), map(mul, past, repeat(B))
@@ -1245,22 +1238,20 @@ def _leaf_events(slopes, clamp, events, cols, los, his):
         events.ends[abs(B)].update(map(add, A, past))
 
 
-def _node_events(slopes, clamp, events, specs, cols, los, his):
+def _node_events(slopes, events, specs, cols, los, his):
     """Adds the events of the pieces of the leaves under the nodes (cols,
     los, his).  On the x of one residue class of a cell (``_cells``,
     ``_classes``) every bound of a piece is a line in the class index j,
     so on each pair of bound runs (``_piece_runs``) a piece's first and
     past keys are progressions in j, and a constant piece's length is
     linear in j (``_piece_events``)."""
-    if clamp:  # the zero piece: every point less the positive pieces' lengths
-        events.flat[0] += _node_count(specs, cols, los, his)
-    for lines, xs, ends in _cells(slopes, clamp, specs, cols, los, his):
+    for lines, xs, ends in _cells(slopes, False, specs, cols, los, his):
         for js, ns in _classes(lines, xs, ends):
-            for g, B, start, end, firsts, stops in _piece_runs(slopes, clamp, js, [0] * len(ns), ns):
-                _piece_events(events, B, js[g], start, end, firsts, stops, clamp)
+            for g, B, start, end, firsts, stops in _piece_runs(slopes, False, js, [0] * len(ns), ns):
+                _piece_events(events, B, js[g], start, end, firsts, stops)
 
 
-def _piece_events(events, B, group, start, end, firsts, stops, clamp):
+def _piece_events(events, B, group, start, end, firsts, stops):
     """The events of a group's pieces t = s(j)..e(j), e >= s - 1, on
     firsts[i] <= j < stops[i], where its minimum A, s - 1 and e are the
     lines in j ``group`` (offsets, slope, 1), ``start`` and ``end``
@@ -1284,12 +1275,8 @@ def _piece_events(events, B, group, start, end, firsts, stops, clamp):
         for past, (o, slope) in enumerate(((so, sigma), (eo, eps)) if B > 0 else ((eo, eps), (so, sigma))):
             events.progressions(abs(B), beta + B * slope, list(map(add, base, map(mul, o, repeat(B)))),
                                 ns, past)
-    if B == 0 or clamp:  # the lengths e - (s - 1) + (eps - sigma)*j
-        w0s, w1 = list(map(sub, eo, so)), eps - sigma
-        if B == 0:
-            events.lengths(beta, alpha, ns, w0s, w1)
-        if clamp:
-            events.flat[0] -= sum(map(mul, ns, w0s)) + w1 * ((sum(map(mul, ns, ns)) - sum(ns)) // 2)
+    else:  # the lengths e - (s - 1) + (eps - sigma)*j
+        events.lengths(beta, alpha, ns, list(map(sub, eo, so)), eps - sigma)
 
 
 # The widest key span, per event, that a histogram sums on a dense grid,
@@ -1302,7 +1289,9 @@ def _piece_events(events, B, group, start, end, firsts, stops, clamp):
 # they were few and short (from about 3 keys per event), and by at most 4x
 # at 16.  Every histogram of the perfbench ops spans at most 1.7 keys per
 # event counted so.  Beyond it the sweep bounds the memory by the events
-# and the output.
+# and the keys they cover before floor mode and the clamp fold them, so a
+# clamped minimum that is <= 0 on most of the body costs what its plain
+# histogram costs.
 DENSE = 16
 # Second-order events of one step take one slice per run between their
 # keys when they are fewer than the keys of the residue classes that hold
@@ -1314,9 +1303,10 @@ DENSE = 16
 RUNS_PER_KEY = 4
 
 
-def _histogram(events, fold):
-    """{key // fold: count} over the keys that the pieces of ``events``
-    (``_Events``) cover, without zero counts.
+def _histogram(events, fold, clamp):
+    """{key: count} over the keys k that the pieces of ``events``
+    (``_Events``) cover, without zero counts, each key k taken to k // fold
+    and, under the clamp, to max(k // fold, 0).
 
     When the keys span at most ``DENSE`` times the number of events (the
     distinct keys of each Counter, and the leaf events that the waves stand
@@ -1324,9 +1314,9 @@ def _histogram(events, fold):
     ``waves[b, k]`` take their running sum along each residue class mod k
     (``accumulate``, or one slice per run when they are few: ``_class_runs``)
     into the events of step b, whose running sum along each class mod b
-    (or, without waves, of the classes where progressions start) gives the
-    counts; ``fold`` > 1 sums blocks of that many keys.  Otherwise each
-    step's keys are swept sorted by residue class and value (``_sweep``)."""
+    gives the counts; ``fold`` > 1 sums blocks of that many keys, and the
+    clamp sums the keys <= 0 into key 0.  Otherwise each step's keys are
+    swept sorted by residue class and value (``_sweep``)."""
     starts, ends, flat = events.starts, events.ends, events.flat
     counters = [c for c in chain(starts.values(), ends.values(), [flat], *events.waves.values())
                 if c]
@@ -1340,7 +1330,7 @@ def _histogram(events, fold):
         hist = Counter()
         for k, c in chain(*(_sweep(starts[b], ends[b], b).items()
                             for b in starts.keys() | ends.keys()), flat.items()):
-            hist[k // fold] += c
+            hist[max(k // fold, 0) if clamp else k // fold] += c
         return +hist
     grid = [0] * (hi - lo + 1)
     for k, c in flat.items():
@@ -1348,16 +1338,9 @@ def _histogram(events, fold):
     waves = {}
     for (b, step), pair in events.waves.items():
         waves.setdefault(b, []).append((step, pair))
-    for b in starts.keys() | waves.keys() if waves else starts:  # with ends[b] when no waves
-        first, past = starts.get(b, {}), ends.get(b, {})
-        if b not in waves:
-            for i in set(map(b.__rmod__, map(sub, first, repeat(lo)))):  # where pieces start
-                keys = range(lo + i, hi + 1, b)
-                grid[i::b] = map(add, grid[i::b], accumulate(
-                    map(sub, map(first.get, keys, repeat(0)), map(past.get, keys, repeat(0)))))
-            continue
+    for b in starts.keys() | waves.keys():
         marks = [0] * len(grid)
-        for step, (up, down) in waves[b]:
+        for step, (up, down) in waves.get(b, ()):
             classes = set(map(step.__rmod__, map(sub, up.keys() | down.keys(), repeat(lo))))
             if (len(up) + len(down)) * RUNS_PER_KEY < len(classes) * ((hi - lo) // step + 1):
                 for k, stop, c in zip(*_class_runs(up, down, step)):
@@ -1368,9 +1351,9 @@ def _histogram(events, fold):
                 keys = range(lo + i, hi + 1, step)
                 marks[i::step] = map(add, marks[i::step], accumulate(
                     map(sub, map(up.get, keys, repeat(0)), map(down.get, keys, repeat(0)))))
-        for k, c in first.items():
+        for k, c in starts.get(b, {}).items():
             marks[k - lo] += c
-        for k, c in past.items():
+        for k, c in ends.get(b, {}).items():
             marks[k - lo] -= c
         for i in range(min(b, len(grid))):
             grid[i::b] = map(add, grid[i::b], accumulate(marks[i::b]))
@@ -1378,6 +1361,8 @@ def _histogram(events, fold):
         grid = [0] * (lo % fold) + grid + [0] * (-(hi + 1) % fold)
         lo //= fold
         grid = list(map(sum, zip(*[iter(grid)] * fold)))
+    if clamp and lo < 0:  # the keys lo..0 at 0
+        grid, lo = [sum(grid[:1 - lo])] + grid[1 - lo:], 0
     return dict(compress(zip(range(lo, lo + len(grid)), grid), grid))
 
 

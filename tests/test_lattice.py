@@ -496,9 +496,9 @@ def test_constant_histogram_pieces_stay_per_key(monkeypatch):
     flats = []
     real = lattice._histogram
 
-    def histogram(events, fold):
+    def histogram(events, fold, clamp):
         flats.append(len(events.flat))
-        return real(events, fold)
+        return real(events, fold, clamp)
 
     monkeypatch.setattr(lattice, "_histogram", histogram)
     lattice.value_histogram(p, 1, bd)  # the walk plan is kept with p, outside the trace
@@ -920,6 +920,41 @@ def test_histograms_match_the_sorted_sweep(case, dense):
                     == sweep_histogram(p, m, bd, floor_mode, clamp))
 
 
+def test_sparse_histograms_sweep_within_their_events(monkeypatch):
+    """A branch of slope 10**8 along the innermost axis spreads the keys of
+    a small level over a span far above ``DENSE`` times the events, and its
+    constant makes it negative on all but the top row of the body, where
+    the clamp folds the keys to 0: in all four ceiling/clamp modes the
+    histogram sweeps the sorted keys (``_sweep``) instead of filling a grid
+    of the span, equals the sorted sweep (``sweep_histogram``, which cuts
+    the clamp's zero pieces from the leaves) and keeps its peak memory
+    under 1 MiB."""
+    m = 6
+    bd = lattice.BranchData([(1, 10**8)], [-3 * m * 10**8], 3)
+    assert lattice._groups(BOX2, bd)[:2] == ([0, 1], [10**8])
+    sweeps = []
+    real = lattice._sweep
+
+    def sweep(*args):
+        sweeps.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(lattice, "_sweep", sweep)
+    lattice.value_histogram(BOX2, 1, bd)  # the walk plan is kept with p, outside the trace
+    for floor_mode, clamp in itertools.product((False, True), repeat=2):
+        del sweeps[:]
+        tracemalloc.start()
+        try:
+            hist = lattice.value_histogram(BOX2, m, bd, floor_mode, clamp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sweeps and hist == sweep_histogram(BOX2, m, bd, floor_mode, clamp)
+        assert peak < 2**20
+        if clamp:  # the points below the top row t = 3m at 0
+            assert hist[0] == 3 * m * (3 * m + 1) + (3 if floor_mode else 1)
+
+
 @seed(20261021)
 @settings(max_examples=300, deadline=None, database=None)
 @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(0, 30)), min_size=0, max_size=6),
@@ -947,8 +982,9 @@ def histogram_bodies(draw):
     possibly with a twin of its slope over another divisor; a level 0-40
     at ranks 1-2 (fewer above), a walk order, and 1-3 groups of branches
     along its last coordinate, of distinct slopes -3..3, each of one or
-    two branches, with constants that may be negative (so the clamp cuts
-    leaves at their start, middle or end) and a denominator 1-12."""
+    two branches, with constants that may be negative (so the minimum
+    crosses 0 at the start, middle or end of leaves, where the clamp folds
+    keys) and a denominator 1-12."""
     n = draw(st.integers(1, 5))
     rows = []
     for i in range(n):
@@ -988,6 +1024,12 @@ def histogram_bodies(draw):
 @example((BOX2, 7, [0, 1], lattice.BranchData([(1, 2), (1, -2)], [-9, 20], 3)))
 # floor mode over D = 12 with twin branches of one slope
 @example((BOX2, 9, [1, 0], lattice.BranchData([(5, 3), (-1, 3), (2, -7)], [-4, 2, 30], 12)))
+# every key, past keys too, below 0 (on the grid of the leaves, hi < 0):
+# the clamp folds the whole histogram to key 0
+@example((BOX2, 3, [0, 1], lattice.BranchData([(1, -1), (-1, 2), (2, 0)], [-40, -60, -50], 4)))
+# values -6..6 over D = 5: under floor and clamp, the values in (0, 5) and
+# those below 0 meet at key 0
+@example((BOX2, 2, [0, 1], lattice.BranchData([(1, 1), (2, -1)], [-6, 3], 5)))
 def test_node_histograms_match_the_leaves_and_brute_force(case):
     """Histograms per node run equal the leaf events (``sweep_histogram``)
     and the bounding-box oracle in all four modes, with the gate sending

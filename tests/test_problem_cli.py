@@ -468,14 +468,16 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
     ("cube5-frac", ["jumping", "--m", "32"], "ceiling", 0),
     ("cube5-neg", ["converge", "--m-grid", "16,32"], "clamp", 4),
     ("cube5-neg", ["jumping", "--m", "32"], "clamp", 0),
+    ("cube5-neg", ["jumping", "--m", "32"], "ceiling-clamp", 0),
 ])
 def test_rank5_flagged_runs_print_the_recorded_bytes(spec, argv, flag, code):
     """On the rank-5 cube cone with fractional branches under --ceiling and
-    with negative constants under --clamp, whose walks take the node sums
-    and node events, stdout equals the recorded bytes, and the flag acts:
-    the plain run prints other bytes or rejects the spec."""
+    with negative constants under --clamp, alone and with --ceiling, whose
+    walks take the node sums and node events, stdout equals the recorded
+    bytes, and the flags act: the plain run prints other bytes or rejects
+    the spec."""
     cmd = [argv[0], os.path.join(DATA, f"{spec}.json"), *argv[1:]]
-    got = invoke(cmd + [f"--{flag}"])
+    got = invoke(cmd + [f"--{f}" for f in flag.split("-")])
     with open(os.path.join(DATA, f"{spec}-{argv[0]}-{flag}.out"), "rb") as fh:
         assert (got[0], got[1].encode()) == (code, fh.read())
     assert invoke(cmd)[:2] != got[:2]
